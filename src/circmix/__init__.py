@@ -8,7 +8,6 @@ identifiability toolkit and a Monte Carlo benchmark harness round out the
 package.
 """
 
-from .bessel import bessel_i
 from .circ import (ANGLE_TOL, ComponentDensity, MixtureParams, Sample, Tabulated,
                    VonMises, WrappedCauchy, WrappedNormal, angular_distance,
                    mixture_density, mixture_fourier, normalize, parse_density,

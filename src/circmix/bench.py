@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circ import MixtureParams, parse_density, sample_mixture
+from .circ import MixtureParams, mixture_density, parse_density, sample_mixture
 from .contrast import FitOptions, estimate_theta, squared_error
 from .errors import EstimationError, ExperimentError
 from .npdens import default_l_max, estimate_density, l2_error
@@ -34,7 +34,6 @@ class ExperimentConfig:
     reps: int
     seed: int
     experiments: tuple = ("mse",)
-    n_starts: int = 10
     p_max: float = 0.49
     l_max: int | None = None
     penalty: float | None = None  # None -> slope heuristic
@@ -98,7 +97,6 @@ class ExperimentConfig:
             reps=int(pop("reps", required=True)),
             seed=int(seed_raw),
             experiments=experiments,
-            n_starts=int(pop("starts", 10)),
             p_max=float(pop("p_max", 0.49)),
             l_max=None if l_max_raw is None else int(l_max_raw),
             penalty=penalty,
@@ -109,9 +107,8 @@ class ExperimentConfig:
             raise ExperimentError(f"unknown config keys: {sorted(values)}")
         return cfg
 
-    def fit_options(self, seed: int, covariance: bool) -> FitOptions:
-        return FitOptions(n_starts=self.n_starts, seed=seed, p_max=self.p_max,
-                          compute_covariance=covariance)
+    def fit_options(self, covariance: bool) -> FitOptions:
+        return FitOptions(p_max=self.p_max, compute_covariance=covariance)
 
 
 def _rep_rng(config: ExperimentConfig, kind: str, n: int, rep: int) -> np.random.Generator:
@@ -154,7 +151,7 @@ def _mse_rep(task):
     rng = _rep_rng(config, "mse", n, rep)
     density = parse_density(config.density_spec)
     sample = sample_mixture(config.theta0, density, n, rng)
-    opts = config.fit_options(seed=int(rng.integers(2 ** 31)), covariance=False)
+    opts = config.fit_options(covariance=False)
     try:
         fit = estimate_theta(sample, opts)
     except EstimationError:
@@ -195,7 +192,7 @@ def _normality_rep(task):
     rng = _rep_rng(config, "normality", n, rep)
     density = parse_density(config.density_spec)
     sample = sample_mixture(config.theta0, density, n, rng)
-    opts = config.fit_options(seed=int(rng.integers(2 ** 31)), covariance=True)
+    opts = config.fit_options(covariance=True)
     try:
         fit = estimate_theta(sample, opts)
     except EstimationError:
@@ -266,13 +263,11 @@ def run_density_recon(config: ExperimentConfig, write: bool = True):
     rng = _rep_rng(config, "density", n, 0)
     density = parse_density(config.density_spec)
     sample = sample_mixture(config.theta0, density, n, rng)
-    fit = estimate_theta(sample, config.fit_options(seed=int(rng.integers(2 ** 31)),
-                                                    covariance=False))
+    fit = estimate_theta(sample, config.fit_options(covariance=False))
     estimate = estimate_density(sample, fit, l_max=config.l_max,
                                 penalty=config.penalty, p_cap=config.p_max)
     x, f_hat = estimate.grid(512)
     f_true = density.pdf(x)
-    from .circ import mixture_density
     g_true = mixture_density(config.theta0, density, x)
     g_hat = estimate.mixture_pdf(x)
     info = {
@@ -301,23 +296,24 @@ def run_slope(config: ExperimentConfig, write: bool = True):
     rng = _rep_rng(config, "slope", n, 0)
     density = parse_density(config.density_spec)
     sample = sample_mixture(config.theta0, density, n, rng)
-    fit = estimate_theta(sample, config.fit_options(seed=int(rng.integers(2 ** 31)),
-                                                    covariance=False))
+    fit = estimate_theta(sample, config.fit_options(covariance=False))
     l_max = config.l_max if config.l_max is not None else default_l_max(n)
     estimate = estimate_density(sample, fit, l_max=l_max, p_cap=config.p_max)
     slope_fit = estimate.slope_fit
-    if slope_fit is None:
-        from .npdens import slope_lambda
-        slope_fit = slope_lambda(estimate.coeffs)
     if write:
-        window = set(slope_fit.window)
-        write_csv(os.path.join(config.outdir, "slope.csv"),
-                  ["L", "penalty_shape", "coeff_mass", "in_window",
-                   "slope", "lambda_hat"],
-                  [[L, _fmt(x), _fmt(y), int(L in window),
-                    _fmt(slope_fit.slope), _fmt(slope_fit.lambda_hat)]
-                   for L, x, y in slope_fit.couples])
+        write_slope_csv(os.path.join(config.outdir, "slope.csv"), slope_fit)
     return slope_fit, estimate
+
+
+def write_slope_csv(path: str, slope_fit) -> str:
+    """One row per level L: its couple, whether it is in the slope window,
+    and the fitted slope and lambda_hat."""
+    window = set(slope_fit.window)
+    return write_csv(path, ["L", "penalty_shape", "coeff_mass", "in_window",
+                            "slope", "lambda_hat"],
+                     [[L, _fmt(x), _fmt(y), int(L in window),
+                       _fmt(slope_fit.slope), _fmt(slope_fit.lambda_hat)]
+                      for L, x, y in slope_fit.couples])
 
 
 def run_experiments(config: ExperimentConfig) -> dict:

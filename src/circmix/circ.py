@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ive
 
-from .bessel import bessel_i
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -108,7 +108,12 @@ class ComponentDensity:
 
 @dataclass(frozen=True, repr=False)
 class VonMises(ComponentDensity):
-    """Von Mises density exp(kappa*cos(x-mu)) / (2*pi*I_0(kappa))."""
+    """Von Mises density exp(kappa*cos(x-mu)) / (2*pi*I_0(kappa)).
+
+    Evaluated with the scaled Bessel function ive(l, kappa) = I_l(kappa)
+    e^{-kappa}, so neither the density nor the coefficients overflow at
+    large kappa.
+    """
 
     kappa: float
     mu: float = 0.0
@@ -123,11 +128,11 @@ class VonMises(ComponentDensity):
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.exp(self.kappa * np.cos(x - self.mu)) / (TWO_PI * bessel_i(0, self.kappa))
+        out = np.exp(self.kappa * (np.cos(x - self.mu) - 1.0)) / (TWO_PI * ive(0, self.kappa))
         return out if out.ndim else float(out)
 
     def fourier_coeff(self, l: int) -> complex:
-        mag = bessel_i(abs(l), self.kappa) / (TWO_PI * bessel_i(0, self.kappa))
+        mag = ive(abs(l), self.kappa) / (TWO_PI * ive(0, self.kappa))
         return mag * np.exp(-1j * l * self.mu)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:

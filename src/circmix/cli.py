@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -71,18 +72,18 @@ def _read_angles(path: str) -> np.ndarray:
 
 
 def _fit_options(args, covariance: bool) -> FitOptions:
-    kwargs = dict(n_starts=args.starts, seed=args.seed, p_max=args.pmax,
-                  compute_covariance=covariance)
-    if getattr(args, "box", None):
-        parts = [float(v) for v in args.box.split(",")]
+    kwargs = dict(p_max=args.pmax, compute_covariance=covariance)
+    if args.box:
+        try:
+            parts = [float(v) for v in args.box.split(",")]
+        except ValueError as exc:
+            raise _CliUsage(f"--box values must be numeric: {args.box!r}") from exc
         if len(parts) != 6:
             raise _CliUsage("--box must be pmin,pmax,amin,amax,bmin,bmax")
         kwargs.update(p_min=parts[0], p_max=parts[1],
                       angle_min=parts[2], angle_max=parts[3])
         if (parts[2], parts[3]) != (parts[4], parts[5]):
             raise _CliUsage("--box currently requires identical alpha and beta ranges")
-    if getattr(args, "tol", None) is not None:
-        kwargs.update(xatol=args.tol)
     return FitOptions(**kwargs)
 
 
@@ -128,8 +129,13 @@ def cmd_density(args) -> int:
     angles = _read_angles(args.infile)
     if len(angles) < 2:
         raise EstimationError("estimation needs at least 2 angles")
+    penalty = None
+    if args.penalty != "slope":
+        try:
+            penalty = float(args.penalty)
+        except ValueError as exc:
+            raise _CliUsage(f"--lambda must be a number or 'slope': {args.penalty!r}") from exc
     fit = estimate_theta(angles, _fit_options(args, covariance=False))
-    penalty = None if args.penalty == "slope" else float(args.penalty)
     estimate = estimate_density(angles, fit, l_max=args.lmax, penalty=penalty,
                                 p_cap=args.pmax)
     x, f_hat = estimate.grid(args.grid)
@@ -163,13 +169,7 @@ def cmd_slope(args) -> int:
     fit = estimate_theta(angles, _fit_options(args, covariance=False))
     estimate = estimate_density(angles, fit, l_max=args.lmax, p_cap=args.pmax)
     slope_fit = estimate.slope_fit
-    window = set(slope_fit.window)
-    bench.write_csv(args.out,
-                    ["L", "penalty_shape", "coeff_mass", "in_window", "slope", "lambda_hat"],
-                    [[L, bench.FLOAT_FMT.format(xv), bench.FLOAT_FMT.format(yv),
-                      int(L in window), bench.FLOAT_FMT.format(slope_fit.slope),
-                      bench.FLOAT_FMT.format(slope_fit.lambda_hat)]
-                     for L, xv, yv in slope_fit.couples])
+    bench.write_slope_csv(args.out, slope_fit)
     print(f"slope = {slope_fit.slope:.6g}")
     print(f"lambda_hat = {slope_fit.lambda_hat:.6g}")
     return EXIT_OK
@@ -178,9 +178,9 @@ def cmd_slope(args) -> int:
 def cmd_bench(args) -> int:
     config = bench.ExperimentConfig.from_file(args.config)
     if args.out:
-        config = _replace_config(config, outdir=args.out)
+        config = replace(config, outdir=args.out)
     if args.jobs:
-        config = _replace_config(config, jobs=args.jobs)
+        config = replace(config, jobs=args.jobs)
     results = bench.run_experiments(config)
     for kind in config.experiments:
         if kind == "mse":
@@ -199,11 +199,6 @@ def cmd_bench(args) -> int:
             sf = results[kind][0]
             print(f"slope: a={sf.slope:.6g} lambda_hat={sf.lambda_hat:.6g}")
     return EXIT_OK
-
-
-def _replace_config(config, **kwargs):
-    from dataclasses import replace
-    return replace(config, **kwargs)
 
 
 def cmd_ident(args) -> int:
@@ -296,13 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_fit_flags(sub):
     sub.add_argument("--in", dest="infile", required=True, help="sample file")
-    sub.add_argument("--starts", type=int, default=10)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=0,
+                     help="accepted for compatibility; the fit is deterministic "
+                          "and does not use it")
     sub.add_argument("--pmax", type=float, default=0.49)
     sub.add_argument("--box", default=None,
                      help="pmin,pmax,amin,amax,bmin,bmax search box")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="parameter tolerance of the simplex search")
 
 
 def main(argv=None) -> int:

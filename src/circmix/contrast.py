@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-from .circ import ANGLE_TOL, MixtureParams, Sample, normalize
+from .circ import MixtureParams, Sample
 from .errors import DomainError, EstimationError, InferenceError
 
 TWO_PI = 2.0 * math.pi
@@ -129,17 +129,45 @@ class ContrastMoments:
             eb *= eb_step
             yield l, p, q, ea, eb, self.power_sums[l - 1], self.power_sums[2 * l - 1]
 
+    def _p_quadratic(self, alpha, beta):
+        """(c2, c1, c0) with S_n = 2/(n(n-1)) (c2 p^2 + c1 p + c0) at (alpha, beta).
+
+        M^l = p (e_a - e_b) + e_b is affine in p, so S_n is an exact
+        quadratic in p for fixed angles; broadcasts over arrays of angles.
+        """
+        n = self.n
+        c2 = c1 = c0 = 0.0
+        for l in range(1, L_MAX_CONTRAST + 1):
+            pl, p2l = self.power_sums[l - 1], self.power_sums[2 * l - 1]
+            eb = np.exp(-1j * l * beta)
+            d = np.exp(-1j * l * alpha) - eb
+            u = (d * pl).imag / TWO_PI
+            v = (eb * pl).imag / TWO_PI
+            c2 = c2 + u * u - (n * (d * d.conjugate()).real - (d * d * p2l).real) / (2.0 * FOUR_PI2)
+            c1 = c1 + 2.0 * (u * v - (n * (d * eb.conjugate()).real
+                                      - (d * eb * p2l).real) / (2.0 * FOUR_PI2))
+            c0 = c0 + v * v - (n - (eb * eb * p2l).real) / (2.0 * FOUR_PI2)
+        return c2, c1, c0
+
+    def profile_p(self, alpha, beta, p_min: float, p_max: float):
+        """(p, S_n) with p minimizing S_n over [p_min, p_max] at fixed angles.
+
+        The quadratic's minimum on the interval is its clipped vertex when
+        c2 > 0, and otherwise the end point with the lower value; the two
+        end values differ by (p_max - p_min) (c2 (p_min + p_max) + c1).
+        """
+        c2, c1, c0 = self._p_quadratic(alpha, beta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = np.clip(-0.5 * c1 / c2, p_min, p_max)
+        end = np.where(c2 * (p_min + p_max) + c1 < 0.0, p_max, p_min)
+        p = np.where(c2 > 0.0, vertex, end)
+        return p, 2.0 * ((c2 * p + c1) * p + c0) / (self.n * (self.n - 1))
+
     def value(self, theta) -> float:
         """S_n(theta)."""
-        theta_arr = _theta_array(theta)
-        n = self.n
-        total = 0.0
-        for l, p, q, ea, eb, pl, p2l in self._per_level(theta_arr):
-            m = p * ea + q * eb
-            a = (m * pl).imag / TWO_PI
-            b = (n * (m.real * m.real + m.imag * m.imag) - (m * m * p2l).real) / (2.0 * FOUR_PI2)
-            total += a * a - b
-        return 2.0 * total / (n * (n - 1))
+        p, alpha, beta = _theta_array(theta)
+        c2, c1, c0 = self._p_quadratic(alpha, beta)
+        return float(2.0 * ((c2 * p + c1) * p + c0) / (self.n * (self.n - 1)))
 
     def value_grad(self, theta):
         """(S_n, gradient)."""
@@ -228,21 +256,28 @@ def population_contrast(theta, theta0, f_coeffs) -> float:
     return 2.0 * total
 
 
+#: Points per angle axis of the profiled-contrast grid scan.
+GRID_SIZE = 96
+
+#: Lowest grid local minima polished by L-BFGS-B.
+N_POLISH = 3
+
+
 @dataclass(frozen=True)
 class FitOptions:
-    """Settings for the multi-start constrained minimization of S_n."""
+    """Search box of the minimization of S_n, and whether to estimate the covariance."""
 
-    n_starts: int = 10
-    seed: int = 0
     p_min: float = 0.01
     p_max: float = 0.49
     angle_min: float = 0.0
     angle_max: float = math.pi - 1e-9
-    xatol: float = 1e-8
-    fatol: float = 1e-10
-    maxiter: int = 2000
-    polish: bool = False
     compute_covariance: bool = True
+
+    def __post_init__(self):
+        if not 0.0 < self.p_min <= self.p_max:
+            raise DomainError("fit box requires 0 < p_min <= p_max")
+        if not self.angle_min < self.angle_max:
+            raise DomainError("fit box requires angle_min < angle_max")
 
     def box(self) -> np.ndarray:
         return np.array([
@@ -253,16 +288,11 @@ class FitOptions:
 
 
 @dataclass
-class LocalMinimum:
-    theta: np.ndarray
-    value: float
-    converged: bool
-    start_index: int
-
-
-@dataclass
 class FitResult:
     """Outcome of estimate_theta.
+
+    ``n_starts`` counts the grid minima polished and ``converged_starts``
+    those whose polish converged.
 
     ``covariance`` is the estimated covariance of theta_hat itself
     (Sigma_hat / n); ``sigma_hat`` is the asymptotic covariance of
@@ -272,7 +302,6 @@ class FitResult:
     theta_hat: MixtureParams
     contrast_at_min: float
     n_starts: int
-    all_local_minima: list
     n: int
     converged_starts: int
     near_degenerate: bool
@@ -340,76 +369,51 @@ def degeneracy_gap(theta) -> float:
 
 
 def estimate_theta(sample, options: FitOptions | None = None) -> FitResult:
-    """Minimize S_n over the box by multi-start Nelder-Mead.
+    """Minimize S_n over the box: profiled grid scan, then L-BFGS-B polish.
 
-    Starts are drawn uniformly on the box; the lowest local minimum wins,
-    with ties (contrast difference below 1e-12) broken toward the earliest
-    start.  Label switching is resolved by p < 1/2; fits with beta - alpha
-    within DEGENERACY_WARN_RADIUS of a multiple of 2*pi/3 are flagged.
+    For each point of a GRID_SIZE x GRID_SIZE (alpha, beta) grid, p is
+    profiled out in closed form (S_n is quadratic in p).  The N_POLISH
+    lowest local minima of that grid, against their 8 neighbours, start one
+    L-BFGS-B run each; the lowest result wins, and EstimationError is raised
+    if no run converged.  Label switching is resolved by p < 1/2; fits with
+    beta - alpha within DEGENERACY_WARN_RADIUS of a multiple of 2*pi/3 are
+    flagged.
     """
     opts = options or FitOptions()
     moments = _as_moments(sample)
     box = opts.box()
-    if not (0.0 < opts.p_min <= opts.p_max):
-        raise DomainError("fit box requires 0 < p_min <= p_max")
-    rng = np.random.default_rng(opts.seed)
-    starts = rng.uniform(box[:, 0], box[:, 1], size=(opts.n_starts, 3))
-    # One extra deterministic start at the argmin of a coarse grid scan;
-    # the global basin can be narrow enough that ten uniform draws all miss
-    # it, and grid evaluations are O(1) each after the power-sum precompute.
-    starts = np.vstack([starts, _grid_start(moments, box)])
+    alphas = np.linspace(box[1, 0], box[1, 1], GRID_SIZE)
+    betas = np.linspace(box[2, 0], box[2, 1], GRID_SIZE)
+    ps, values = moments.profile_p(alphas[:, None], betas[None, :], opts.p_min, opts.p_max)
     bounds = Bounds(box[:, 0], box[:, 1])
-    minima: list[LocalMinimum] = []
-    for i, x0 in enumerate(starts):
-        candidates = []
-        res = minimize(
-            moments.value, x0, method="Nelder-Mead", bounds=bounds,
-            options={"xatol": opts.xatol, "fatol": opts.fatol,
-                     "maxiter": opts.maxiter, "maxfev": 4 * opts.maxiter},
-        )
-        candidates.append(res)
-        # The clipped simplex degenerates on the box faces and can miss the
-        # global basin; a projected-gradient run from the same start and a
-        # polish of the simplex endpoint recover it at negligible cost.
-        for z0 in (x0, res.x):
-            candidates.append(minimize(
-                lambda t: moments.value_grad(t)[0], z0,
-                jac=lambda t: moments.value_grad(t)[1],
-                method="L-BFGS-B", bounds=bounds,
-                options={"ftol": 1e-13, "gtol": 1e-9, "maxiter": 500},
-            ))
-        finite = [c for c in candidates if np.isfinite(c.fun)]
-        if finite:
-            local_best = min(finite, key=lambda c: c.fun)
-            minima.append(LocalMinimum(theta=np.asarray(local_best.x, dtype=float),
-                                       value=float(local_best.fun),
-                                       converged=any(c.success for c in finite),
-                                       start_index=i))
-    converged = [m for m in minima if m.converged]
+    n = moments.n
+
+    def n_contrast(theta):
+        # S_n is O(1/n) near its minimum while the L-BFGS-B stopping tests
+        # are absolute below |f| = 1, so the polish works on n S_n
+        value, grad = moments.value_grad(theta)
+        return n * value, n * grad
+
+    runs = []
+    for i, j in _lowest_local_minima(values, N_POLISH):
+        runs.append(minimize(n_contrast, [ps[i, j], alphas[i], betas[j]], jac=True,
+                             method="L-BFGS-B", bounds=bounds,
+                             options={"ftol": 1e-13, "gtol": 1e-9, "maxiter": 500}))
+    converged = sum(bool(r.success) for r in runs)
     if not converged:
         raise EstimationError(
-            f"no start converged within {opts.maxiter} iterations "
-            f"(best contrast {min((m.value for m in minima), default=float('nan'))!r})")
-    # lowest converged minimum; ties under 1e-12 keep the earliest start
-    best = converged[0]
-    for m in converged[1:]:
-        if m.value < best.value - 1e-12:
-            best = m
-    if opts.polish:
-        res = minimize(lambda t: moments.value_grad(t)[0], best.theta,
-                       jac=lambda t: moments.value_grad(t)[1],
-                       method="L-BFGS-B", bounds=bounds)
-        if res.fun <= best.value:
-            best = LocalMinimum(np.asarray(res.x, dtype=float), float(res.fun),
-                                True, best.start_index)
-    theta_hat = canonicalize(MixtureParams(*best.theta))
+            f"no polish converged (best contrast {min(r.fun for r in runs) / n!r}: "
+            f"{runs[0].message})")
+    # a line search that stalls at the precision floor ends "abnormally" at a
+    # minimum, so every finite polish competes; each is no higher than its start
+    best = min((r for r in runs if np.isfinite(r.fun)), key=lambda r: r.fun)
+    theta_hat = canonicalize(MixtureParams(*best.x))
     result = FitResult(
         theta_hat=theta_hat,
-        contrast_at_min=best.value,
-        n_starts=len(starts),
-        all_local_minima=minima,
-        n=moments.n,
-        converged_starts=len(converged),
+        contrast_at_min=float(best.fun) / n,
+        n_starts=len(runs),
+        n=n,
+        converged_starts=converged,
         near_degenerate=degeneracy_gap(theta_hat) < DEGENERACY_WARN_RADIUS,
     )
     if opts.compute_covariance:
@@ -423,23 +427,19 @@ def estimate_theta(sample, options: FitOptions | None = None) -> FitResult:
     return result
 
 
-def _grid_start(moments: ContrastMoments, box: np.ndarray,
-                shape=(9, 18, 18)) -> np.ndarray:
-    ps = np.linspace(box[0, 0], box[0, 1], shape[0])
-    alphas = np.linspace(box[1, 0], box[1, 1], shape[1])
-    betas = np.linspace(box[2, 0], box[2, 1], shape[2])
-    best_val, best = math.inf, None
-    theta = np.empty(3)
-    for p in ps:
-        theta[0] = p
-        for a in alphas:
-            theta[1] = a
-            for b in betas:
-                theta[2] = b
-                v = moments.value(theta)
-                if v < best_val:
-                    best_val, best = v, theta.copy()
-    return best
+def _lowest_local_minima(values: np.ndarray, count: int) -> list:
+    """Indices of the ``count`` lowest cells no higher than any of their 8
+    neighbours, lowest first; ties keep row-major order."""
+    rows, cols = values.shape
+    padded = np.pad(values, 1, constant_values=np.inf)
+    is_min = np.ones(values.shape, dtype=bool)
+    for di in (0, 1, 2):
+        for dj in (0, 1, 2):
+            if (di, dj) != (1, 1):
+                is_min &= values <= padded[di:di + rows, dj:dj + cols]
+    cells = np.flatnonzero(is_min)
+    cells = cells[np.argsort(values.ravel()[cells], kind="stable")[:count]]
+    return [divmod(int(c), cols) for c in cells]
 
 
 def asymptotic_cov(sample, theta) -> tuple[np.ndarray, np.ndarray]:

@@ -237,8 +237,12 @@ def estimate_density(sample, fit_or_theta, l_max: int | None = None,
                            contrast_path=path, slope_fit=slope_fit)
 
 
+#: Last level of the exact coefficient tail sums.
+TAIL_CAP = 100000
+
+
 def l2_error(estimate: DensityEstimate, density: ComponentDensity,
-             tail_tol: float = 1e-16, tail_cap: int = 100000) -> float:
+             tail_tol: float = 1e-16, tail_cap: int = TAIL_CAP) -> float:
     """Squared L2 distance (norm (1/2pi) integral phi^2) between the
     estimate and an exact density, via Parseval.
 
@@ -249,13 +253,19 @@ def l2_error(estimate: DensityEstimate, density: ComponentDensity,
     total = 0.0
     for l in range(-level, level + 1):
         total += abs(estimate.coeffs.f(l) - density.fourier_coeff(l)) ** 2
-    l = level + 1
-    while l <= tail_cap:
+    return total + _tail_mass(density, level + 1, tail_tol, tail_cap)
+
+
+def _tail_mass(density: ComponentDensity, start: int, tail_tol: float,
+               tail_cap: int = TAIL_CAP) -> float:
+    """sum_{|l| >= start} |f_l|^2, stopped after the first term below
+    ``tail_tol`` or at l = ``tail_cap``."""
+    total = 0.0
+    for l in range(start, tail_cap + 1):
         term = 2.0 * abs(density.fourier_coeff(l)) ** 2
         total += term
         if term < tail_tol:
             break
-        l += 1
     return total
 
 
@@ -273,14 +283,7 @@ def oracle_risk(coeffs: EmpiricalCoeffs, density: ComponentDensity, levels=None,
     f_hat = coeffs.f_hat[coeffs.l_max - top: coeffs.l_max + top + 1]
     sq_err = np.abs(f_hat - f_true) ** 2
     # cumulative head error for each L plus the exact tail beyond L
-    tail = 0.0
-    l = top + 1
-    while True:
-        term = 2.0 * abs(density.fourier_coeff(l)) ** 2
-        tail += term
-        if term < tail_tol or l > 100000:
-            break
-        l += 1
+    tail = _tail_mass(density, top + 1, tail_tol)
     best_level, best_risk = None, math.inf
     for L in levels:
         head = float(np.sum(sq_err[top - L: top + L + 1]))

@@ -44,9 +44,8 @@ def bench_config(tmp_path, **overrides):
     return replace(cfg, outdir=str(tmp_path))
 
 
-def fit_for(sample, rng, covariance=False):
-    return estimate_theta(sample, FitOptions(seed=int(rng.integers(2 ** 31)),
-                                             compute_covariance=covariance))
+def fit_for(sample, covariance=False):
+    return estimate_theta(sample, FitOptions(compute_covariance=covariance))
 
 
 def test_criterion_01_table1_vonmises(tmp_path):
@@ -192,7 +191,7 @@ def _density_batch(density, n, reps, seed_tag):
     for r in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence([seed_tag, n, r]))
         sample = sample_mixture(THETA0, density, n, rng)
-        fit = fit_for(sample, rng)
+        fit = fit_for(sample)
         estimate = estimate_density(sample, fit)
         risks.append(l2_error(estimate, density))
         oracles.append(oracle_risk(estimate.coeffs, density)[1])
@@ -242,7 +241,7 @@ def test_criterion_09_slope_heuristic():
     d = WrappedCauchy(0.8)
     rng = np.random.default_rng(np.random.SeedSequence([31, 1000, 1]))
     sample = sample_mixture(THETA0, d, 1000, rng)
-    fit = fit_for(sample, rng)
+    fit = fit_for(sample)
     estimate = estimate_density(sample, fit, l_max=50)
     risk = l2_error(estimate, d)
     ok = exact_ok and risk <= 0.05

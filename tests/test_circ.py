@@ -87,6 +87,27 @@ def test_exact_fourier_with_location():
         assert abs(d.fourier_coeff(l) - quad_fourier(d.pdf, l)) < 1e-10
 
 
+def test_vonmises_matches_mpmath_bessel_ratio():
+    # f_l = I_l(kappa) / (2 pi I_0(kappa)) up to kappa = 1000, where I_0 itself
+    # overflows a double; the density at and near the mode likewise
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            VonMises(bad)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    kappas = np.concatenate([[0.0], np.linspace(0.01, 14.99, 12),
+                             np.linspace(15.0, 120.0, 12), [350.0, 700.0, 1000.0]])
+    for kappa in kappas:
+        d = VonMises(float(kappa))
+        i0 = mp.besseli(0, mp.mpf(float(kappa)))
+        for l in range(9):
+            ref = float(mp.besseli(l, mp.mpf(float(kappa))) / (2 * mp.pi * i0))
+            assert_allclose(d.fourier_coeff(l), ref, rtol=1e-12, atol=0)
+        for x in (0.0, 0.1):
+            ref = float(mp.exp(kappa * mp.cos(x)) / (2 * mp.pi * i0))
+            assert_allclose(d.pdf(x), ref, rtol=1e-12, atol=0)
+
+
 def test_parseval_partial_sums():
     for d in NAMED:
         x = np.linspace(0.0, TWO_PI, 8192, endpoint=False)

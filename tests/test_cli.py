@@ -97,6 +97,49 @@ def test_fit_malformed_file(tmp_path, capsys):
     assert "not a number" in err
 
 
+def test_fit_output_ignores_seed(tmp_path, capsys):
+    sample = tmp_path / "s.txt"
+    run(capsys, "simulate", "--density", "vonmises:kappa=5", "--theta", THETA,
+        "--n", "500", "--seed", "7", "--out", str(sample))
+    outputs = []
+    for seed in ("1", "1", "2"):
+        code, out, _ = run(capsys, "fit", "--in", str(sample), "--seed", seed)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("flags", [
+    ("fit", "--box", "a,b,c,d,e,f"),
+    ("fit", "--box", "0.01,0.49,2,1,2,1"),
+    ("density", "--lambda", "abc"),
+])
+def test_bad_fit_flags_are_usage_errors(tmp_path, capsys, flags):
+    sample = tmp_path / "s.txt"
+    run(capsys, "simulate", "--density", "vonmises:kappa=5", "--theta", THETA,
+        "--n", "200", "--seed", "7", "--out", str(sample))
+    command, *rest = flags
+    if command == "density":
+        rest += ["--out", str(tmp_path / "d.csv")]
+    code, _, err = run(capsys, command, "--in", str(sample), *rest)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_density_large_kappa_truth(tmp_path, capsys):
+    # I_0(1000) overflows a double; the tabulated truth must not
+    sample = tmp_path / "s.txt"
+    run(capsys, "simulate", "--density", "vonmises:kappa=1000", "--theta", THETA,
+        "--n", "500", "--seed", "7", "--out", str(sample))
+    out_csv = tmp_path / "d.csv"
+    code, _, err = run(capsys, "density", "--in", str(sample), "--out", str(out_csv),
+                       "--true", "vonmises:kappa=1000")
+    assert code == 0, err
+    values = np.array([[float(v) for v in line.split(",")]
+                       for line in out_csv.read_text().splitlines()[1:]])
+    assert np.all(np.isfinite(values))
+
+
 def test_fit_near_degenerate_warning(tmp_path, capsys):
     sample = tmp_path / "s.txt"
     run(capsys, "simulate", "--density", "vonmises:kappa=5",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import differential_evolution, minimize_scalar
 
 from circmix import (ContrastMoments, DomainError, EstimationError, FitOptions,
                      InferenceError, MixtureParams, VonMises, WrappedCauchy,
@@ -175,7 +176,7 @@ def test_population_contrast_zeros_and_positivity():
 def test_estimate_theta_recovers_parameters():
     rng = np.random.default_rng(15)
     s = sample_mixture(THETA0, VonMises(5.0), 1000, rng)
-    fit = estimate_theta(s, FitOptions(seed=5))
+    fit = estimate_theta(s, FitOptions())
     err = np.abs(fit.theta_hat.as_array() - THETA0.as_array())
     assert np.all(err < 0.15)
     # minimizer never beats every visited point, in particular theta0
@@ -188,8 +189,8 @@ def test_estimate_theta_recovers_parameters():
 def test_estimate_theta_deterministic():
     rng = np.random.default_rng(16)
     s = sample_mixture(THETA0, WrappedCauchy(0.8), 400, rng)
-    a = estimate_theta(s, FitOptions(seed=3))
-    b = estimate_theta(s, FitOptions(seed=3))
+    a = estimate_theta(s, FitOptions())
+    b = estimate_theta(s, FitOptions())
     assert a.theta_hat == b.theta_hat
     assert a.contrast_at_min == b.contrast_at_min
 
@@ -200,10 +201,53 @@ def test_estimate_theta_single_component_collapses():
     rng = np.random.default_rng(17)
     beta0 = 2.1
     s = sample_mixture(MixtureParams(0.0, 0.3, beta0), d, 2000, rng)
-    fit = estimate_theta(s, FitOptions(seed=2, compute_covariance=False))
+    fit = estimate_theta(s, FitOptions(compute_covariance=False))
     gap = abs(math.remainder(fit.theta_hat.alpha - fit.theta_hat.beta, math.pi))
     assert gap < 0.1
     assert abs(math.remainder(fit.theta_hat.beta - beta0, math.pi)) < 0.1
+
+
+def test_profiled_p_matches_scalar_minimization():
+    # S_n is quadratic in p at fixed angles: the closed-form minimizer over
+    # [p_min, p_max] agrees with a bounded search on the literal double sum
+    rng = np.random.default_rng(21)
+    angles = sample_mixture(THETA0, VonMises(5.0), 30, rng).angles
+    moments = ContrastMoments(angles)
+    for _ in range(20):
+        alpha, beta = rng.uniform(0, np.pi, 2)
+        p, value = moments.profile_p(alpha, beta, 0.01, 0.49)
+        ref = minimize_scalar(lambda q: brute_contrast(angles, (q, alpha, beta)),
+                              bounds=(0.01, 0.49), method="bounded",
+                              options={"xatol": 1e-10})
+        assert abs(p - ref.x) <= 1e-6
+        assert_allclose(value, brute_contrast(angles, (p, alpha, beta)), rtol=1e-12, atol=1e-15)
+        assert value <= ref.fun + 1e-13 * max(1.0, abs(ref.fun))
+
+
+FITTER_SAMPLES = [
+    (VonMises(5.0), THETA0, 100), (VonMises(5.0), THETA0, 1000),
+    (WrappedCauchy(0.8), THETA0, 100), (WrappedCauchy(0.8), THETA0, 1000),
+    (VonMises(0.0), THETA0, 100), (VonMises(0.0), THETA0, 1000),
+    (VonMises(5.0), MixtureParams(0.0, 0.3, 2.1), 100),
+    (VonMises(5.0), MixtureParams(0.0, 0.3, 2.1), 2000),
+    (VonMises(5.0), MixtureParams(0.35, 0.5, 0.5 + 2 * np.pi / 3), 300),
+    (VonMises(5.0), MixtureParams(0.35, 0.5, 0.5 + 2 * np.pi / 3), 800),
+    (WrappedCauchy(0.8), MixtureParams(0.0, 0.3, 2.1), 500),
+    (WrappedCauchy(0.8), MixtureParams(0.3, 1.0, 1.0 + 2 * np.pi / 3 + 0.02), 500),
+]
+
+
+@pytest.mark.parametrize("case", range(len(FITTER_SAMPLES)))
+def test_fit_not_above_differential_evolution(case):
+    # the grid scan plus polish finds a minimum at least as low as a global
+    # stochastic search over the same box
+    density, theta0, n = FITTER_SAMPLES[case]
+    rng = np.random.default_rng(np.random.SeedSequence([22, case]))
+    moments = ContrastMoments(sample_mixture(theta0, density, n, rng).angles)
+    opts = FitOptions(compute_covariance=False)
+    fit = estimate_theta(moments, opts)
+    ref = differential_evolution(moments.value, opts.box(), seed=case, tol=1e-10)
+    assert fit.contrast_at_min <= ref.fun + 1e-12 * max(1.0, abs(ref.fun))
 
 
 def test_canonicalize_label_switch():
@@ -217,7 +261,7 @@ def test_canonicalize_label_switch():
 def test_estimate_theta_canonicalizes_wide_box():
     rng = np.random.default_rng(18)
     s = sample_mixture(THETA0, VonMises(5.0), 600, rng)
-    opts = FitOptions(seed=4, p_min=0.01, p_max=0.99, compute_covariance=False)
+    opts = FitOptions(p_min=0.01, p_max=0.99, compute_covariance=False)
     fit = estimate_theta(s, opts)
     assert fit.theta_hat.p < 0.5
 
@@ -226,14 +270,14 @@ def test_degeneracy_warning_radius():
     assert degeneracy_gap(MixtureParams(0.3, 0.2, 0.2 + 2 * np.pi / 3)) == pytest.approx(0.0, abs=1e-12)
     rng = np.random.default_rng(19)
     s = sample_mixture(MixtureParams(0.35, 0.5, 0.5 + 2 * np.pi / 3), VonMises(5.0), 800, rng)
-    fit = estimate_theta(s, FitOptions(seed=6, compute_covariance=False))
+    fit = estimate_theta(s, FitOptions(compute_covariance=False))
     assert fit.near_degenerate
 
 
 def test_asymptotic_cov_properties():
     rng = np.random.default_rng(20)
     s = sample_mixture(THETA0, VonMises(5.0), 800, rng)
-    fit = estimate_theta(s, FitOptions(seed=7, compute_covariance=False))
+    fit = estimate_theta(s, FitOptions(compute_covariance=False))
     sigma, se = asymptotic_cov(s.angles, fit.theta_hat)
     assert_allclose(sigma, sigma.T, atol=1e-15)
     eigvals = np.linalg.eigvalsh(sigma)
@@ -252,7 +296,7 @@ def test_asymptotic_cov_singular_raises():
 
 def test_estimation_failure_propagates():
     with pytest.raises((EstimationError, DomainError)):
-        estimate_theta(np.array([1.0]), FitOptions(seed=0))
+        estimate_theta(np.array([1.0]), FitOptions())
 
 
 def test_squared_error_angular_metric():
@@ -273,8 +317,7 @@ def test_mse_risk_decay():
         for r in range(20):
             rng = np.random.default_rng(np.random.SeedSequence([77, n, r]))
             s = sample_mixture(THETA0, d, n, rng)
-            fit = estimate_theta(s, FitOptions(seed=int(rng.integers(2 ** 31)),
-                                               compute_covariance=False))
+            fit = estimate_theta(s, FitOptions(compute_covariance=False))
             errs.append(squared_error(fit.theta_hat, THETA0).sum())
         risks[n] = float(np.mean(errs))
     assert risks[100] > risks[400] > risks[1600]

@@ -138,7 +138,7 @@ def test_slope_lambda_requires_enough_levels():
 def test_slope_lambda_positive_on_real_data():
     rng = np.random.default_rng(5)
     s = sample_mixture(THETA0, WrappedCauchy(0.8), 1000, rng)
-    fit = estimate_theta(s, FitOptions(seed=1, compute_covariance=False))
+    fit = estimate_theta(s, FitOptions(compute_covariance=False))
     coeffs = empirical_coeffs(s, fit.theta_hat, 50)
     slope_fit = slope_lambda(coeffs)
     assert slope_fit.lambda_hat > 0
@@ -152,8 +152,7 @@ def test_slope_lambda_window_robustness():
     for r in range(20):
         rng = np.random.default_rng(np.random.SeedSequence([51, r]))
         s = sample_mixture(THETA0, VonMises(5.0), 1000, rng)
-        fit = estimate_theta(s, FitOptions(seed=int(rng.integers(2 ** 31)),
-                                           compute_covariance=False))
+        fit = estimate_theta(s, FitOptions(compute_covariance=False))
         coeffs = empirical_coeffs(s, fit.theta_hat, 30)
         half = slope_lambda(coeffs).lambda_hat
         third_levels = list(range(0, 31))
@@ -192,7 +191,7 @@ def test_estimate_density_uniform_selects_zero():
     # calls for a diagnosis, not a new seed
     rng = np.random.default_rng(1)
     s = sample_mixture(THETA0, VonMises(0.0), 1000, rng)
-    fit = estimate_theta(s, FitOptions(seed=2, compute_covariance=False))
+    fit = estimate_theta(s, FitOptions(compute_covariance=False))
     est = estimate_density(s, fit)
     assert est.level == 0
     x, y = est.grid(64)
@@ -203,7 +202,7 @@ def test_estimate_density_reconstruction_quality():
     rng = np.random.default_rng(7)
     d = VonMises(5.0)
     s = sample_mixture(THETA0, d, 1000, rng)
-    fit = estimate_theta(s, FitOptions(seed=3, compute_covariance=False))
+    fit = estimate_theta(s, FitOptions(compute_covariance=False))
     est = estimate_density(s, fit)
     assert 3 <= est.level <= 10
     risk = l2_error(est, d)
@@ -218,7 +217,7 @@ def test_estimate_density_reconstruction_quality():
 def test_estimate_density_explicit_penalty():
     rng = np.random.default_rng(8)
     s = sample_mixture(THETA0, VonMises(5.0), 500, rng)
-    fit = estimate_theta(s, FitOptions(seed=4, compute_covariance=False))
+    fit = estimate_theta(s, FitOptions(compute_covariance=False))
     est = estimate_density(s, fit, penalty=1e9)
     assert est.level == 0
     assert est.slope_fit is None
@@ -250,7 +249,7 @@ def test_l2_error_matches_grid_quadrature():
     rng = np.random.default_rng(9)
     d = VonMises(5.0)
     s = sample_mixture(THETA0, d, 1000, rng)
-    fit = estimate_theta(s, FitOptions(seed=5, compute_covariance=False))
+    fit = estimate_theta(s, FitOptions(compute_covariance=False))
     est = estimate_density(s, fit)
     x = np.linspace(0.0, TWO_PI, 8192, endpoint=False)
     quad = quad_integral((est.evaluate(x) - d.pdf(x)) ** 2) / TWO_PI
@@ -261,7 +260,7 @@ def test_oracle_risk_is_lower_bound():
     rng = np.random.default_rng(10)
     d = VonMises(5.0)
     s = sample_mixture(THETA0, d, 1000, rng)
-    fit = estimate_theta(s, FitOptions(seed=6, compute_covariance=False))
+    fit = estimate_theta(s, FitOptions(compute_covariance=False))
     est = estimate_density(s, fit)
     best_level, best_risk = oracle_risk(est.coeffs, d)
     assert 0 <= best_level <= est.coeffs.l_max
@@ -272,7 +271,7 @@ def test_clipped_renormalized():
     rng = np.random.default_rng(11)
     d = WrappedCauchy(0.8)
     s = sample_mixture(THETA0, d, 400, rng)
-    fit = estimate_theta(s, FitOptions(seed=7, compute_covariance=False))
+    fit = estimate_theta(s, FitOptions(compute_covariance=False))
     est = estimate_density(s, fit)
     x, y = est.clipped_renormalized(1024)
     assert np.all(y >= 0)
