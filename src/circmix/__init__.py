@@ -15,8 +15,8 @@ from .circ import (ANGLE_TOL, ComponentDensity, MixtureParams, Sample, Tabulated
 from .contrast import (ContrastMoments, FitOptions, FitResult, asymptotic_cov,
                        canonicalize, contrast, contrast_value, degeneracy_gap,
                        estimate_theta, mixture_weight, mixture_weight_grad,
-                       mixture_weight_hess, population_contrast, squared_error,
-                       z_grads, z_hessians, z_values)
+                       mixture_weight_hess, population_contrast, power_sums,
+                       squared_error, z_grads, z_hessians, z_values)
 from .errors import (CalibrationError, CircmixError, DegeneracyError, DomainError,
                      EstimationError, ExperimentError, InferenceError)
 from .ident import (AliasRecipe, IdentClass, IdentTag, alias_bipolar, alias_case4,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +54,20 @@ def _parse_theta(text: str, degrees: bool, p_cap: float = 0.5) -> MixtureParams:
 
 
 def _read_angles(path: str) -> np.ndarray:
+    """Angles of a sample file, one per line; blank lines are skipped.
+
+    numpy's parser reads a well-formed file; anything it rejects or reads
+    as other than one column goes through the line loop, which accepts
+    whatever ``float`` does and names the first bad line.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty file warns; the loop reports it
+            table = np.loadtxt(path, dtype=float, comments=None, ndmin=2)
+    except (OSError, ValueError):
+        table = np.empty((0, 0))
+    if table.shape[0] >= 1 and table.shape[1] == 1:
+        return normalize(table[:, 0])
     try:
         with open(path) as fh:
             lines = [line.strip() for line in fh]
@@ -135,6 +150,8 @@ def cmd_density(args) -> int:
             penalty = float(args.penalty)
         except ValueError as exc:
             raise _CliUsage(f"--lambda must be a number or 'slope': {args.penalty!r}") from exc
+    if args.grid <= 0:
+        raise _CliUsage(f"--grid must be a positive number of points, got {args.grid}")
     fit = estimate_theta(angles, _fit_options(args, covariance=False))
     estimate = estimate_density(angles, fit, l_max=args.lmax, penalty=penalty,
                                 p_cap=args.pmax)

@@ -47,10 +47,11 @@ def _theta_array(theta) -> np.ndarray:
     return arr
 
 
-def mixture_weight(theta, l: int) -> complex:
-    """M^l(theta) = p e^{-i l alpha} + (1-p) e^{-i l beta}."""
+def mixture_weight(theta, l):
+    """M^l(theta) = p e^{-i l alpha} + (1-p) e^{-i l beta}, elementwise over an array of levels."""
     p, alpha, beta = _theta_array(theta)
-    return p * cmath.exp(-1j * l * alpha) + (1.0 - p) * cmath.exp(-1j * l * beta)
+    l = np.asarray(l)
+    return p * np.exp(-1j * l * alpha) + (1.0 - p) * np.exp(-1j * l * beta)
 
 
 def mixture_weight_grad(theta, l: int) -> np.ndarray:
@@ -95,6 +96,31 @@ def z_hessians(angles, l: int, theta) -> np.ndarray:
     return np.imag(phases[:, None, None] * d2m[None, :, :]) / TWO_PI
 
 
+#: Angles per block of the power-sum recurrence: its working memory is a
+#: few arrays of this length, whatever n and m_max are.
+POWER_SUM_CHUNK = 16384
+
+
+def power_sums(angles, m_max: int) -> np.ndarray:
+    """P_m = sum_k e^{i m X_k} for m = 0..m_max, a complex array of length m_max + 1.
+
+    Each block of POWER_SUM_CHUNK angles runs the recurrence w <- w e^{iX},
+    so the cost is n (m_max + 1) complex products and no n x m_max array
+    is built.  At n <= POWER_SUM_CHUNK the sums are those of one unchunked
+    recurrence, bit for bit.
+    """
+    angles = np.asarray(angles, dtype=float)
+    sums = np.zeros(m_max + 1, dtype=complex)
+    sums[0] = len(angles)
+    for start in range(0, len(angles), POWER_SUM_CHUNK):
+        base = np.exp(1j * angles[start:start + POWER_SUM_CHUNK])
+        power = base.copy()
+        for m in range(1, m_max + 1):
+            sums[m] += power.sum()
+            power = power * base  # in place rounds differently at some lengths
+    return sums
+
+
 class ContrastMoments:
     """Power sums of a sample, from which S_n and its derivatives follow.
 
@@ -108,15 +134,8 @@ class ContrastMoments:
             raise DomainError("angles must be one-dimensional")
         if len(angles) < 2:
             raise DomainError("the contrast needs at least two observations")
-        self.angles = angles
         self.n = len(angles)
-        base = np.exp(1j * angles)
-        power = base.copy()
-        sums = []
-        for _ in range(2 * L_MAX_CONTRAST):
-            sums.append(complex(power.sum()))
-            power = power * base
-        self.power_sums = sums  # index m-1 holds P_m
+        self.power_sums = power_sums(angles, 2 * L_MAX_CONTRAST)[1:]  # index m-1 holds P_m
 
     def _per_level(self, theta_arr):
         p, alpha, beta = theta_arr
@@ -446,10 +465,13 @@ def asymptotic_cov(sample, theta) -> tuple[np.ndarray, np.ndarray]:
     """Sandwich estimate of the asymptotic covariance of sqrt(n)(theta_hat - theta0).
 
     A_hat is the Hessian of S_n at theta_hat; V_hat is the triple sum
-    (4/n^3) sum_{k,j,j'} sum_{l,l'} Z_k^l Z_k^l' dZ_j^l (dZ_j'^l')^T, which
-    factorizes as (4/n^3) sum_k w_k w_k^T with w_k = sum_l Z_k^l D^l and
-    D^l = sum_j dZ_j^l.  Returns (Sigma_hat, per-coordinate standard errors
-    sqrt(diag(Sigma_hat)/n)).
+    (4/n^3) sum_{k,j,j'} sum_{l,l'} Z_k^l Z_k^l' dZ_j^l (dZ_j'^l')^T over
+    |l|, |l'| <= 4.  As Z^{-l} = -Z^l it equals (16/n^3) D^T G D over
+    l, l' = 1..4, with D^l = sum_j dZ_j^l = Im(dM^l P_l) / 2pi and the Gram
+    matrix G_ll' = sum_k Z_k^l Z_k^l'
+    = Re(M^l conj(M^l') P_{l-l'} - M^l M^l' P_{l+l'}) / (8 pi^2),
+    so it reads only the power sums P_0..P_8.  Returns (Sigma_hat,
+    per-coordinate standard errors sqrt(diag(Sigma_hat)/n)).
 
     Raises
     ------
@@ -457,7 +479,6 @@ def asymptotic_cov(sample, theta) -> tuple[np.ndarray, np.ndarray]:
         If A_hat has reciprocal condition number below RCOND_MIN.
     """
     moments = _as_moments(sample)
-    angles = moments.angles
     theta_arr = _theta_array(theta)
     n = moments.n
     _, _, a_hat = moments.value_grad_hess(theta_arr)
@@ -466,12 +487,16 @@ def asymptotic_cov(sample, theta) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(rcond) or rcond < RCOND_MIN:
         raise InferenceError(
             f"curvature matrix is numerically singular (rcond {rcond:.2e} < {RCOND_MIN:.0e})")
-    w = np.zeros((n, 3))
-    for l in range(1, L_MAX_CONTRAST + 1):
-        z = z_values(angles, l, theta_arr)
-        d = z_grads(angles, l, theta_arr).sum(axis=0)
-        w += 2.0 * z[:, None] * d[None, :]
-    v_hat = 4.0 * (w.T @ w) / n ** 3
+    ls = np.arange(1, L_MAX_CONTRAST + 1)
+    sums = np.concatenate(([n], moments.power_sums))  # P_0..P_8
+    m = mixture_weight(theta_arr, ls)
+    dm = np.array([mixture_weight_grad(theta_arr, l) for l in ls])
+    d = np.imag(dm * sums[ls, None]) / TWO_PI
+    lag = ls[:, None] - ls[None, :]
+    p_lag = np.where(lag >= 0, sums[np.abs(lag)], np.conj(sums[np.abs(lag)]))
+    gram = np.real(m[:, None] * np.conj(m)[None, :] * p_lag
+                   - m[:, None] * m[None, :] * sums[ls[:, None] + ls[None, :]]) / (2.0 * FOUR_PI2)
+    v_hat = 16.0 * (d.T @ gram @ d) / n ** 3
     v_hat = 0.5 * (v_hat + v_hat.T)
     a_inv = np.linalg.inv(a_hat)
     sigma = a_inv @ v_hat @ a_inv

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circ import ComponentDensity, MixtureParams, Sample, TWO_PI
-from .contrast import mixture_weight
+from .contrast import mixture_weight, power_sums
 from .errors import CalibrationError, DegeneracyError, DomainError
 
 #: Default cap on the mixing weight; |M^l| is bounded below by 1 - 2*p_cap.
@@ -55,6 +55,9 @@ def empirical_coeffs(sample, theta: MixtureParams, l_max: int,
                      p_cap: float = DEFAULT_P_CAP) -> EmpiricalCoeffs:
     """Compute g_hat_l = (1/2pi n) sum_k e^{-i l X_k} and f_hat_l = g_hat_l / M^l(theta).
 
+    g_hat_l is conj(P_l) / (2 pi n) with P_l from the chunked kernel
+    ``contrast.power_sums``, so memory stays O(l_max) beyond the sample.
+
     Raises
     ------
     DegeneracyError
@@ -65,12 +68,11 @@ def empirical_coeffs(sample, theta: MixtureParams, l_max: int,
         raise DomainError("l_max must be nonnegative")
     n = len(angles)
     ls = np.arange(0, l_max + 1)
-    # one FFT-style outer product; n x (l_max+1) is small at these sizes
-    g_pos = np.exp(-1j * np.outer(ls, angles)).sum(axis=1) / (TWO_PI * n)
+    g_pos = np.conj(power_sums(angles, l_max)) / (TWO_PI * n)
     g_pos[0] = 1.0 / TWO_PI
     g_hat = np.concatenate([np.conj(g_pos[:0:-1]), g_pos])
     floor = 1.0 - 2.0 * p_cap
-    m_pos = np.array([mixture_weight(theta, int(l)) for l in ls])
+    m_pos = mixture_weight(theta, ls)
     mods = np.abs(m_pos)
     bad = np.nonzero(mods < floor - 1e-12)[0]
     if len(bad):
@@ -134,7 +136,8 @@ def penalty_floor(p_cap: float = DEFAULT_P_CAP, eps: float = 1.0) -> float:
     return 3.0 / math.pi ** 2 * (1.0 + 1.0 / eps) * (1.0 - 2.0 * p_cap) ** -2
 
 
-def slope_lambda(coeffs: EmpiricalCoeffs, levels=None) -> SlopeFit:
+def slope_lambda(coeffs: EmpiricalCoeffs, levels=None,
+                 p_cap: float = DEFAULT_P_CAP) -> SlopeFit:
     """Calibrate the penalty constant from the contrast-versus-dimension plot.
 
     Fits a least-squares line to the couples ((2L+1)/n, sum_{|l|<=L}|f_hat_l|^2)
@@ -145,6 +148,8 @@ def slope_lambda(coeffs: EmpiricalCoeffs, levels=None) -> SlopeFit:
     recovering the true level: on signal-free (uniform) data at l_max = 10
     the level choice returns L = 0 about 69% of the time, and 80% if the
     slope were known exactly rather than fitted.
+
+    ``p_cap`` enters only the diagnostic ``theoretical_floor``.
 
     Raises
     ------
@@ -168,7 +173,7 @@ def slope_lambda(coeffs: EmpiricalCoeffs, levels=None) -> SlopeFit:
     couples = list(zip(levels.tolist(), xs.tolist(), ys.tolist()))
     return SlopeFit(lambda_hat=2.0 * float(slope), slope=float(slope),
                     intercept=float(intercept), couples=couples, window=window,
-                    theoretical_floor=penalty_floor())
+                    theoretical_floor=penalty_floor(p_cap))
 
 
 @dataclass
@@ -188,7 +193,9 @@ class DensityEstimate:
         ls = np.arange(-self.level, self.level + 1)
         sel = self.coeffs.f_hat[self.coeffs.l_max - self.level:
                                 self.coeffs.l_max + self.level + 1]
-        values = np.exp(1j * np.outer(x, ls)) @ sel
+        # an elementwise sum, not a BLAS product: the BLAS call starts threads
+        # that keep spinning and slow whatever runs next on a small host
+        values = (np.exp(1j * np.outer(x, ls)) * sel).sum(axis=-1)
         out = values.real
         return out if out.ndim else float(out)
 
@@ -230,7 +237,7 @@ def estimate_density(sample, fit_or_theta, l_max: int | None = None,
     coeffs = empirical_coeffs(angles, theta, l_max, p_cap=p_cap)
     slope_fit = None
     if penalty is None:
-        slope_fit = slope_lambda(coeffs, levels)
+        slope_fit = slope_lambda(coeffs, levels, p_cap=p_cap)
         penalty = slope_fit.lambda_hat
     level, path = select_level(coeffs, penalty, levels)
     return DensityEstimate(coeffs=coeffs, level=level, penalty=penalty,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from circmix import cli, normalize, penalty_floor
 from circmix.cli import main
 
 THETA = "0.25,0.3927,2.0944"
@@ -97,6 +98,56 @@ def test_fit_malformed_file(tmp_path, capsys):
     assert "not a number" in err
 
 
+def _line_loop(path):
+    """Reference reader: ``float`` of each stripped non-blank line."""
+    with open(path) as fh:
+        lines = [line.strip() for line in fh]
+    values = []
+    for i, line in enumerate(lines, 1):
+        if not line:
+            continue
+        try:
+            values.append(float(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{i}: not a number: {line!r}") from exc
+    if not values:
+        raise ValueError(f"{path}: no angles found")
+    return normalize(np.array(values))
+
+
+def _outcome(read, path):
+    try:
+        return read(path).tolist()
+    except (OSError, ValueError) as exc:  # the exception type sets the exit code
+        return type(exc), str(exc)
+
+
+ODD_FILES = [
+    b"1.5\n\n2.5\n\n", b"  1.5  \n\t2.5\t\n   \n", b"1.5\r\n2.5\r\n\r\n",
+    b"1_000\n2\n", b"1\n#\n2\n", b"1 # note\n", b"1 2\n3\n", b"1 2\n", b"1,2\n",
+    b"nan\n1\n", b"inf\n", b"0.5", b"-7.25\n", b"", b"\n\n", b"1\n\x0c\n2\n",
+    b"+1e-3\n.5\n-0\n", b"1.0\n2.0 3.0\n", b"abc\n", "\u0661\u0662\n".encode(),
+]
+
+
+@pytest.mark.parametrize("content", ODD_FILES)
+def test_read_angles_matches_line_loop(tmp_path, content):
+    # the fast parser must accept, reject and report exactly as the line loop
+    path = tmp_path / "s.txt"
+    path.write_bytes(content)
+    assert _outcome(cli._read_angles, str(path)) == _outcome(_line_loop, str(path))
+
+
+def test_density_floor_diagnostic_follows_pmax(tmp_path, capsys):
+    sample = tmp_path / "s.txt"
+    run(capsys, "simulate", "--density", "vonmises:kappa=5", "--theta", THETA,
+        "--n", "1000", "--seed", "7", "--out", str(sample))
+    code, out, _ = run(capsys, "density", "--in", str(sample), "--pmax", "0.3",
+                       "--out", str(tmp_path / "d.csv"))
+    assert code == 0
+    assert f"lambda_floor_diagnostic = {penalty_floor(0.3):.6g} " in out
+
+
 def test_fit_output_ignores_seed(tmp_path, capsys):
     sample = tmp_path / "s.txt"
     run(capsys, "simulate", "--density", "vonmises:kappa=5", "--theta", THETA,
@@ -113,6 +164,8 @@ def test_fit_output_ignores_seed(tmp_path, capsys):
     ("fit", "--box", "a,b,c,d,e,f"),
     ("fit", "--box", "0.01,0.49,2,1,2,1"),
     ("density", "--lambda", "abc"),
+    ("density", "--grid", "-3"),
+    ("density", "--grid", "0"),
 ])
 def test_bad_fit_flags_are_usage_errors(tmp_path, capsys, flags):
     sample = tmp_path / "s.txt"

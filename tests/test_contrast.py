@@ -12,8 +12,9 @@ from circmix import (ContrastMoments, DomainError, EstimationError, FitOptions,
                      asymptotic_cov, canonicalize, contrast, contrast_value,
                      degeneracy_gap, estimate_theta, mixture_fourier,
                      mixture_weight, mixture_weight_grad, mixture_weight_hess,
-                     population_contrast, sample_mixture, squared_error,
-                     z_grads, z_hessians, z_values)
+                     population_contrast, power_sums, sample_mixture,
+                     squared_error, z_grads, z_hessians, z_values)
+from circmix.contrast import POWER_SUM_CHUNK
 
 from _oracles import brute_contrast, fd_gradient, fd_jacobian
 
@@ -85,6 +86,53 @@ def test_bound_suite():
             if np.any(np.linalg.norm(h, axis=(1, 2)) > (abs(l) + l * l) / math.pi + 1e-12):
                 violations += 1
     assert violations == 0
+
+
+@pytest.mark.parametrize("n", [1, POWER_SUM_CHUNK - 1, POWER_SUM_CHUNK,
+                               POWER_SUM_CHUNK + 1, 3 * POWER_SUM_CHUNK + 5])
+def test_power_sums_match_direct_sums(n):
+    # the recurrence loses about one rounding per power, so m <= 100 stays
+    # within 1e-13 per angle
+    x = np.random.default_rng(n).uniform(0, TWO_PI, n)
+    direct = np.array([np.exp(1j * m * x).sum() for m in range(101)])
+    sums = power_sums(x, 100)
+    assert sums[0] == n
+    assert np.max(np.abs(sums - direct)) <= 1e-13 * n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, POWER_SUM_CHUNK])
+def test_power_sums_one_chunk_is_the_unchunked_recurrence(n):
+    x = np.random.default_rng(n).uniform(0, TWO_PI, n)
+    base = np.exp(1j * x)
+    power = base.copy()
+    unchunked = []
+    for _ in range(8):
+        unchunked.append(complex(power.sum()))
+        power = power * base
+    assert power_sums(x, 8)[1:].tolist() == unchunked
+    if n >= 2:
+        assert ContrastMoments(x).power_sums.tolist() == unchunked
+
+
+def sandwich_by_triple_sum(angles, theta):
+    """A^-1 V A^-1 with V = (4/n^3) sum_k w_k w_k^T, w_k = sum_{|l|<=4} Z_k^l D^l
+    and D^l = sum_j dZ_j^l, from the per-observation Z and dZ."""
+    n = len(angles)
+    w = np.zeros((n, 3))
+    for l in range(-4, 5):
+        w += z_values(angles, l, theta)[:, None] * z_grads(angles, l, theta).sum(axis=0)
+    a_inv = np.linalg.inv(ContrastMoments(angles).value_grad_hess(theta)[2])
+    return a_inv @ (4.0 * (w.T @ w) / n ** 3) @ a_inv
+
+
+@pytest.mark.parametrize("density, n", [(VonMises(5.0), 300), (WrappedCauchy(0.8), 2000),
+                                        (VonMises(2.0), POWER_SUM_CHUNK + 3)])
+def test_asymptotic_cov_matches_triple_sum(density, n):
+    rng = np.random.default_rng(np.random.SeedSequence([23, n]))
+    angles = sample_mixture(THETA0, density, n, rng).angles
+    for theta in (THETA0.as_array(), random_theta(rng)):
+        sigma, _ = asymptotic_cov(angles, theta)
+        assert_allclose(sigma, sandwich_by_triple_sum(angles, theta), rtol=1e-10)
 
 
 def test_contrast_requires_two_points():

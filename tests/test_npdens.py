@@ -1,9 +1,11 @@
 """Plug-in coefficients, penalized level selection, slope calibration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from circmix import (CalibrationError, DegeneracyError, DensityEstimate,
@@ -58,6 +60,32 @@ def test_empirical_coeffs_uniform_noise_level():
     coeffs = empirical_coeffs(s, THETA0, 6)
     for l in range(1, 7):
         assert abs(coeffs.f(l)) < 4.0 / (abs(mixture_weight(THETA0, l)) * 2 * math.pi * math.sqrt(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(angles=st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=300),
+       l_max=st.integers(0, 40), data=st.data())
+def test_empirical_coeffs_symmetric_and_order_free(angles, l_max, data):
+    x = np.array(angles)
+    coeffs = empirical_coeffs(x, THETA0, l_max)
+    assert np.array_equal(coeffs.g_hat[::-1], np.conj(coeffs.g_hat))
+    assert np.array_equal(coeffs.f_hat[::-1], np.conj(coeffs.f_hat))
+    order = data.draw(st.permutations(range(len(x))))
+    permuted = empirical_coeffs(x[order], THETA0, l_max)
+    assert np.max(np.abs(permuted.g_hat - coeffs.g_hat)) <= 1e-12
+
+
+def test_empirical_coeffs_memory_is_bounded():
+    # at the large-sample CLI size an n x (l_max+1) complex matrix alone
+    # would take 189 MB; the chunked power sums need a few chunk buffers
+    angles = np.random.default_rng(4).uniform(0, TWO_PI, 200_000)
+    tracemalloc.start()
+    try:
+        empirical_coeffs(angles, THETA0, 58)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_empirical_coeffs_degeneracy_guard():
