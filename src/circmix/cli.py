@@ -20,11 +20,11 @@ import numpy as np
 
 from . import bench
 from .circ import MixtureParams, normalize, parse_density, sample_mixture
-from .contrast import FitOptions, estimate_theta
+from .contrast import L_MAX_CONTRAST, ContrastMoments, FitOptions, estimate_theta, power_sums
 from .errors import (CalibrationError, CircmixError, DomainError, EstimationError,
                      ExperimentError, InferenceError)
 from .ident import classify, mixture_residual
-from .npdens import estimate_density
+from .npdens import default_l_max, estimate_density
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,9 +56,10 @@ def _parse_theta(text: str, degrees: bool, p_cap: float = 0.5) -> MixtureParams:
 def _read_angles(path: str) -> np.ndarray:
     """Angles of a sample file, one per line; blank lines are skipped.
 
-    numpy's parser reads a well-formed file; anything it rejects or reads
-    as other than one column goes through the line loop, which accepts
-    whatever ``float`` does and names the first bad line.
+    numpy's parser reads a well-formed file; anything it rejects, reads as
+    other than one column or reads as nan or infinite goes through the line
+    loop, which accepts whatever finite number ``float`` reads and names the
+    first bad line.
     """
     try:
         with warnings.catch_warnings():
@@ -66,7 +67,7 @@ def _read_angles(path: str) -> np.ndarray:
             table = np.loadtxt(path, dtype=float, comments=None, ndmin=2)
     except (OSError, ValueError):
         table = np.empty((0, 0))
-    if table.shape[0] >= 1 and table.shape[1] == 1:
+    if table.shape[0] >= 1 and table.shape[1] == 1 and np.isfinite(table).all():
         return normalize(table[:, 0])
     try:
         with open(path) as fh:
@@ -78,9 +79,12 @@ def _read_angles(path: str) -> np.ndarray:
         if not line:
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError as exc:
             raise ValueError(f"{path}:{i}: not a number: {line!r}") from exc
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{i}: not a finite number: {line!r}")
+        values.append(value)
     if not values:
         raise ValueError(f"{path}: no angles found")
     return normalize(np.array(values))
@@ -100,6 +104,16 @@ def _fit_options(args, covariance: bool) -> FitOptions:
         if (parts[2], parts[3]) != (parts[4], parts[5]):
             raise _CliUsage("--box currently requires identical alpha and beta ranges")
     return FitOptions(**kwargs)
+
+
+def _fit_and_density(angles, args, penalty=None):
+    """The fit and the density estimate of ``density`` and ``slope``, both
+    read from one power-sum pass over the angles."""
+    l_max = default_l_max(len(angles)) if args.lmax is None else args.lmax
+    sums = power_sums(angles, max(2 * L_MAX_CONTRAST, l_max))
+    moments = ContrastMoments.from_power_sums(sums)
+    fit = estimate_theta(moments, _fit_options(args, covariance=False))
+    return estimate_density(moments, fit, l_max=l_max, penalty=penalty, p_cap=args.pmax)
 
 
 def _write_or_print(text: str, out: str | None):
@@ -152,9 +166,7 @@ def cmd_density(args) -> int:
             raise _CliUsage(f"--lambda must be a number or 'slope': {args.penalty!r}") from exc
     if args.grid <= 0:
         raise _CliUsage(f"--grid must be a positive number of points, got {args.grid}")
-    fit = estimate_theta(angles, _fit_options(args, covariance=False))
-    estimate = estimate_density(angles, fit, l_max=args.lmax, penalty=penalty,
-                                p_cap=args.pmax)
+    estimate = _fit_and_density(angles, args, penalty)
     x, f_hat = estimate.grid(args.grid)
     header = ["x", "f_hat"]
     cols = [x, f_hat]
@@ -183,8 +195,7 @@ def cmd_slope(args) -> int:
     angles = _read_angles(args.infile)
     if len(angles) < 2:
         raise EstimationError("estimation needs at least 2 angles")
-    fit = estimate_theta(angles, _fit_options(args, covariance=False))
-    estimate = estimate_density(angles, fit, l_max=args.lmax, p_cap=args.pmax)
+    estimate = _fit_and_density(angles, args)
     slope_fit = estimate.slope_fit
     bench.write_slope_csv(args.out, slope_fit)
     print(f"slope = {slope_fit.slope:.6g}")

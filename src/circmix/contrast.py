@@ -54,12 +54,17 @@ def mixture_weight(theta, l):
     return p * np.exp(-1j * l * alpha) + (1.0 - p) * np.exp(-1j * l * beta)
 
 
+def _weight_grad(p, ea, eb, l: int):
+    """dM^l/d(p, alpha, beta) as three complex scalars, from e_a = e^{-i l alpha}
+    and e_b = e^{-i l beta}."""
+    il = 1j * l
+    return ea - eb, -il * p * ea, -il * (1.0 - p) * eb
+
+
 def mixture_weight_grad(theta, l: int) -> np.ndarray:
     """Gradient of M^l with respect to (p, alpha, beta), complex 3-vector."""
     p, alpha, beta = _theta_array(theta)
-    ea = cmath.exp(-1j * l * alpha)
-    eb = cmath.exp(-1j * l * beta)
-    return np.array([ea - eb, -1j * l * p * ea, -1j * l * (1.0 - p) * eb])
+    return np.array(_weight_grad(p, cmath.exp(-1j * l * alpha), cmath.exp(-1j * l * beta), l))
 
 
 def mixture_weight_hess(theta, l: int) -> np.ndarray:
@@ -124,29 +129,36 @@ def power_sums(angles, m_max: int) -> np.ndarray:
 class ContrastMoments:
     """Power sums of a sample, from which S_n and its derivatives follow.
 
-    Holds P_m = sum_k e^{i m X_k} for m = 1..8; evaluation of the contrast
-    at any theta is then O(1).
+    Holds P_m = sum_k e^{i m X_k} for m = 1..8, or further when built by
+    ``from_power_sums``; evaluation of the contrast at any theta is then O(1).
     """
 
     def __init__(self, angles):
         angles = np.asarray(angles, dtype=float)
         if angles.ndim != 1:
             raise DomainError("angles must be one-dimensional")
-        if len(angles) < 2:
-            raise DomainError("the contrast needs at least two observations")
-        self.n = len(angles)
-        self.power_sums = power_sums(angles, 2 * L_MAX_CONTRAST)[1:]  # index m-1 holds P_m
+        self._hold(power_sums(angles, 2 * L_MAX_CONTRAST))
 
-    def _per_level(self, theta_arr):
-        p, alpha, beta = theta_arr
-        q = 1.0 - p
-        ea_step = cmath.exp(-1j * alpha)
-        eb_step = cmath.exp(-1j * beta)
-        ea, eb = 1.0 + 0.0j, 1.0 + 0.0j
-        for l in range(1, L_MAX_CONTRAST + 1):
-            ea *= ea_step
-            eb *= eb_step
-            yield l, p, q, ea, eb, self.power_sums[l - 1], self.power_sums[2 * l - 1]
+    @classmethod
+    def from_power_sums(cls, sums):
+        """Moments from ``power_sums(angles, m_max)`` with m_max >= 8.
+
+        All of P_1..P_m_max are kept, so ``empirical_coeffs`` can read a
+        density estimate's coefficients from the same pass.
+        """
+        if len(sums) <= 2 * L_MAX_CONTRAST:
+            raise DomainError("the contrast needs the power sums P_0..P_8")
+        moments = cls.__new__(cls)
+        moments._hold(np.asarray(sums))
+        return moments
+
+    def _hold(self, sums):
+        self.n = int(sums[0].real)
+        if self.n < 2:
+            raise DomainError("the contrast needs at least two observations")
+        self.power_sums = sums[1:]  # index m-1 holds P_m
+        # P_1..P_8 as Python complex: _scan's scalar arithmetic is slow on numpy scalars
+        self._sums = self.power_sums[:2 * L_MAX_CONTRAST].tolist()
 
     def _p_quadratic(self, alpha, beta):
         """(c2, c1, c0) with S_n = 2/(n(n-1)) (c2 p^2 + c1 p + c0) at (alpha, beta).
@@ -188,52 +200,63 @@ class ContrastMoments:
         c2, c1, c0 = self._p_quadratic(alpha, beta)
         return float(2.0 * ((c2 * p + c1) * p + c0) / (self.n * (self.n - 1)))
 
-    def value_grad(self, theta):
-        """(S_n, gradient)."""
-        value, grad, _ = self._derivatives(theta, hessian=False)
-        return value, grad
+    def _scan(self, theta):
+        """One pass of Python-scalar arithmetic over l = 1..4.
 
-    def value_grad_hess(self, theta):
-        """(S_n, gradient, Hessian)."""
-        return self._derivatives(theta, hessian=True)
-
-    def _derivatives(self, theta, hessian: bool):
-        theta_arr = _theta_array(theta)
+        Returns S_n and its gradient without the factor 2/(n(n-1)), and per
+        level the terms the Hessian reuses: (l, sum_k Z_k, T, dM^l, sum_k dZ_k).
+        """
+        p, alpha, beta = _theta_array(theta).tolist()
         n = self.n
-        value = 0.0
-        grad = np.zeros(3)
-        hess = np.zeros((3, 3)) if hessian else None
-        for l, p, q, ea, eb, pl, p2l in self._per_level(theta_arr):
-            m = p * ea + q * eb
-            il = 1j * l
-            dm = np.array([ea - eb, -il * p * ea, -il * q * eb])
+        ea_step = cmath.exp(-1j * alpha)
+        eb_step = cmath.exp(-1j * beta)
+        ea = eb = 1.0 + 0.0j
+        value = g_p = g_a = g_b = 0.0
+        levels = []
+        for l in range(1, L_MAX_CONTRAST + 1):
+            ea *= ea_step
+            eb *= eb_step
+            pl, p2l = self._sums[l - 1], self._sums[2 * l - 1]
+            m = p * ea + (1.0 - p) * eb
+            dm = dm_p, dm_a, dm_b = _weight_grad(p, ea, eb, l)
             a = (m * pl).imag / TWO_PI
-            b = (n * abs(m) ** 2 - (m * m * p2l).real) / (2.0 * FOUR_PI2)
-            value += a * a - b
+            value += a * a - (n * abs(m) ** 2 - (m * m * p2l).real) / (2.0 * FOUR_PI2)
             # T = sum_k e^{ilX_k} Z_k^l = (M P_2l - n conj(M)) / (4 pi i)
             t = (m * p2l - n * m.conjugate()) / (4j * math.pi)
-            g_sum = np.imag(dm * pl) / TWO_PI          # sum_k dZ_k
-            zg_cross = np.imag(dm * t) / TWO_PI        # sum_k dZ_k Z_k
-            grad += 2.0 * (g_sum * a - zg_cross)
-            if hessian:
-                l2 = float(l * l)
-                d2m = np.array([
-                    [0.0, -il * ea, il * eb],
-                    [-il * ea, -l2 * p * ea, 0.0],
-                    [il * eb, 0.0, -l2 * q * eb],
-                ])
-                h_sum = np.imag(d2m * pl) / TWO_PI     # sum_k d2Z_k
-                h_cross = np.imag(d2m * t) / TWO_PI    # sum_k d2Z_k Z_k
-                outer_conj = np.real(dm[:, None] * dm.conjugate()[None, :])
-                outer_plain = np.real(dm[:, None] * dm[None, :] * p2l)
-                gg_cross = (n * outer_conj - outer_plain) / (2.0 * FOUR_PI2)
-                hess += h_sum * a - h_cross + np.outer(g_sum, g_sum) - gg_cross
+            # sum_k dZ_k, and the gradient terms 2 (sum_k dZ_k a - sum_k dZ_k Z_k)
+            d = d_p, d_a, d_b = ((dm_p * pl).imag / TWO_PI, (dm_a * pl).imag / TWO_PI,
+                                 (dm_b * pl).imag / TWO_PI)
+            g_p += 2.0 * (d_p * a - (dm_p * t).imag / TWO_PI)
+            g_a += 2.0 * (d_a * a - (dm_a * t).imag / TWO_PI)
+            g_b += 2.0 * (d_b * a - (dm_b * t).imag / TWO_PI)
+            levels.append((l, a, t, dm, d))
+        return value, (g_p, g_a, g_b), levels
+
+    def value_grad(self, theta):
+        """(S_n, gradient)."""
+        value, grad, _ = self._scan(theta)
+        scale = 2.0 / (self.n * (self.n - 1))
+        return value * scale, np.array(grad) * scale
+
+    def value_grad_hess(self, theta):
+        """(S_n, gradient, Hessian); the Hessian is exactly symmetric."""
+        theta_arr = _theta_array(theta)
+        value, grad, levels = self._scan(theta_arr)
+        n = self.n
+        hess = np.zeros((3, 3))
+        for l, a, t, dm, d in levels:
+            pl, p2l = self._sums[l - 1], self._sums[2 * l - 1]
+            d2m = mixture_weight_hess(theta_arr, l)
+            dm = np.array(dm)
+            h_sum = np.imag(d2m * pl) / TWO_PI     # sum_k d2Z_k
+            h_cross = np.imag(d2m * t) / TWO_PI    # sum_k d2Z_k Z_k
+            gg_cross = (n * np.real(np.outer(dm, dm.conjugate()))
+                        - np.real(np.outer(dm, dm) * p2l)) / (2.0 * FOUR_PI2)  # sum_k dZ_k dZ_k^T
+            hess += h_sum * a - h_cross + np.outer(d, d) - gg_cross
         scale = 2.0 / (n * (n - 1))
-        value *= scale
-        grad *= scale
-        if hessian:
-            hess *= 2.0 * scale
-        return value, grad, hess
+        # numpy's complex products may fuse multiply-adds, so the two halves
+        # can differ in the last bit
+        return value * scale, np.array(grad) * scale, (hess + hess.T) * scale
 
 
 def contrast(sample, theta):

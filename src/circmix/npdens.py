@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circ import ComponentDensity, MixtureParams, Sample, TWO_PI
-from .contrast import mixture_weight, power_sums
+from .contrast import ContrastMoments, mixture_weight, power_sums
 from .errors import CalibrationError, DegeneracyError, DomainError
 
 #: Default cap on the mixing weight; |M^l| is bounded below by 1 - 2*p_cap.
@@ -57,18 +57,28 @@ def empirical_coeffs(sample, theta: MixtureParams, l_max: int,
 
     g_hat_l is conj(P_l) / (2 pi n) with P_l from the chunked kernel
     ``contrast.power_sums``, so memory stays O(l_max) beyond the sample.
+    ``sample`` may also be a ContrastMoments holding P_1..P_l_max, whose
+    sums are then read instead of passing over the angles again.
 
     Raises
     ------
     DegeneracyError
         If some |M^l(theta)| falls below the floor 1 - 2*p_cap.
     """
-    angles = sample.angles if isinstance(sample, Sample) else np.asarray(sample, dtype=float)
     if l_max < 0:
         raise DomainError("l_max must be nonnegative")
-    n = len(angles)
+    if isinstance(sample, ContrastMoments):
+        if len(sample.power_sums) < l_max:
+            raise DomainError(f"the moments hold P_1..P_{len(sample.power_sums)}, "
+                              f"not up to l_max = {l_max}")
+        n = sample.n
+        sums = np.concatenate(([n], sample.power_sums[:l_max]))
+    else:
+        angles = sample.angles if isinstance(sample, Sample) else np.asarray(sample, dtype=float)
+        n = len(angles)
+        sums = power_sums(angles, l_max)
     ls = np.arange(0, l_max + 1)
-    g_pos = np.conj(power_sums(angles, l_max)) / (TWO_PI * n)
+    g_pos = np.conj(sums) / (TWO_PI * n)
     g_pos[0] = 1.0 / TWO_PI
     g_hat = np.concatenate([np.conj(g_pos[:0:-1]), g_pos])
     floor = 1.0 - 2.0 * p_cap
@@ -176,6 +186,11 @@ def slope_lambda(coeffs: EmpiricalCoeffs, levels=None,
                     theoretical_floor=penalty_floor(p_cap))
 
 
+#: Points per block of DensityEstimate.evaluate: its working memory is a
+#: block x (2L+1) complex array, whatever the number of points.
+EVALUATE_CHUNK = 4096
+
+
 @dataclass
 class DensityEstimate:
     """Adaptive projection estimate of the component density."""
@@ -193,10 +208,15 @@ class DensityEstimate:
         ls = np.arange(-self.level, self.level + 1)
         sel = self.coeffs.f_hat[self.coeffs.l_max - self.level:
                                 self.coeffs.l_max + self.level + 1]
-        # an elementwise sum, not a BLAS product: the BLAS call starts threads
-        # that keep spinning and slow whatever runs next on a small host
-        values = (np.exp(1j * np.outer(x, ls)) * sel).sum(axis=-1)
-        out = values.real
+        flat = x.ravel()
+        out = np.empty(flat.size)
+        for start in range(0, flat.size, EVALUATE_CHUNK):
+            block = flat[start:start + EVALUATE_CHUNK]
+            # an elementwise sum, not a BLAS product: the BLAS call starts threads
+            # that keep spinning and slow whatever runs next on a small host
+            terms = np.exp(1j * np.outer(block, ls)) * sel
+            out[start:start + EVALUATE_CHUNK] = terms.sum(axis=-1).real
+        out = out.reshape(x.shape)
         return out if out.ndim else float(out)
 
     def grid(self, num: int = 512):
@@ -231,10 +251,10 @@ def estimate_density(sample, fit_or_theta, l_max: int | None = None,
     value bypasses it.
     """
     theta = getattr(fit_or_theta, "theta_hat", fit_or_theta)
-    angles = sample.angles if isinstance(sample, Sample) else np.asarray(sample, dtype=float)
     if l_max is None:
-        l_max = default_l_max(len(angles))
-    coeffs = empirical_coeffs(angles, theta, l_max, p_cap=p_cap)
+        l_max = default_l_max(sample.n if isinstance(sample, (Sample, ContrastMoments))
+                              else len(sample))
+    coeffs = empirical_coeffs(sample, theta, l_max, p_cap=p_cap)
     slope_fit = None
     if penalty is None:
         slope_fit = slope_lambda(coeffs, levels, p_cap=p_cap)

@@ -1,9 +1,12 @@
 """Command-line interface: flags, outputs, exit codes."""
 
+import math
+
 import numpy as np
 import pytest
 
-from circmix import cli, normalize, penalty_floor
+from circmix import (MixtureParams, VonMises, cli, estimate_density, estimate_theta,
+                     normalize, penalty_floor, sample_mixture)
 from circmix.cli import main
 
 THETA = "0.25,0.3927,2.0944"
@@ -98,8 +101,32 @@ def test_fit_malformed_file(tmp_path, capsys):
     assert "not a number" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_fit_non_finite_sample_is_input_error(tmp_path, capsys, value):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"1.0\n{value}\n2.0\n")
+    code, _, err = run(capsys, "fit", "--in", str(bad))
+    assert code == 3
+    assert err == f"error: {bad}:2: not a finite number: {value!r}\n"
+
+
+@pytest.mark.parametrize("lmax, penalty", [(None, None), (5, 2.0), (30, None)])
+def test_one_power_sum_pass_gives_the_two_pass_estimate(lmax, penalty):
+    # density and slope read the fit and the coefficients from one pass
+    angles = sample_mixture(MixtureParams(0.25, 0.3927, 2.0944), VonMises(5.0), 700,
+                            np.random.default_rng(8)).angles
+    args = cli.build_parser().parse_args(
+        ["slope", "--in", "-", "--out", "-"] + ([] if lmax is None else ["--lmax", str(lmax)]))
+    one_pass = cli._fit_and_density(angles, args, penalty)
+    fit = estimate_theta(angles, cli._fit_options(args, covariance=False))
+    two_pass = estimate_density(angles, fit, l_max=lmax, penalty=penalty, p_cap=args.pmax)
+    assert one_pass.coeffs.theta_used == two_pass.coeffs.theta_used
+    assert np.array_equal(one_pass.coeffs.f_hat, two_pass.coeffs.f_hat)
+    assert (one_pass.level, one_pass.penalty) == (two_pass.level, two_pass.penalty)
+
+
 def _line_loop(path):
-    """Reference reader: ``float`` of each stripped non-blank line."""
+    """Reference reader: ``float`` of each stripped non-blank line, which must be finite."""
     with open(path) as fh:
         lines = [line.strip() for line in fh]
     values = []
@@ -107,9 +134,12 @@ def _line_loop(path):
         if not line:
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError as exc:
             raise ValueError(f"{path}:{i}: not a number: {line!r}") from exc
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{i}: not a finite number: {line!r}")
+        values.append(value)
     if not values:
         raise ValueError(f"{path}: no angles found")
     return normalize(np.array(values))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import differential_evolution, minimize_scalar
 
@@ -172,6 +173,30 @@ def test_contrast_derivatives_match_finite_differences():
         assert np.linalg.norm(grad - fd_g) <= 1e-5 * max(np.linalg.norm(grad), 1e-12)
         fd_h = fd_jacobian(lambda t: moments.value_grad(t)[1], theta)
         assert np.linalg.norm(hess - fd_h) <= 1e-5 * np.linalg.norm(hess)
+
+
+SAMPLES = st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=2, max_size=200)
+THETAS = st.tuples(st.floats(0.01, 0.49), st.floats(0.0, math.pi, exclude_max=True),
+                   st.floats(0.0, math.pi, exclude_max=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(angles=SAMPLES, theta=THETAS)
+def test_contrast_kernel_properties(angles, theta):
+    moments = ContrastMoments(np.array(angles))
+    theta = np.array(theta)
+    value, grad = moments.value_grad(theta)
+    value_h, grad_h, hess = moments.value_grad_hess(theta)
+    # the value kernel (quadratic in p) and the derivative loop agree
+    assert value == pytest.approx(moments.value(theta), rel=1e-12, abs=1e-15)
+    # one loop serves both, so the gradients and values are the same bits
+    assert value_h == value and np.array_equal(grad_h, grad)
+    assert np.array_equal(hess, hess.T)
+    p, alpha, beta = theta
+    # M^l is unchanged by the label switch and multiplied by (-1)^l by the joint pi shift
+    for image in ((1.0 - p, beta, alpha), (p, alpha + math.pi, beta + math.pi)):
+        assert moments.value(image) == pytest.approx(value, rel=1e-12, abs=1e-15)
+        assert moments.value_grad(image)[0] == pytest.approx(value, rel=1e-12, abs=1e-15)
 
 
 def test_contrast_unbiased():

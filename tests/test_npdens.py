@@ -14,6 +14,8 @@ from circmix import (CalibrationError, DegeneracyError, DensityEstimate,
                      estimate_theta, l2_error, mixture_weight, oracle_risk,
                      penalty_floor, sample_mixture, select_level, slope_lambda)
 
+from circmix.npdens import EVALUATE_CHUNK
+
 from _oracles import (TWO_PI, null_increments, quad_fourier, quad_integral,
                       slope_rule_levels)
 
@@ -86,6 +88,36 @@ def test_empirical_coeffs_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+@pytest.fixture(scope="module")
+def large_n_estimate():
+    # the large-sample CLI case: n = 2e5 wrapped Cauchy angles; L_hat = 34 here
+    s = sample_mixture(THETA0, WrappedCauchy(0.8), 200_000, np.random.default_rng(5))
+    return estimate_density(s, estimate_theta(s, FitOptions(compute_covariance=False)))
+
+
+def test_grid_memory_is_bounded(large_n_estimate):
+    # one num x (2L+1) complex matrix took a 222 MB peak here
+    tracemalloc.start()
+    try:
+        large_n_estimate.grid(100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
+@pytest.mark.parametrize("num", [1, EVALUATE_CHUNK - 1, EVALUATE_CHUNK, EVALUATE_CHUNK + 1,
+                                 3 * EVALUATE_CHUNK + 5])
+def test_evaluate_blocks_are_the_unblocked_sum(large_n_estimate, num):
+    est = large_n_estimate
+    x = np.random.default_rng(num).uniform(0, TWO_PI, num)
+    ls = np.arange(-est.level, est.level + 1)
+    sel = est.coeffs.f_hat[est.coeffs.l_max - est.level:est.coeffs.l_max + est.level + 1]
+    unblocked = (np.exp(1j * np.outer(x, ls)) * sel).sum(axis=-1).real
+    assert np.array_equal(est.evaluate(x), unblocked)
+    assert est.evaluate(x[0]) == unblocked[0]
 
 
 def test_empirical_coeffs_degeneracy_guard():
