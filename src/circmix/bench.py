@@ -18,7 +18,7 @@ import numpy as np
 from .circ import MixtureParams, mixture_density, parse_density, sample_mixture
 from .contrast import FitOptions, estimate_theta, squared_error
 from .errors import EstimationError, ExperimentError
-from .npdens import default_l_max, estimate_density, l2_error
+from .npdens import estimate_density, l2_error
 
 EXPERIMENT_KINDS = ("mse", "normality", "density", "slope")
 _STREAM_TAG = {kind: i for i, kind in enumerate(EXPERIMENT_KINDS)}
@@ -297,8 +297,7 @@ def run_slope(config: ExperimentConfig, write: bool = True):
     density = parse_density(config.density_spec)
     sample = sample_mixture(config.theta0, density, n, rng)
     fit = estimate_theta(sample, config.fit_options(covariance=False))
-    l_max = config.l_max if config.l_max is not None else default_l_max(n)
-    estimate = estimate_density(sample, fit, l_max=l_max, p_cap=config.p_max)
+    estimate = estimate_density(sample, fit, l_max=config.l_max, p_cap=config.p_max)
     slope_fit = estimate.slope_fit
     if write:
         write_slope_csv(os.path.join(config.outdir, "slope.csv"), slope_fit)

@@ -18,9 +18,6 @@ from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
 
-#: Tolerance for angle comparisons, in radians.
-ANGLE_TOL = 1e-9
-
 
 def normalize(x):
     """Map an angle (or array of angles) to its representative in [0, 2*pi).
@@ -346,19 +343,15 @@ def sample_component(density: ComponentDensity, n: int, rng: np.random.Generator
 
 
 def sample_mixture(theta: MixtureParams, density: ComponentDensity, n: int,
-                   rng: np.random.Generator, keep_labels: bool = False) -> Sample:
+                   rng: np.random.Generator) -> Sample:
     """Draw n angles from p*f(.-alpha) + (1-p)*f(.-beta).
 
     Equivalent to X = Y + eps (mod 2*pi) with Y ~ f and eps the Bernoulli
     angle taking value alpha with probability p.
     """
     y = density.sample(n, rng)
-    labels = rng.random(n) < theta.p
-    shifts = np.where(labels, theta.alpha, theta.beta)
-    meta = {"density": density.label, "theta": theta}
-    if keep_labels:
-        meta["labels"] = labels
-    return Sample(normalize(y + shifts), meta=meta)
+    shifts = np.where(rng.random(n) < theta.p, theta.alpha, theta.beta)
+    return Sample(normalize(y + shifts), meta={"density": density.label, "theta": theta})
 
 
 def mixture_density(theta: MixtureParams, density: ComponentDensity, x):

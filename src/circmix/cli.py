@@ -112,8 +112,10 @@ def _fit_and_density(angles, args, penalty=None):
     l_max = default_l_max(len(angles)) if args.lmax is None else args.lmax
     sums = power_sums(angles, max(2 * L_MAX_CONTRAST, l_max))
     moments = ContrastMoments.from_power_sums(sums)
-    fit = estimate_theta(moments, _fit_options(args, covariance=False))
-    return estimate_density(moments, fit, l_max=l_max, penalty=penalty, p_cap=args.pmax)
+    options = _fit_options(args, covariance=False)
+    fit = estimate_theta(moments, options)
+    # the density stage bounds |M^l| by the p_max the fit searched up to
+    return estimate_density(moments, fit, l_max=l_max, penalty=penalty, p_cap=options.p_max)
 
 
 def _write_or_print(text: str, out: str | None):
@@ -320,9 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_fit_flags(sub):
     sub.add_argument("--in", dest="infile", required=True, help="sample file")
     sub.add_argument("--seed", type=int, default=0,
-                     help="accepted for compatibility; the fit is deterministic "
-                          "and does not use it")
-    sub.add_argument("--pmax", type=float, default=0.49)
+                     help="no effect: the fit is deterministic; kept so that command "
+                          "lines passing it, as the README examples do, still run")
+    sub.add_argument("--pmax", type=float, default=0.49,
+                     help="largest mixing weight searched; density and slope need "
+                          "it below 1/2")
     sub.add_argument("--box", default=None,
                      help="pmin,pmax,amin,amax,bmin,bmax search box")
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-from .circ import MixtureParams, Sample
+from .circ import MixtureParams, Sample, angular_distance
 from .errors import DomainError, EstimationError, InferenceError
 
 TWO_PI = 2.0 * math.pi
@@ -79,26 +79,6 @@ def mixture_weight_hess(theta, l: int) -> np.ndarray:
         [-il * ea, -l2 * p * ea, 0.0],
         [il * eb, 0.0, -l2 * (1.0 - p) * eb],
     ])
-
-
-def z_values(angles, l: int, theta) -> np.ndarray:
-    """Z_k^l(theta) = Im(e^{i l X_k} M^l(theta)) / (2 pi) for each angle."""
-    m = mixture_weight(theta, l)
-    return np.imag(np.exp(1j * l * np.asarray(angles, dtype=float)) * m) / TWO_PI
-
-
-def z_grads(angles, l: int, theta) -> np.ndarray:
-    """Gradients of Z_k^l, shape (n, 3)."""
-    dm = mixture_weight_grad(theta, l)
-    phases = np.exp(1j * l * np.asarray(angles, dtype=float))
-    return np.imag(phases[:, None] * dm[None, :]) / TWO_PI
-
-
-def z_hessians(angles, l: int, theta) -> np.ndarray:
-    """Hessians of Z_k^l, shape (n, 3, 3)."""
-    d2m = mixture_weight_hess(theta, l)
-    phases = np.exp(1j * l * np.asarray(angles, dtype=float))
-    return np.imag(phases[:, None, None] * d2m[None, :, :]) / TWO_PI
 
 
 #: Angles per block of the power-sum recurrence: its working memory is a
@@ -351,7 +331,6 @@ class FitResult:
     sigma_hat: np.ndarray | None = None
     std_errors: np.ndarray | None = None
     inference_warning: str | None = None
-    meta: dict = field(default_factory=dict)
 
     def to_kv_record(self) -> str:
         lines = [
@@ -403,11 +382,7 @@ def canonicalize(theta: MixtureParams) -> MixtureParams:
 def degeneracy_gap(theta) -> float:
     """Distance of beta - alpha to the nearest multiple of 2*pi/3."""
     _, alpha, beta = _theta_array(theta)
-    period = TWO_PI / 3.0
-    d = math.fmod(beta - alpha, period)
-    if d < 0:
-        d += period
-    return min(d, period - d)
+    return angular_distance(beta, alpha, TWO_PI / 3.0)
 
 
 def estimate_theta(sample, options: FitOptions | None = None) -> FitResult:
@@ -536,13 +511,6 @@ def squared_error(theta_hat: MixtureParams, theta0: MixtureParams) -> np.ndarray
     0/pi boundary would be spuriously penalized.
     """
     dp = theta_hat.p - theta0.p
-    da = _angdist_mod_pi(theta_hat.alpha, theta0.alpha)
-    db = _angdist_mod_pi(theta_hat.beta, theta0.beta)
+    da = angular_distance(theta_hat.alpha, theta0.alpha, math.pi)
+    db = angular_distance(theta_hat.beta, theta0.beta, math.pi)
     return np.array([dp * dp, da * da, db * db])
-
-
-def _angdist_mod_pi(a, b) -> float:
-    d = math.fmod(a - b, math.pi)
-    if d < 0:
-        d += math.pi
-    return min(d, math.pi - d)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circ import ComponentDensity, MixtureParams, TWO_PI, mixture_density, normalize
+from .circ import (ComponentDensity, MixtureParams, TWO_PI, angular_distance,
+                   mixture_density, normalize)
 from .errors import DomainError
 
 GRID_POINTS = 2048
@@ -79,13 +80,6 @@ def mixture_residual(theta: MixtureParams, density: ComponentDensity,
                                - recipe.mixture_pdf(density, x))))
 
 
-def _gap_to_multiple(delta: float, period: float) -> float:
-    d = math.fmod(delta, period)
-    if d < 0:
-        d += period
-    return min(d, period - d)
-
-
 def alias_label_switch(theta: MixtureParams) -> AliasRecipe:
     """The trivial witness (1-p, beta, alpha) with f' = f."""
     return AliasRecipe(kind=IdentTag.LABEL_SWITCH_ONLY,
@@ -109,7 +103,7 @@ def alias_bipolar(theta: MixtureParams, q: float, tol: float = 1e-9) -> AliasRec
     Requires q in (1-p, 1] so that p' lies in (0, p].  The label-switched
     angle pair (beta, alpha) with weight 1 - p' is recorded as an alternate.
     """
-    if _gap_to_multiple(theta.beta - theta.alpha - math.pi, TWO_PI) > tol:
+    if angular_distance(theta.beta - theta.alpha, math.pi) > tol:
         raise DomainError("bipolar alias requires beta - alpha = pi (mod 2*pi)")
     if not 0.0 < q <= 1.0:
         raise DomainError("q must lie in (0, 1]")
@@ -140,8 +134,8 @@ def alias_case4(theta: MixtureParams, density: ComponentDensity | None = None,
     """
     delta = theta.beta - theta.alpha
     third = TWO_PI / 3.0
-    plus = _gap_to_multiple(delta - third, TWO_PI) <= tol
-    minus = _gap_to_multiple(delta + third, TWO_PI) <= tol
+    plus = angular_distance(delta, third) <= tol
+    minus = angular_distance(delta, -third) <= tol
     if not (plus or minus):
         raise DomainError("case-4 alias requires beta - alpha = +-2*pi/3 (mod 2*pi)")
     p = theta.p
@@ -179,15 +173,15 @@ def classify(theta: MixtureParams, tol: float = 1e-9,
     witnesses = [alias_label_switch(theta), alias_pi_shift(theta)]
     if theta.p <= tol or theta.p >= 1.0 - tol or abs(theta.p - 0.5) <= tol:
         return IdentClass(IdentTag.BOUNDARY_P, witnesses)
-    if _gap_to_multiple(delta, TWO_PI) <= tol:
+    if angular_distance(delta, 0.0) <= tol:
         return IdentClass(IdentTag.COLLAPSED, witnesses)
-    if _gap_to_multiple(delta - math.pi, TWO_PI) <= tol:
+    if angular_distance(delta, math.pi) <= tol:
         p_low = min(theta.p, 1.0 - theta.p)
         canonical = theta if theta.p < 0.5 else theta.switched()
         q = (1.0 - 1.5 * p_low) / (1.0 - p_low)  # representative p' = p/2 blend
         witnesses.append(alias_bipolar(canonical, q, tol=tol))
         return IdentClass(IdentTag.BIPOLAR, witnesses)
-    if _gap_to_multiple(delta, TWO_PI / 3.0) <= tol:
+    if angular_distance(delta, 0.0, TWO_PI / 3.0) <= tol:
         canonical = theta if theta.p < 0.5 else theta.switched()
         witnesses.append(alias_case4(canonical, density=density, tol=tol))
         return IdentClass(IdentTag.TWO_PI_OVER_THREE, witnesses)

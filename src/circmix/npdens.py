@@ -8,7 +8,7 @@ slope-heuristic calibration of the penalty constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,25 @@ from .errors import CalibrationError, DegeneracyError, DomainError
 
 #: Default cap on the mixing weight; |M^l| is bounded below by 1 - 2*p_cap.
 DEFAULT_P_CAP = 0.49
+
+
+def _weight_floor(p_cap: float) -> float:
+    """1 - 2*p_cap, the lower bound on |M^l| for mixing weights up to p_cap.
+
+    Raises
+    ------
+    DomainError
+        Unless 0 < p_cap < 1/2: the bound must be positive.
+    """
+    if not 0.0 < p_cap < 0.5:
+        raise DomainError(f"the density stage needs p_cap in (0, 1/2), got {p_cap}")
+    return 1.0 - 2.0 * p_cap
+
+
+def _level_sums(terms: np.ndarray) -> np.ndarray:
+    """sum_{|l| <= L} t_l for L = 0..l_max, one prefix sum, from the terms
+    t_0..t_l_max of a sequence with t_{-l} = t_l."""
+    return terms[0] + 2.0 * np.append(0.0, np.cumsum(terms[1:]))
 
 
 def default_l_max(n: int) -> int:
@@ -45,10 +64,9 @@ class EmpiricalCoeffs:
     def f(self, l: int) -> complex:
         return complex(self.f_hat[l + self.l_max])
 
-    def coeff_mass(self, L: int) -> float:
-        """sum_{|l| <= L} |f_hat_l|^2."""
-        sel = slice(self.l_max - L, self.l_max + L + 1)
-        return float(np.sum(np.abs(self.f_hat[sel]) ** 2))
+    def cumulative_mass(self) -> np.ndarray:
+        """sum_{|l| <= L} |f_hat_l|^2 for L = 0..l_max."""
+        return _level_sums(np.abs(self.f_hat[self.l_max:]) ** 2)
 
 
 def empirical_coeffs(sample, theta: MixtureParams, l_max: int,
@@ -62,11 +80,14 @@ def empirical_coeffs(sample, theta: MixtureParams, l_max: int,
 
     Raises
     ------
+    DomainError
+        If l_max < 0 or p_cap lies outside (0, 1/2).
     DegeneracyError
         If some |M^l(theta)| falls below the floor 1 - 2*p_cap.
     """
     if l_max < 0:
         raise DomainError("l_max must be nonnegative")
+    floor = _weight_floor(p_cap)
     if isinstance(sample, ContrastMoments):
         if len(sample.power_sums) < l_max:
             raise DomainError(f"the moments hold P_1..P_{len(sample.power_sums)}, "
@@ -81,7 +102,6 @@ def empirical_coeffs(sample, theta: MixtureParams, l_max: int,
     g_pos = np.conj(sums) / (TWO_PI * n)
     g_pos[0] = 1.0 / TWO_PI
     g_hat = np.concatenate([np.conj(g_pos[:0:-1]), g_pos])
-    floor = 1.0 - 2.0 * p_cap
     m_pos = mixture_weight(theta, ls)
     mods = np.abs(m_pos)
     bad = np.nonzero(mods < floor - 1e-12)[0]
@@ -96,33 +116,19 @@ def empirical_coeffs(sample, theta: MixtureParams, l_max: int,
     return EmpiricalCoeffs(g_hat=g_hat, f_hat=f_hat, n=n, theta_used=theta_used, l_max=l_max)
 
 
-def select_level(coeffs: EmpiricalCoeffs, penalty: float, levels=None):
+def select_level(coeffs: EmpiricalCoeffs, penalty: float):
     """Penalized choice of the resolution level.
 
-    Minimizes -sum_{|l|<=L} |f_hat_l|^2 + penalty*(2L+1)/n over ``levels``
-    (default 0..l_max); ties go to the smallest L.  Returns (L_hat, path)
-    where path lists (L, criterion value).
+    Minimizes -sum_{|l|<=L} |f_hat_l|^2 + penalty*(2L+1)/n over L = 0..l_max;
+    ties go to the smallest L.  Returns (L_hat, path) where path lists
+    (L, criterion value).
     """
-    if penalty <= 0:
-        raise DomainError("penalty must be positive")
-    levels = _levels(coeffs, levels)
-    crit = np.array([-coeffs.coeff_mass(L) + penalty * (2 * L + 1) / coeffs.n
-                     for L in levels])
+    if not (math.isfinite(penalty) and penalty > 0):
+        raise DomainError(f"penalty must be finite and positive, got {penalty}")
+    ls = np.arange(0, coeffs.l_max + 1)
+    crit = -coeffs.cumulative_mass() + penalty * (2 * ls + 1) / coeffs.n
     best = int(np.argmin(crit))  # first occurrence, i.e. smallest L on ties
-    path = list(zip(levels.tolist(), crit.tolist()))
-    return int(levels[best]), path
-
-
-def _levels(coeffs, levels):
-    if levels is None:
-        levels = np.arange(0, coeffs.l_max + 1)
-    else:
-        levels = np.asarray(sorted(set(int(L) for L in levels)))
-    if len(levels) == 0:
-        raise DomainError("the set of resolution levels is empty")
-    if levels[0] < 0 or levels[-1] > coeffs.l_max:
-        raise DomainError("levels must lie within [0, l_max]")
-    return levels
+    return best, list(enumerate(crit.tolist()))
 
 
 @dataclass
@@ -141,17 +147,16 @@ def penalty_floor(p_cap: float = DEFAULT_P_CAP, eps: float = 1.0) -> float:
     """Theoretical penalty-constant lower bound (3/pi^2)(1+1/eps)(1-2P)^-2.
 
     Reported as a diagnostic only; the data-driven calibration is the
-    operational choice.
+    operational choice.  ``p_cap`` must lie in (0, 1/2).
     """
-    return 3.0 / math.pi ** 2 * (1.0 + 1.0 / eps) * (1.0 - 2.0 * p_cap) ** -2
+    return 3.0 / math.pi ** 2 * (1.0 + 1.0 / eps) * _weight_floor(p_cap) ** -2
 
 
-def slope_lambda(coeffs: EmpiricalCoeffs, levels=None,
-                 p_cap: float = DEFAULT_P_CAP) -> SlopeFit:
+def slope_lambda(coeffs: EmpiricalCoeffs, p_cap: float = DEFAULT_P_CAP) -> SlopeFit:
     """Calibrate the penalty constant from the contrast-versus-dimension plot.
 
     Fits a least-squares line to the couples ((2L+1)/n, sum_{|l|<=L}|f_hat_l|^2)
-    over the last half of the level range (where the plot is linear) and
+    over the last half of the levels 0..l_max (where the plot is linear) and
     returns lambda_hat = 2 * slope, twice the minimal penalty.
 
     This is a Mallows-type penalty aimed at near-oracle risk, not at
@@ -164,26 +169,21 @@ def slope_lambda(coeffs: EmpiricalCoeffs, levels=None,
     Raises
     ------
     CalibrationError
-        If fewer than 8 levels are available, fewer than 4 fall in the
-        regression window, or the tail is flat.
+        If fewer than 8 levels are available or the tail is flat.
     """
-    levels = _levels(coeffs, levels)
-    if len(levels) < 8:
-        raise CalibrationError(f"slope calibration needs >= 8 levels, got {len(levels)}")
-    l_top = int(levels[-1])
-    window = [int(L) for L in levels if L >= math.ceil(l_top / 2)]
-    if len(window) < 4:
-        raise CalibrationError(f"regression window has {len(window)} < 4 points")
-    xs = np.array([(2 * L + 1) / coeffs.n for L in levels])
-    ys = np.array([coeffs.coeff_mass(L) for L in levels])
-    in_window = np.isin(levels, window)
+    if coeffs.l_max < 7:
+        raise CalibrationError(f"slope calibration needs >= 8 levels, got {coeffs.l_max + 1}")
+    ls = np.arange(0, coeffs.l_max + 1)
+    xs = (2 * ls + 1) / coeffs.n
+    ys = coeffs.cumulative_mass()
+    in_window = ls >= math.ceil(coeffs.l_max / 2)  # l_max >= 7 leaves >= 4 levels
     slope, intercept = np.polyfit(xs[in_window], ys[in_window], 1)
     if slope <= 0:
         raise CalibrationError("contrast tail is flat; cannot calibrate the penalty")
-    couples = list(zip(levels.tolist(), xs.tolist(), ys.tolist()))
     return SlopeFit(lambda_hat=2.0 * float(slope), slope=float(slope),
-                    intercept=float(intercept), couples=couples, window=window,
-                    theoretical_floor=penalty_floor(p_cap))
+                    intercept=float(intercept),
+                    couples=list(zip(ls.tolist(), xs.tolist(), ys.tolist())),
+                    window=ls[in_window].tolist(), theoretical_floor=penalty_floor(p_cap))
 
 
 #: Points per block of DensityEstimate.evaluate: its working memory is a
@@ -200,7 +200,6 @@ class DensityEstimate:
     penalty: float
     contrast_path: list
     slope_fit: SlopeFit | None = None
-    meta: dict = field(default_factory=dict)
 
     def evaluate(self, x):
         """f_hat(x) = sum_{|l| <= L_hat} f_hat_l e^{i l x}; real by conjugate symmetry."""
@@ -242,7 +241,7 @@ class DensityEstimate:
 
 
 def estimate_density(sample, fit_or_theta, l_max: int | None = None,
-                     penalty: float | None = None, levels=None,
+                     penalty: float | None = None,
                      p_cap: float = DEFAULT_P_CAP) -> DensityEstimate:
     """Full adaptive pipeline: plug-in coefficients, penalty calibration,
     penalized level choice.
@@ -257,66 +256,52 @@ def estimate_density(sample, fit_or_theta, l_max: int | None = None,
     coeffs = empirical_coeffs(sample, theta, l_max, p_cap=p_cap)
     slope_fit = None
     if penalty is None:
-        slope_fit = slope_lambda(coeffs, levels, p_cap=p_cap)
+        slope_fit = slope_lambda(coeffs, p_cap=p_cap)
         penalty = slope_fit.lambda_hat
-    level, path = select_level(coeffs, penalty, levels)
+    level, path = select_level(coeffs, penalty)
     return DensityEstimate(coeffs=coeffs, level=level, penalty=penalty,
                            contrast_path=path, slope_fit=slope_fit)
 
 
-#: Last level of the exact coefficient tail sums.
+#: Last term and last level of the exact coefficient tail sums.
+TAIL_TOL = 1e-16
 TAIL_CAP = 100000
 
 
-def l2_error(estimate: DensityEstimate, density: ComponentDensity,
-             tail_tol: float = 1e-16, tail_cap: int = TAIL_CAP) -> float:
-    """Squared L2 distance (norm (1/2pi) integral phi^2) between the
-    estimate and an exact density, via Parseval.
-
-    Equals sum_{|l| <= L} |f_hat_l - f_l|^2 + sum_{|l| > L} |f_l|^2 with the
-    tail truncated once terms drop below ``tail_tol``.
-    """
-    level = estimate.level
-    total = 0.0
-    for l in range(-level, level + 1):
-        total += abs(estimate.coeffs.f(l) - density.fourier_coeff(l)) ** 2
-    return total + _tail_mass(density, level + 1, tail_tol, tail_cap)
-
-
-def _tail_mass(density: ComponentDensity, start: int, tail_tol: float,
-               tail_cap: int = TAIL_CAP) -> float:
+def _tail_mass(density: ComponentDensity, start: int) -> float:
     """sum_{|l| >= start} |f_l|^2, stopped after the first term below
-    ``tail_tol`` or at l = ``tail_cap``."""
+    TAIL_TOL or at l = TAIL_CAP."""
     total = 0.0
-    for l in range(start, tail_cap + 1):
+    for l in range(start, TAIL_CAP + 1):
         term = 2.0 * abs(density.fourier_coeff(l)) ** 2
         total += term
-        if term < tail_tol:
+        if term < TAIL_TOL:
             break
     return total
 
 
-def oracle_risk(coeffs: EmpiricalCoeffs, density: ComponentDensity, levels=None,
-                tail_tol: float = 1e-16) -> tuple[int, float]:
-    """Best-in-hindsight level and its realized squared L2 risk.
+def _risk_profile(coeffs: EmpiricalCoeffs, density: ComponentDensity) -> np.ndarray:
+    """||f_hat_L - f||_2^2 for L = 0..l_max, via Parseval.
 
-    Scans ``levels`` computing ||f_hat_L - f||_2^2 with the true density's
-    coefficients; used to benchmark the adaptive choice.
+    Each entry is sum_{|l| <= L} |f_hat_l - f_l|^2 (a prefix sum) plus
+    sum_{L < |l| <= l_max} |f_l|^2 (a suffix sum) plus the exact tail beyond
+    l_max.
     """
-    levels = _levels(coeffs, levels)
-    top = int(levels[-1])
-    f_true = np.array([density.fourier_coeff(int(l))
-                       for l in range(-top, top + 1)])
-    f_hat = coeffs.f_hat[coeffs.l_max - top: coeffs.l_max + top + 1]
-    sq_err = np.abs(f_hat - f_true) ** 2
-    # cumulative head error for each L plus the exact tail beyond L
-    tail = _tail_mass(density, top + 1, tail_tol)
-    best_level, best_risk = None, math.inf
-    for L in levels:
-        head = float(np.sum(sq_err[top - L: top + L + 1]))
-        tail_l = tail + float(np.sum(
-            2.0 * np.abs(f_true[top + L + 1: 2 * top + 1]) ** 2))
-        risk = head + tail_l
-        if risk < best_risk:
-            best_level, best_risk = int(L), risk
-    return best_level, best_risk
+    f_true = density.fourier_coeffs(np.arange(0, coeffs.l_max + 1))
+    head = _level_sums(np.abs(coeffs.f_hat[coeffs.l_max:] - f_true) ** 2)
+    beyond = 2.0 * np.append(np.cumsum(np.abs(f_true[:0:-1]) ** 2)[::-1], 0.0)
+    return head + (beyond + _tail_mass(density, coeffs.l_max + 1))
+
+
+def l2_error(estimate: DensityEstimate, density: ComponentDensity) -> float:
+    """Squared L2 distance (norm (1/2pi) integral phi^2) between the
+    estimate and an exact density."""
+    return float(_risk_profile(estimate.coeffs, density)[estimate.level])
+
+
+def oracle_risk(coeffs: EmpiricalCoeffs, density: ComponentDensity) -> tuple[int, float]:
+    """Best-in-hindsight level in 0..l_max and its realized squared L2 risk;
+    used to benchmark the adaptive choice."""
+    risks = _risk_profile(coeffs, density)
+    best = int(np.argmin(risks))
+    return best, float(risks[best])

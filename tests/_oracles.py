@@ -2,10 +2,14 @@
 
 These deliberately avoid the production code paths: Fourier coefficients
 come from grid quadrature, the contrast from the literal O(n^2) double sum,
-and derivatives from central finite differences.
+and derivatives from central finite differences.  The per-observation terms
+Z_k^l and their derivatives, which the program never forms, are built here
+from the library's M^l and its derivatives.
 """
 
 import numpy as np
+
+from circmix import mixture_weight, mixture_weight_grad, mixture_weight_hess
 
 TWO_PI = 2.0 * np.pi
 
@@ -36,6 +40,26 @@ def brute_contrast(angles, theta):
                 if k != j:
                     total += z[k] * z[j]
     return total / (n * (n - 1))
+
+
+def z_values(angles, l, theta):
+    """Z_k^l(theta) = Im(e^{i l X_k} M^l(theta)) / (2 pi) for each angle."""
+    m = mixture_weight(theta, l)
+    return np.imag(np.exp(1j * l * np.asarray(angles, dtype=float)) * m) / TWO_PI
+
+
+def z_grads(angles, l, theta):
+    """Gradients of Z_k^l, shape (n, 3)."""
+    dm = mixture_weight_grad(theta, l)
+    phases = np.exp(1j * l * np.asarray(angles, dtype=float))
+    return np.imag(phases[:, None] * dm[None, :]) / TWO_PI
+
+
+def z_hessians(angles, l, theta):
+    """Hessians of Z_k^l, shape (n, 3, 3)."""
+    d2m = mixture_weight_hess(theta, l)
+    phases = np.exp(1j * l * np.asarray(angles, dtype=float))
+    return np.imag(phases[:, None, None] * d2m[None, :, :]) / TWO_PI
 
 
 def fd_gradient(fun, x, h=1e-6):

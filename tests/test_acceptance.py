@@ -17,11 +17,12 @@ from circmix import (FitOptions, MixtureParams, VonMises, WrappedCauchy,
                      degeneracy_gap, det_sin_identity, empirical_coeffs,
                      estimate_density, estimate_theta, l2_error, mixture_residual,
                      oracle_risk, population_contrast, sample_mixture,
-                     slope_lambda, squared_error, z_grads, z_hessians, z_values)
+                     slope_lambda, squared_error)
 from circmix.bench import ExperimentConfig, run_mse, run_normality
 from circmix.npdens import EmpiricalCoeffs, default_l_max
 
-from _oracles import brute_contrast, fd_gradient, fd_jacobian, slope_rule_null_rate
+from _oracles import (brute_contrast, fd_gradient, fd_jacobian, slope_rule_null_rate,
+                      z_grads, z_hessians, z_values)
 
 THETA0 = MixtureParams(0.25, np.pi / 8, 2 * np.pi / 3)
 THETA0_STR = f"{THETA0.p},{THETA0.alpha},{THETA0.beta}"

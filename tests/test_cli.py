@@ -1,9 +1,14 @@
 """Command-line interface: flags, outputs, exit codes."""
 
+import contextlib
+import io
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circmix import (MixtureParams, VonMises, cli, estimate_density, estimate_theta,
                      normalize, penalty_floor, sample_mixture)
@@ -196,17 +201,68 @@ def test_fit_output_ignores_seed(tmp_path, capsys):
     ("density", "--lambda", "abc"),
     ("density", "--grid", "-3"),
     ("density", "--grid", "0"),
+    ("density", "--lambda", "nan"),
+    ("density", "--lambda", "inf"),
+    ("density", "--pmax", "0.5"),
+    ("density", "--pmax", "0.6"),
+    ("slope", "--pmax", "0.5"),
 ])
 def test_bad_fit_flags_are_usage_errors(tmp_path, capsys, flags):
     sample = tmp_path / "s.txt"
     run(capsys, "simulate", "--density", "vonmises:kappa=5", "--theta", THETA,
         "--n", "200", "--seed", "7", "--out", str(sample))
     command, *rest = flags
-    if command == "density":
+    if command in ("density", "slope"):
         rest += ["--out", str(tmp_path / "d.csv")]
     code, _, err = run(capsys, command, "--in", str(sample), *rest)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_density_box_sets_the_weight_floor(tmp_path, capsys):
+    # the density stage bounds |M^l| by the p_max the fit searched up to,
+    # which --box sets over --pmax
+    sample = tmp_path / "s.txt"
+    run(capsys, "simulate", "--density", "vonmises:kappa=5", "--theta", THETA,
+        "--n", "200", "--seed", "7", "--out", str(sample))
+    outs = []
+    for pmax in ("0.1", "0.49"):
+        code, out, err = run(capsys, "density", "--in", str(sample), "--pmax", pmax,
+                             "--box", "0.01,0.49,0,3.14,0,3.14",
+                             "--out", str(tmp_path / f"d{pmax}.csv"))
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert f"lambda_floor_diagnostic = {penalty_floor(0.49):.6g} " in outs[0]
+    assert (tmp_path / "d0.1.csv").read_bytes() == (tmp_path / "d0.49.csv").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(density=st.sampled_from(["vonmises:kappa=5", "wrappedcauchy:gamma=0.8", "uniform"]),
+       p=st.floats(0.0, 0.5, exclude_max=True),
+       alpha=st.floats(-7.0, 7.0), beta=st.floats(-7.0, 7.0),
+       n=st.integers(1, 2000),
+       pmax=st.sampled_from(["0.3", "0.49", "0.5", "0.6"]),
+       penalty=st.sampled_from(["slope", "1", "nan", "-1"]),
+       lmax=st.sampled_from([None, "0", "7", "30"]))
+def test_cli_round_trip_exits_with_a_documented_code(density, p, alpha, beta, n, pmax,
+                                                     penalty, lmax):
+    # simulate, then fit, density and slope on the file: every call ends in
+    # a documented exit code and none raises
+    documented = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_INPUT, cli.EXIT_ESTIMATION,
+                  cli.EXIT_INFERENCE, cli.EXIT_EXPERIMENT}
+    level = [] if lmax is None else ["--lmax", lmax]
+    with tempfile.TemporaryDirectory() as work, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        sample = os.path.join(work, "s.txt")
+        assert main(["simulate", "--density", density, "--theta", f"{p!r},{alpha!r},{beta!r}",
+                     "--n", str(n), "--seed", "1", "--out", sample]) == cli.EXIT_OK
+        flags = ["--in", sample, "--seed", "1", "--pmax", pmax]
+        codes = [main(["fit", *flags]),
+                 main(["density", *flags, *level, "--lambda", penalty,
+                       "--out", os.path.join(work, "d.csv")]),
+                 main(["slope", *flags, *level, "--out", os.path.join(work, "sl.csv")])]
+    assert set(codes) <= documented, codes
 
 
 def test_density_large_kappa_truth(tmp_path, capsys):

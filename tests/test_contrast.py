@@ -14,10 +14,11 @@ from circmix import (ContrastMoments, DomainError, EstimationError, FitOptions,
                      degeneracy_gap, estimate_theta, mixture_fourier,
                      mixture_weight, mixture_weight_grad, mixture_weight_hess,
                      population_contrast, power_sums, sample_mixture,
-                     squared_error, z_grads, z_hessians, z_values)
+                     squared_error)
 from circmix.contrast import POWER_SUM_CHUNK
 
-from _oracles import brute_contrast, fd_gradient, fd_jacobian
+from _oracles import (brute_contrast, fd_gradient, fd_jacobian, z_grads, z_hessians,
+                      z_values)
 
 THETA0 = MixtureParams(0.25, np.pi / 8, 2 * np.pi / 3)
 TWO_PI = 2.0 * np.pi

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from circmix import (CalibrationError, DegeneracyError, DensityEstimate,
+from circmix import (CalibrationError, DegeneracyError, DensityEstimate, DomainError,
                      EmpiricalCoeffs, FitOptions, MixtureParams, VonMises,
                      WrappedCauchy, empirical_coeffs, estimate_density,
                      estimate_theta, l2_error, mixture_weight, oracle_risk,
@@ -145,6 +145,15 @@ def test_plugin_variance_bound():
     assert np.all(acc <= bound)
 
 
+def test_cumulative_mass_is_the_level_sums():
+    rng = np.random.default_rng(3)
+    coeffs = make_coeffs(rng.uniform(0, 1e-3, 12))
+    direct = [sum(abs(coeffs.f(l)) ** 2 for l in range(-L, L + 1)) for L in range(13)]
+    assert_allclose(coeffs.cumulative_mass(), direct, rtol=1e-13)
+    coeffs.f_hat = 2.0 * coeffs.f_hat  # read on each call, never cached
+    assert_allclose(coeffs.cumulative_mass(), 4.0 * np.array(direct), rtol=1e-13)
+
+
 def test_select_level_limits():
     coeffs = make_coeffs([0.01, 0.008, 0.002, 0.001, 5e-4, 2e-4, 1e-4, 5e-5])
     level, _ = select_level(coeffs, penalty=1e9)
@@ -215,10 +224,10 @@ def test_slope_lambda_window_robustness():
         fit = estimate_theta(s, FitOptions(compute_covariance=False))
         coeffs = empirical_coeffs(s, fit.theta_hat, 30)
         half = slope_lambda(coeffs).lambda_hat
-        third_levels = list(range(0, 31))
-        xs = np.array([(2 * L + 1) / coeffs.n for L in third_levels])
-        ys = np.array([coeffs.coeff_mass(L) for L in third_levels])
-        keep = np.array(third_levels) >= math.ceil(30 * 2 / 3)
+        levels = np.arange(0, 31)
+        xs = (2 * levels + 1) / coeffs.n
+        ys = coeffs.cumulative_mass()
+        keep = levels >= math.ceil(30 * 2 / 3)
         a_third = np.polyfit(xs[keep], ys[keep], 1)[0]
         ratios.append(half / (2 * a_third))
     med = float(np.median(ratios))
@@ -243,6 +252,21 @@ def test_slope_rule_oracle_matches_program(l_max):
 def test_penalty_floor_diagnostic():
     assert penalty_floor(0.25, 1.0) == pytest.approx(3.0 / math.pi ** 2 * 2.0 * 4.0)
     assert penalty_floor() > penalty_floor(0.25)
+
+
+@pytest.mark.parametrize("p_cap", [0.5, 0.6, 0.0, -0.1, math.nan])
+def test_density_stage_needs_p_cap_below_half(p_cap):
+    # the weight floor 1 - 2*p_cap must be positive
+    with pytest.raises(DomainError):
+        penalty_floor(p_cap)
+    with pytest.raises(DomainError):
+        empirical_coeffs(np.array([0.1, 0.2, 0.3]), THETA0, 4, p_cap=p_cap)
+
+
+@pytest.mark.parametrize("penalty", [0.0, -1.0, math.nan, math.inf])
+def test_select_level_needs_a_finite_positive_penalty(penalty):
+    with pytest.raises(DomainError):
+        select_level(make_coeffs([1e-3] * 4), penalty)
 
 
 def test_estimate_density_uniform_selects_zero():
@@ -324,7 +348,23 @@ def test_oracle_risk_is_lower_bound():
     est = estimate_density(s, fit)
     best_level, best_risk = oracle_risk(est.coeffs, d)
     assert 0 <= best_level <= est.coeffs.l_max
-    assert best_risk <= l2_error(est, d) + 1e-15
+    assert best_risk <= l2_error(est, d)  # both read one risk profile
+
+
+def test_oracle_risk_is_the_best_l2_error():
+    rng = np.random.default_rng(12)
+    d = WrappedCauchy(0.8)
+    s = sample_mixture(THETA0, d, 1000, rng)
+    coeffs = empirical_coeffs(s, THETA0, 30)
+    risks = [l2_error(DensityEstimate(coeffs=coeffs, level=L, penalty=1.0, contrast_path=[]), d)
+             for L in range(coeffs.l_max + 1)]
+    best = int(np.argmin(risks))
+    assert oracle_risk(coeffs, d) == (best, risks[best])
+    # Parseval, level by level, from the coefficient differences
+    for L in (0, best, coeffs.l_max):
+        head = sum(abs(coeffs.f(l) - d.fourier_coeff(l)) ** 2 for l in range(-L, L + 1))
+        tail = 2.0 * sum(abs(d.fourier_coeff(l)) ** 2 for l in range(L + 1, 400))
+        assert_allclose(risks[L], head + tail, rtol=1e-12)
 
 
 def test_clipped_renormalized():
