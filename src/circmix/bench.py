@@ -8,6 +8,7 @@ are aggregated in replication order.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -116,9 +117,23 @@ def _rep_rng(config: ExperimentConfig, kind: str, n: int, rep: int) -> np.random
         np.random.SeedSequence([config.seed, _STREAM_TAG[kind], n, rep]))
 
 
+def _one_blas_thread():
+    """Pool initializer: one thread for scipy's OpenBLAS, whose per-core threads
+    in each of 2 workers on 2 cores made the fits 4-9x slower than serially."""
+    try:
+        with open("/proc/self/maps") as fh:  # the loaded libraries, on Linux
+            paths = {line[line.index("/"):].strip() for line in fh if "/libscipy_openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads"):
+            lib.scipy_openblas_set_num_threads(1)
+
+
 def _map_reps(config: ExperimentConfig, worker, tasks):
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=config.jobs, initializer=_one_blas_thread) as pool:
             return list(pool.map(worker, tasks, chunksize=1))
     return [worker(t) for t in tasks]
 

@@ -20,11 +20,11 @@ import numpy as np
 
 from . import bench
 from .circ import MixtureParams, normalize, parse_density, sample_mixture
-from .contrast import L_MAX_CONTRAST, ContrastMoments, FitOptions, estimate_theta, power_sums
+from .contrast import ContrastMoments, FitOptions, estimate_theta
 from .errors import (CalibrationError, CircmixError, DomainError, EstimationError,
                      ExperimentError, InferenceError)
 from .ident import classify, mixture_residual
-from .npdens import default_l_max, estimate_density
+from .npdens import _check_settings, _weight_floor, default_l_max, estimate_density
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -90,6 +90,14 @@ def _read_angles(path: str) -> np.ndarray:
     return normalize(np.array(values))
 
 
+def _read_sample(path: str) -> np.ndarray:
+    """The angles of a sample file, of which estimation needs at least 2."""
+    angles = _read_angles(path)
+    if len(angles) < 2:
+        raise EstimationError("estimation needs at least 2 angles")
+    return angles
+
+
 def _fit_options(args, covariance: bool) -> FitOptions:
     kwargs = dict(p_max=args.pmax, compute_covariance=covariance)
     if args.box:
@@ -106,15 +114,17 @@ def _fit_options(args, covariance: bool) -> FitOptions:
     return FitOptions(**kwargs)
 
 
-def _fit_and_density(angles, args, penalty=None):
-    """The fit and the density estimate of ``density`` and ``slope``, both
-    read from one power-sum pass over the angles."""
-    l_max = default_l_max(len(angles)) if args.lmax is None else args.lmax
-    sums = power_sums(angles, max(2 * L_MAX_CONTRAST, l_max))
-    moments = ContrastMoments.from_power_sums(sums)
+def _fit_and_density(args, penalty=None):
+    """The fit and the density estimate of ``density`` and ``slope``, both read
+    from one power-sum pass over the sample file, which is read only once the
+    density stage has accepted p_cap, the penalty and --lmax."""
     options = _fit_options(args, covariance=False)
+    _weight_floor(options.p_max)  # the density stage's p_cap is the fit's p_max
+    _check_settings(args.lmax, penalty)
+    angles = _read_sample(args.infile)
+    l_max = default_l_max(len(angles)) if args.lmax is None else args.lmax
+    moments = ContrastMoments(angles, l_max)
     fit = estimate_theta(moments, options)
-    # the density stage bounds |M^l| by the p_max the fit searched up to
     return estimate_density(moments, fit, l_max=l_max, penalty=penalty, p_cap=options.p_max)
 
 
@@ -139,10 +149,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    angles = _read_angles(args.infile)
-    if len(angles) < 2:
-        raise EstimationError("estimation needs at least 2 angles")
-    fit = estimate_theta(angles, _fit_options(args, covariance=not args.no_cov))
+    options = _fit_options(args, covariance=not args.no_cov)
+    fit = estimate_theta(_read_sample(args.infile), options)
     if fit.near_degenerate:
         print("warning: near-degenerate fit, beta - alpha close to a multiple of 2*pi/3",
               file=sys.stderr)
@@ -157,9 +165,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_density(args) -> int:
-    angles = _read_angles(args.infile)
-    if len(angles) < 2:
-        raise EstimationError("estimation needs at least 2 angles")
     penalty = None
     if args.penalty != "slope":
         try:
@@ -168,7 +173,7 @@ def cmd_density(args) -> int:
             raise _CliUsage(f"--lambda must be a number or 'slope': {args.penalty!r}") from exc
     if args.grid <= 0:
         raise _CliUsage(f"--grid must be a positive number of points, got {args.grid}")
-    estimate = _fit_and_density(angles, args, penalty)
+    estimate = _fit_and_density(args, penalty)
     x, f_hat = estimate.grid(args.grid)
     header = ["x", "f_hat"]
     cols = [x, f_hat]
@@ -194,10 +199,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_slope(args) -> int:
-    angles = _read_angles(args.infile)
-    if len(angles) < 2:
-        raise EstimationError("estimation needs at least 2 angles")
-    estimate = _fit_and_density(angles, args)
+    estimate = _fit_and_density(args)
     slope_fit = estimate.slope_fit
     bench.write_slope_csv(args.out, slope_fit)
     print(f"slope = {slope_fit.slope:.6g}")

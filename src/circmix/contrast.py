@@ -107,38 +107,22 @@ def power_sums(angles, m_max: int) -> np.ndarray:
 
 
 class ContrastMoments:
-    """Power sums of a sample, from which S_n and its derivatives follow.
+    """Power sums of a sample, from which S_n and its derivatives follow in O(1).
 
-    Holds P_m = sum_k e^{i m X_k} for m = 1..8, or further when built by
-    ``from_power_sums``; evaluation of the contrast at any theta is then O(1).
+    ``power_sums[m]`` holds P_m = sum_k e^{i m X_k} for m = 0..max(m_max, 8);
+    a larger m_max serves ``empirical_coeffs`` from the same pass.
     """
 
-    def __init__(self, angles):
+    def __init__(self, angles, m_max: int = 2 * L_MAX_CONTRAST):
         angles = np.asarray(angles, dtype=float)
         if angles.ndim != 1:
             raise DomainError("angles must be one-dimensional")
-        self._hold(power_sums(angles, 2 * L_MAX_CONTRAST))
-
-    @classmethod
-    def from_power_sums(cls, sums):
-        """Moments from ``power_sums(angles, m_max)`` with m_max >= 8.
-
-        All of P_1..P_m_max are kept, so ``empirical_coeffs`` can read a
-        density estimate's coefficients from the same pass.
-        """
-        if len(sums) <= 2 * L_MAX_CONTRAST:
-            raise DomainError("the contrast needs the power sums P_0..P_8")
-        moments = cls.__new__(cls)
-        moments._hold(np.asarray(sums))
-        return moments
-
-    def _hold(self, sums):
-        self.n = int(sums[0].real)
-        if self.n < 2:
+        if len(angles) < 2:
             raise DomainError("the contrast needs at least two observations")
-        self.power_sums = sums[1:]  # index m-1 holds P_m
-        # P_1..P_8 as Python complex: _scan's scalar arithmetic is slow on numpy scalars
-        self._sums = self.power_sums[:2 * L_MAX_CONTRAST].tolist()
+        self.n = len(angles)
+        self.power_sums = power_sums(angles, max(m_max, 2 * L_MAX_CONTRAST))
+        # P_0..P_8 as Python complex: _scan's scalar arithmetic is slow on numpy scalars
+        self._sums = self.power_sums[:2 * L_MAX_CONTRAST + 1].tolist()
 
     def _p_quadratic(self, alpha, beta):
         """(c2, c1, c0) with S_n = 2/(n(n-1)) (c2 p^2 + c1 p + c0) at (alpha, beta).
@@ -149,7 +133,7 @@ class ContrastMoments:
         n = self.n
         c2 = c1 = c0 = 0.0
         for l in range(1, L_MAX_CONTRAST + 1):
-            pl, p2l = self.power_sums[l - 1], self.power_sums[2 * l - 1]
+            pl, p2l = self.power_sums[l], self.power_sums[2 * l]
             eb = np.exp(-1j * l * beta)
             d = np.exp(-1j * l * alpha) - eb
             u = (d * pl).imag / TWO_PI
@@ -196,7 +180,7 @@ class ContrastMoments:
         for l in range(1, L_MAX_CONTRAST + 1):
             ea *= ea_step
             eb *= eb_step
-            pl, p2l = self._sums[l - 1], self._sums[2 * l - 1]
+            pl, p2l = self._sums[l], self._sums[2 * l]
             m = p * ea + (1.0 - p) * eb
             dm = dm_p, dm_a, dm_b = _weight_grad(p, ea, eb, l)
             a = (m * pl).imag / TWO_PI
@@ -225,7 +209,7 @@ class ContrastMoments:
         n = self.n
         hess = np.zeros((3, 3))
         for l, a, t, dm, d in levels:
-            pl, p2l = self._sums[l - 1], self._sums[2 * l - 1]
+            pl, p2l = self._sums[l], self._sums[2 * l]
             d2m = mixture_weight_hess(theta_arr, l)
             dm = np.array(dm)
             h_sum = np.imag(d2m * pl) / TWO_PI     # sum_k d2Z_k
@@ -256,9 +240,7 @@ def contrast_value(sample, theta) -> float:
 def _as_moments(sample) -> ContrastMoments:
     if isinstance(sample, ContrastMoments):
         return sample
-    if isinstance(sample, Sample):
-        return ContrastMoments(sample.angles)
-    return ContrastMoments(np.asarray(sample, dtype=float))
+    return ContrastMoments(sample.angles if isinstance(sample, Sample) else sample)
 
 
 def population_contrast(theta, theta0, f_coeffs) -> float:
@@ -316,9 +298,9 @@ class FitResult:
     ``n_starts`` counts the grid minima polished and ``converged_starts``
     those whose polish converged.
 
-    ``covariance`` is the estimated covariance of theta_hat itself
-    (Sigma_hat / n); ``sigma_hat`` is the asymptotic covariance of
-    sqrt(n) (theta_hat - theta0).  Both are None when inference failed.
+    ``sigma_hat`` is the asymptotic covariance of sqrt(n) (theta_hat - theta0)
+    and ``std_errors`` the standard errors of theta_hat; both are None when
+    inference failed.
     """
 
     theta_hat: MixtureParams
@@ -327,7 +309,6 @@ class FitResult:
     n: int
     converged_starts: int
     near_degenerate: bool
-    covariance: np.ndarray | None = None
     sigma_hat: np.ndarray | None = None
     std_errors: np.ndarray | None = None
     inference_warning: str | None = None
@@ -435,10 +416,7 @@ def estimate_theta(sample, options: FitOptions | None = None) -> FitResult:
     )
     if opts.compute_covariance:
         try:
-            sigma, se = asymptotic_cov(moments, theta_hat)
-            result.sigma_hat = sigma
-            result.covariance = sigma / moments.n
-            result.std_errors = se
+            result.sigma_hat, result.std_errors = asymptotic_cov(moments, theta_hat)
         except InferenceError as exc:
             result.inference_warning = str(exc)
     return result
@@ -486,7 +464,7 @@ def asymptotic_cov(sample, theta) -> tuple[np.ndarray, np.ndarray]:
         raise InferenceError(
             f"curvature matrix is numerically singular (rcond {rcond:.2e} < {RCOND_MIN:.0e})")
     ls = np.arange(1, L_MAX_CONTRAST + 1)
-    sums = np.concatenate(([n], moments.power_sums))  # P_0..P_8
+    sums = moments.power_sums
     m = mixture_weight(theta_arr, ls)
     dm = np.array([mixture_weight_grad(theta_arr, l) for l in ls])
     d = np.imag(dm * sums[ls, None]) / TWO_PI

@@ -33,6 +33,14 @@ def _weight_floor(p_cap: float) -> float:
     return 1.0 - 2.0 * p_cap
 
 
+def _check_settings(l_max: int | None = None, penalty: float | None = None) -> None:
+    """Raise DomainError unless l_max >= 0 and the penalty is finite and positive."""
+    if l_max is not None and l_max < 0:
+        raise DomainError(f"l_max must be nonnegative, got {l_max}")
+    if penalty is not None and not (math.isfinite(penalty) and penalty > 0):
+        raise DomainError(f"penalty must be finite and positive, got {penalty}")
+
+
 def _level_sums(terms: np.ndarray) -> np.ndarray:
     """sum_{|l| <= L} t_l for L = 0..l_max, one prefix sum, from the terms
     t_0..t_l_max of a sequence with t_{-l} = t_l."""
@@ -75,29 +83,26 @@ def empirical_coeffs(sample, theta: MixtureParams, l_max: int,
 
     g_hat_l is conj(P_l) / (2 pi n) with P_l from the chunked kernel
     ``contrast.power_sums``, so memory stays O(l_max) beyond the sample.
-    ``sample`` may also be a ContrastMoments holding P_1..P_l_max, whose
+    ``sample`` may also be a ContrastMoments holding P_0..P_l_max, whose
     sums are then read instead of passing over the angles again.
 
     Raises
     ------
     DomainError
-        If l_max < 0 or p_cap lies outside (0, 1/2).
+        If l_max < 0 or beyond the moments' sums, or p_cap lies outside (0, 1/2).
     DegeneracyError
         If some |M^l(theta)| falls below the floor 1 - 2*p_cap.
     """
-    if l_max < 0:
-        raise DomainError("l_max must be nonnegative")
+    _check_settings(l_max=l_max)
     floor = _weight_floor(p_cap)
     if isinstance(sample, ContrastMoments):
-        if len(sample.power_sums) < l_max:
-            raise DomainError(f"the moments hold P_1..P_{len(sample.power_sums)}, "
+        if len(sample.power_sums) <= l_max:
+            raise DomainError(f"the moments hold P_0..P_{len(sample.power_sums) - 1}, "
                               f"not up to l_max = {l_max}")
-        n = sample.n
-        sums = np.concatenate(([n], sample.power_sums[:l_max]))
+        sums = sample.power_sums[:l_max + 1]
     else:
-        angles = sample.angles if isinstance(sample, Sample) else np.asarray(sample, dtype=float)
-        n = len(angles)
-        sums = power_sums(angles, l_max)
+        sums = power_sums(sample.angles if isinstance(sample, Sample) else sample, l_max)
+    n = int(sums[0].real)
     ls = np.arange(0, l_max + 1)
     g_pos = np.conj(sums) / (TWO_PI * n)
     g_pos[0] = 1.0 / TWO_PI
@@ -123,8 +128,7 @@ def select_level(coeffs: EmpiricalCoeffs, penalty: float):
     ties go to the smallest L.  Returns (L_hat, path) where path lists
     (L, criterion value).
     """
-    if not (math.isfinite(penalty) and penalty > 0):
-        raise DomainError(f"penalty must be finite and positive, got {penalty}")
+    _check_settings(penalty=penalty)
     ls = np.arange(0, coeffs.l_max + 1)
     crit = -coeffs.cumulative_mass() + penalty * (2 * ls + 1) / coeffs.n
     best = int(np.argmin(crit))  # first occurrence, i.e. smallest L on ties

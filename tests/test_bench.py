@@ -1,10 +1,13 @@
 """Monte Carlo harness: determinism, schemas, failure accounting."""
 
+import ctypes
+import os
+
 import numpy as np
 import pytest
 
 from circmix import ExperimentError
-from circmix.bench import (ExperimentConfig, MseRow, run_density_recon,
+from circmix.bench import (ExperimentConfig, MseRow, _map_reps, run_density_recon,
                            run_experiments, run_mse, run_normality, run_slope)
 
 THETA = "0.25,0.39269908,2.0943951"
@@ -62,6 +65,25 @@ def test_run_mse_parallel_matches_serial(tmp_path):
     run_mse(config(serial_dir, reps=4))
     run_mse(config(par_dir, reps=4, jobs=2))
     assert (serial_dir / "mse.csv").read_bytes() == (par_dir / "mse.csv").read_bytes()
+
+
+def _blas_threads(_=None):
+    """Thread count of each scipy OpenBLAS loaded in this process."""
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line[line.index("/"):].strip() for line in fh
+                        if "/libscipy_openblas" in line})
+    libs = [ctypes.CDLL(path) for path in paths]
+    return [lib.scipy_openblas_get_num_threads() for lib in libs
+            if hasattr(lib, "scipy_openblas_get_num_threads")]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps") or not _blas_threads(),
+                    reason="no scipy OpenBLAS library is loaded")
+def test_pool_workers_use_one_blas_thread(tmp_path):
+    before = _blas_threads()
+    workers = _map_reps(config(tmp_path, jobs=2), _blas_threads, [0, 1])
+    assert workers == [[1] * len(before)] * 2
+    assert _blas_threads() == before
 
 
 def test_mse_csv_schema(tmp_path):

@@ -116,13 +116,16 @@ def test_fit_non_finite_sample_is_input_error(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("lmax, penalty", [(None, None), (5, 2.0), (30, None)])
-def test_one_power_sum_pass_gives_the_two_pass_estimate(lmax, penalty):
+def test_one_power_sum_pass_gives_the_two_pass_estimate(tmp_path, lmax, penalty):
     # density and slope read the fit and the coefficients from one pass
     angles = sample_mixture(MixtureParams(0.25, 0.3927, 2.0944), VonMises(5.0), 700,
                             np.random.default_rng(8)).angles
-    args = cli.build_parser().parse_args(
-        ["slope", "--in", "-", "--out", "-"] + ([] if lmax is None else ["--lmax", str(lmax)]))
-    one_pass = cli._fit_and_density(angles, args, penalty)
+    path = tmp_path / "s.txt"
+    path.write_text("\n".join(map(repr, angles.tolist())))
+    assert np.array_equal(cli._read_angles(str(path)), angles)  # the file holds them exactly
+    level = [] if lmax is None else ["--lmax", str(lmax)]
+    args = cli.build_parser().parse_args(["slope", "--in", str(path), "--out", "-", *level])
+    one_pass = cli._fit_and_density(args, penalty)
     fit = estimate_theta(angles, cli._fit_options(args, covariance=False))
     two_pass = estimate_density(angles, fit, l_max=lmax, penalty=penalty, p_cap=args.pmax)
     assert one_pass.coeffs.theta_used == two_pass.coeffs.theta_used
@@ -206,17 +209,22 @@ def test_fit_output_ignores_seed(tmp_path, capsys):
     ("density", "--pmax", "0.5"),
     ("density", "--pmax", "0.6"),
     ("slope", "--pmax", "0.5"),
+    ("fit", "--pmax", "0"),
+    ("density", "--lmax", "-1"),
 ])
 def test_bad_fit_flags_are_usage_errors(tmp_path, capsys, flags):
-    sample = tmp_path / "s.txt"
-    run(capsys, "simulate", "--density", "vonmises:kappa=5", "--theta", THETA,
-        "--n", "200", "--seed", "7", "--out", str(sample))
+    # flags are checked before the file is read, so a one-angle file, which
+    # estimation rejects with exit 4, still gives exit 2
     command, *rest = flags
     if command in ("density", "slope"):
         rest += ["--out", str(tmp_path / "d.csv")]
-    code, _, err = run(capsys, command, "--in", str(sample), *rest)
-    assert code == 2
-    assert err.startswith("error:")
+    for n in (200, 1):
+        sample = tmp_path / f"s{n}.txt"
+        run(capsys, "simulate", "--density", "vonmises:kappa=5", "--theta", THETA,
+            "--n", str(n), "--seed", "7", "--out", str(sample))
+        code, _, err = run(capsys, command, "--in", str(sample), *rest)
+        assert code == 2, n
+        assert err.startswith("error:")
 
 
 def test_density_box_sets_the_weight_floor(tmp_path, capsys):

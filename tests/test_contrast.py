@@ -113,7 +113,11 @@ def test_power_sums_one_chunk_is_the_unchunked_recurrence(n):
         power = power * base
     assert power_sums(x, 8)[1:].tolist() == unchunked
     if n >= 2:
-        assert ContrastMoments(x).power_sums.tolist() == unchunked
+        # the moments hold P_m at index m, and P_m does not depend on m_max
+        assert ContrastMoments(x).power_sums[1:].tolist() == unchunked
+        for m_max in (0, 8, 9, 50):
+            assert (ContrastMoments(x, m_max).power_sums.tolist()
+                    == power_sums(x, max(m_max, 8)).tolist())
 
 
 def sandwich_by_triple_sum(angles, theta):

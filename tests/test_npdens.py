@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from circmix import (CalibrationError, DegeneracyError, DensityEstimate, DomainError,
+from circmix import (CalibrationError, ContrastMoments, DegeneracyError, DensityEstimate, DomainError,
                      EmpiricalCoeffs, FitOptions, MixtureParams, VonMises,
                      WrappedCauchy, empirical_coeffs, estimate_density,
                      estimate_theta, l2_error, mixture_weight, oracle_risk,
@@ -62,6 +62,20 @@ def test_empirical_coeffs_uniform_noise_level():
     coeffs = empirical_coeffs(s, THETA0, 6)
     for l in range(1, 7):
         assert abs(coeffs.f(l)) < 4.0 / (abs(mixture_weight(THETA0, l)) * 2 * math.pi * math.sqrt(n))
+
+
+def test_empirical_coeffs_reads_the_moments():
+    # moments holding P_0..P_l_max give the coefficients of the angles, bit
+    # for bit; moments holding fewer sums are refused
+    x = sample_mixture(THETA0, VonMises(5.0), 300, np.random.default_rng(3)).angles
+    with pytest.raises(DomainError):
+        empirical_coeffs(ContrastMoments(x), THETA0, 9)
+    for moments, l_max in ((ContrastMoments(x), 8), (ContrastMoments(x, 9), 9)):
+        from_moments = empirical_coeffs(moments, THETA0, l_max)
+        from_angles = empirical_coeffs(x, THETA0, l_max)
+        assert from_moments.n == from_angles.n == 300
+        assert np.array_equal(from_moments.g_hat, from_angles.g_hat)
+        assert np.array_equal(from_moments.f_hat, from_angles.f_hat)
 
 
 @settings(max_examples=60, deadline=None)
