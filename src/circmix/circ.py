@@ -28,11 +28,15 @@ def normalize(x):
         If any input is not finite.
     """
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("angles must be finite")
-    out = np.mod(arr, TWO_PI)
-    # mod can round up to exactly 2*pi for tiny negative inputs
-    out = np.where(out >= TWO_PI, 0.0, out)
+    if np.all((arr >= 0.0) & (arr < TWO_PI)):
+        # what mod returns on [0, 2*pi), -0.0 made +0.0 too, as a new array
+        out = arr + 0.0
+    else:
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("angles must be finite")
+        out = np.mod(arr, TWO_PI)
+        # mod can round up to exactly 2*pi for tiny negative inputs
+        out = np.where(out >= TWO_PI, 0.0, out)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
@@ -79,7 +83,7 @@ class MixtureParams:
 class ComponentDensity:
     """Base class for circular component densities.
 
-    Subclasses implement ``pdf``, ``fourier_coeff`` and ``sample``; all are
+    Subclasses implement ``pdf``, ``fourier_coeffs`` and ``sample``; all are
     pure given an explicit ``numpy.random.Generator``.
     """
 
@@ -91,13 +95,14 @@ class ComponentDensity:
 
     def fourier_coeff(self, l: int) -> complex:
         """Exact Fourier coefficient c_l = (1/2pi) E[exp(-i l X)]."""
+        return complex(self.fourier_coeffs([l])[0])
+
+    def fourier_coeffs(self, ls) -> np.ndarray:
+        """c_l for each level of ``ls``, a complex array."""
         raise NotImplementedError
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
-
-    def fourier_coeffs(self, ls) -> np.ndarray:
-        return np.array([self.fourier_coeff(int(l)) for l in np.atleast_1d(ls)])
 
     def __repr__(self):
         return self.label
@@ -128,9 +133,10 @@ class VonMises(ComponentDensity):
         out = np.exp(self.kappa * (np.cos(x - self.mu) - 1.0)) / (TWO_PI * ive(0, self.kappa))
         return out if out.ndim else float(out)
 
-    def fourier_coeff(self, l: int) -> complex:
-        mag = ive(abs(l), self.kappa) / (TWO_PI * ive(0, self.kappa))
-        return mag * np.exp(-1j * l * self.mu)
+    def fourier_coeffs(self, ls) -> np.ndarray:
+        ls = np.atleast_1d(ls)
+        mag = ive(np.abs(ls), self.kappa) / (TWO_PI * ive(0, self.kappa))
+        return mag * np.exp(-1j * ls * self.mu)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:
@@ -187,8 +193,9 @@ class WrappedCauchy(ComponentDensity):
         out = (1.0 - g * g) / (TWO_PI * (1.0 + g * g - 2.0 * g * np.cos(x - self.mu)))
         return out if out.ndim else float(out)
 
-    def fourier_coeff(self, l: int) -> complex:
-        return self.gamma ** abs(l) / TWO_PI * np.exp(-1j * l * self.mu)
+    def fourier_coeffs(self, ls) -> np.ndarray:
+        ls = np.atleast_1d(ls)
+        return self.gamma ** np.abs(ls) / TWO_PI * np.exp(-1j * ls * self.mu)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:
@@ -232,8 +239,9 @@ class WrappedNormal(ComponentDensity):
         out = acc / TWO_PI
         return out if out.ndim else float(out)
 
-    def fourier_coeff(self, l: int) -> complex:
-        return self.rho ** (l * l) / TWO_PI * np.exp(-1j * l * self.mu)
+    def fourier_coeffs(self, ls) -> np.ndarray:
+        ls = np.atleast_1d(ls)
+        return self.rho ** (ls * ls) / TWO_PI * np.exp(-1j * ls * self.mu)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:
@@ -302,6 +310,9 @@ class Tabulated(ComponentDensity):
         step = TWO_PI / len(grid)
         coeff = np.sum(values * np.exp(-1j * l * grid)) * step / TWO_PI
         return complex(coeff * np.exp(-1j * l * self.mu))
+
+    def fourier_coeffs(self, ls) -> np.ndarray:
+        return np.array([self.fourier_coeff(int(l)) for l in np.atleast_1d(ls)])
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:

@@ -124,45 +124,78 @@ class ContrastMoments:
         # P_0..P_8 as Python complex: _scan's scalar arithmetic is slow on numpy scalars
         self._sums = self.power_sums[:2 * L_MAX_CONTRAST + 1].tolist()
 
-    def _p_quadratic(self, alpha, beta):
-        """(c2, c1, c0) with S_n = 2/(n(n-1)) (c2 p^2 + c1 p + c0) at (alpha, beta).
+    def _p_quadratic(self, alphas, betas):
+        """(c2, c1, c0) with S_n = 2/(n(n-1)) (c2 p^2 + c1 p + c0) at every
+        (alphas[i], betas[j]): c2 and c1 are len(alphas) x len(betas)
+        arrays and c0, which depends on beta alone, has len(betas) entries.
 
-        M^l = p (e_a - e_b) + e_b is affine in p, so S_n is an exact
-        quadratic in p for fixed angles; broadcasts over arrays of angles.
+        M^l = p (A_l - B_l) + B_l with A_l = e^{-il alpha}, B_l = e^{-il beta}
+        is affine in p, so S_n is an exact quadratic in p for fixed angles.
+        With K = 8 pi^2, z_l(t) = Im(e^{-ilt} P_l)/2pi and
+        s(t) = sum_l z_l(t)^2 + Re(e^{-2ilt} P_2l)/K, summed over l = 1..4:
+
+            c0 = s(beta) - 4n/K
+            c1 = -2 c0 - X
+            c2 = s(alpha) + s(beta) - 8n/K + X
+
+        The only alpha-beta coupling is
+            X = sum_l -2 z_l(alpha) z_l(beta) + (2n/K) Re(A_l conj B_l)
+                      - (2/K) Re(A_l B_l P_2l)
+              = sum_l Re(A_l conj G_l),
+            G_l = (2n/K) B_l - (2/K) conj(B_l P_2l) - 2i z_l(beta) conj(P_l)/2pi,
+        a real product of rank 8: the A_l and the G_l, viewed as (re, im)
+        pairs.  At alpha == beta S_n does not depend on p, so c2 and c1 are
+        set to exactly 0 there.
         """
         n = self.n
-        c2 = c1 = c0 = 0.0
-        for l in range(1, L_MAX_CONTRAST + 1):
-            pl, p2l = self.power_sums[l], self.power_sums[2 * l]
-            eb = np.exp(-1j * l * beta)
-            d = np.exp(-1j * l * alpha) - eb
-            u = (d * pl).imag / TWO_PI
-            v = (eb * pl).imag / TWO_PI
-            c2 = c2 + u * u - (n * (d * d.conjugate()).real - (d * d * p2l).real) / (2.0 * FOUR_PI2)
-            c1 = c1 + 2.0 * (u * v - (n * (d * eb.conjugate()).real
-                                      - (d * eb * p2l).real) / (2.0 * FOUR_PI2))
-            c0 = c0 + v * v - (n - (eb * eb * p2l).real) / (2.0 * FOUR_PI2)
+        k = 2.0 * FOUR_PI2
+        ls = np.arange(1, L_MAX_CONTRAST + 1)
+        pl = self.power_sums[ls]
+        p2l = self.power_sums[2 * ls]
+        e = np.exp(-1j * np.outer(np.concatenate([alphas, betas]), ls))
+        z = (e * pl).imag / TWO_PI
+        s = (z * z + (e * e * p2l).real / k).sum(axis=1)
+        rows = len(alphas)
+        eb = e[rows:]
+        g = ((2.0 * n / k) * eb - (2.0 / k) * np.conj(eb * p2l)
+             - 2j * z[rows:] * np.conj(pl) / TWO_PI)
+        x = e[:rows].view(float) @ g.view(float).T
+        c0 = s[rows:] - L_MAX_CONTRAST * n / k
+        c1 = -2.0 * c0 - x
+        c2 = s[:rows, None] + (c0 - L_MAX_CONTRAST * n / k) + x
+        same = np.equal.outer(alphas, betas)
+        c2[same] = 0.0
+        c1[same] = 0.0
         return c2, c1, c0
 
     def profile_p(self, alpha, beta, p_min: float, p_max: float):
         """(p, S_n) with p minimizing S_n over [p_min, p_max] at fixed angles.
 
-        The quadratic's minimum on the interval is its clipped vertex when
-        c2 > 0, and otherwise the end point with the lower value; the two
-        end values differ by (p_max - p_min) (c2 (p_min + p_max) + c1).
+        ``alpha`` and ``beta`` are scalars or a column and a row, of shapes
+        (k, 1) and (1, m): the result is then k x m.  The quadratic's
+        minimum on the interval is its clipped vertex when c2 > 0, and
+        otherwise the end point with the lower value; the two end values
+        differ by (p_max - p_min) (c2 (p_min + p_max) + c1).
         """
-        c2, c1, c0 = self._p_quadratic(alpha, beta)
+        alpha = np.asarray(alpha, dtype=float)
+        beta = np.asarray(beta, dtype=float)
+        if alpha.ndim == beta.ndim == 0:
+            shape = ()
+        elif alpha.ndim == beta.ndim == 2 and alpha.shape[1] == beta.shape[0] == 1:
+            shape = (alpha.shape[0], beta.shape[1])
+        else:
+            raise DomainError("profile_p takes two scalars or a (k, 1) column and a (1, m) row")
+        c2, c1, c0 = self._p_quadratic(alpha.ravel(), beta.ravel())
         with np.errstate(divide="ignore", invalid="ignore"):
             vertex = np.clip(-0.5 * c1 / c2, p_min, p_max)
         end = np.where(c2 * (p_min + p_max) + c1 < 0.0, p_max, p_min)
         p = np.where(c2 > 0.0, vertex, end)
-        return p, 2.0 * ((c2 * p + c1) * p + c0) / (self.n * (self.n - 1))
+        value = 2.0 * ((c2 * p + c1) * p + c0) / (self.n * (self.n - 1))
+        return p.reshape(shape), value.reshape(shape)
 
     def value(self, theta) -> float:
         """S_n(theta)."""
-        p, alpha, beta = _theta_array(theta)
-        c2, c1, c0 = self._p_quadratic(alpha, beta)
-        return float(2.0 * ((c2 * p + c1) * p + c0) / (self.n * (self.n - 1)))
+        return self._scan(theta)[0] * (2.0 / (self.n * (self.n - 1)))
 
     def _scan(self, theta):
         """One pass of Python-scalar arithmetic over l = 1..4.

@@ -274,14 +274,24 @@ TAIL_CAP = 100000
 
 def _tail_mass(density: ComponentDensity, start: int) -> float:
     """sum_{|l| >= start} |f_l|^2, stopped after the first term below
-    TAIL_TOL or at l = TAIL_CAP."""
+    TAIL_TOL or at l = TAIL_CAP.
+
+    The terms come from the density's array coefficients in blocks of
+    doubling length, 64 levels first, and are added in level order."""
     total = 0.0
-    for l in range(start, TAIL_CAP + 1):
-        term = 2.0 * abs(density.fourier_coeff(l)) ** 2
-        total += term
-        if term < TAIL_TOL:
+    first, size = start, 64
+    while first <= TAIL_CAP:
+        coeffs = density.fourier_coeffs(np.arange(first, min(first + size, TAIL_CAP + 1)))
+        terms = 2.0 * (coeffs.real ** 2 + coeffs.imag ** 2)
+        small = np.flatnonzero(terms < TAIL_TOL)
+        if len(small):
+            terms = terms[:small[0] + 1]
+        # accumulate adds one term after another, as a loop over the levels does
+        total = np.add.accumulate(np.append(total, terms))[-1]
+        if len(small):
             break
-    return total
+        first, size = first + size, 2 * size
+    return float(total)
 
 
 def _risk_profile(coeffs: EmpiricalCoeffs, density: ComponentDensity) -> np.ndarray:

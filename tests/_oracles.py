@@ -128,3 +128,35 @@ def slope_rule_null_rate(l_max, seed=20210312):
         counts += np.bincount(levels, minlength=l_max + 1)
     dist = counts / counts.sum()
     return float(dist[0]), dist
+
+
+def p_quadratic_by_cell(power_sums, n, alpha, beta):
+    """(c2, c1, c0) with S_n = 2/(n(n-1)) (c2 p^2 + c1 p + c0), expanded per
+    level from M^l = p d + e_b with d = e_a - e_b; broadcasts over arrays
+    of angles.  ``power_sums`` holds P_0..P_8."""
+    k = 8.0 * np.pi ** 2
+    c2 = c1 = c0 = 0.0
+    for l in range(1, 5):
+        pl, p2l = power_sums[l], power_sums[2 * l]
+        eb = np.exp(-1j * l * beta)
+        d = np.exp(-1j * l * alpha) - eb
+        u = (d * pl).imag / TWO_PI
+        v = (eb * pl).imag / TWO_PI
+        c2 = c2 + u * u - (n * (d * d.conjugate()).real - (d * d * p2l).real) / k
+        c1 = c1 + 2.0 * (u * v - (n * (d * eb.conjugate()).real - (d * eb * p2l).real) / k)
+        c0 = c0 + v * v - (n - (eb * eb * p2l).real) / k
+    return c2, c1, c0
+
+
+def tail_mass_by_level(density, start, tol, cap):
+    """sum_{|l| >= start} |f_l|^2 by one scalar coefficient per level, added
+    in level order and stopped after the first term below ``tol`` or at
+    l = ``cap``."""
+    total = 0.0
+    for l in range(start, cap + 1):
+        coeff = density.fourier_coeff(l)
+        term = 2.0 * (coeff.real ** 2 + coeff.imag ** 2)
+        total += term
+        if term < tol:
+            break
+    return total

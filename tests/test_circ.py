@@ -32,6 +32,26 @@ def test_normalize_idempotent_and_periodic():
     assert_allclose(normalize(x + TWO_PI * k), once, atol=1e-9)
 
 
+def normalize_by_mod(x):
+    out = np.mod(np.asarray(x, dtype=float), TWO_PI)
+    return np.where(out >= TWO_PI, 0.0, out)
+
+
+def test_normalize_is_the_mod_bit_for_bit():
+    below_two_pi = np.nextafter(TWO_PI, 0.0)
+    inside = np.array([0.0, -0.0, 5e-324, 1.0, np.pi, below_two_pi])
+    rng = np.random.default_rng(2)
+    cases = [inside, rng.uniform(0.0, TWO_PI, 1000), np.array([-0.0]),
+             np.array([-1e-300, -1.0, 0.5]), np.array([TWO_PI, 7.0, 1.0]),
+             np.append(inside, -np.pi), np.append(inside, 1e6)]
+    for x in cases:
+        out = normalize(x)
+        assert out.tobytes() == normalize_by_mod(x).tobytes()
+        assert not np.shares_memory(out, x)
+    for x in (0.0, -0.0, below_two_pi, -1e-300, TWO_PI, 3.0):
+        assert np.float64(normalize(x)).tobytes() == normalize_by_mod(x).tobytes()
+
+
 def test_normalize_rejects_nonfinite():
     with pytest.raises(DomainError):
         normalize(float("inf"))

@@ -15,10 +15,10 @@ from circmix import (ContrastMoments, DomainError, EstimationError, FitOptions,
                      mixture_weight, mixture_weight_grad, mixture_weight_hess,
                      population_contrast, power_sums, sample_mixture,
                      squared_error)
-from circmix.contrast import POWER_SUM_CHUNK
+from circmix.contrast import GRID_SIZE, POWER_SUM_CHUNK
 
-from _oracles import (brute_contrast, fd_gradient, fd_jacobian, z_grads, z_hessians,
-                      z_values)
+from _oracles import (brute_contrast, fd_gradient, fd_jacobian, p_quadratic_by_cell, z_grads,
+                      z_hessians, z_values)
 
 THETA0 = MixtureParams(0.25, np.pi / 8, 2 * np.pi / 3)
 TWO_PI = 2.0 * np.pi
@@ -202,6 +202,10 @@ def test_contrast_kernel_properties(angles, theta):
     for image in ((1.0 - p, beta, alpha), (p, alpha + math.pi, beta + math.pi)):
         assert moments.value(image) == pytest.approx(value, rel=1e-12, abs=1e-15)
         assert moments.value_grad(image)[0] == pytest.approx(value, rel=1e-12, abs=1e-15)
+    # the profiling quadratic, read at p by a one-point interval, gives S_n too
+    p_one, value_q = moments.profile_p(alpha, beta, p, p)
+    assert p_one == p
+    assert value_q == pytest.approx(value, rel=1e-12, abs=1e-15)
 
 
 def test_contrast_unbiased():
@@ -300,6 +304,64 @@ def test_profiled_p_matches_scalar_minimization():
         assert abs(p - ref.x) <= 1e-6
         assert_allclose(value, brute_contrast(angles, (p, alpha, beta)), rtol=1e-12, atol=1e-15)
         assert value <= ref.fun + 1e-13 * max(1.0, abs(ref.fun))
+
+
+def profile_by_cell(moments, alpha, beta, p_min, p_max):
+    """profile_p's clipped vertex applied to the per-cell quadratic."""
+    c2, c1, c0 = p_quadratic_by_cell(moments.power_sums, moments.n, alpha, beta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.clip(-0.5 * c1 / c2, p_min, p_max)
+    end = np.where(c2 * (p_min + p_max) + c1 < 0.0, p_max, p_min)
+    p = np.where(c2 > 0.0, vertex, end)
+    return p, 2.0 * ((c2 * p + c1) * p + c0) / (moments.n * (moments.n - 1))
+
+
+GRID_SAMPLES = {
+    "vonmises": (VonMises(5.0), THETA0),
+    "wrappedcauchy": (WrappedCauchy(0.8), THETA0),
+    "uniform": (VonMises(0.0), THETA0),
+    "collapsed": (VonMises(5.0), MixtureParams(0.0, 0.3, 2.1)),
+}
+
+
+@pytest.mark.parametrize("n", [2, 30, 1000, 200_000])
+@pytest.mark.parametrize("kind", sorted(GRID_SAMPLES))
+def test_profile_p_grid_matches_the_per_cell_quadratic(kind, n):
+    density, theta0 = GRID_SAMPLES[kind]
+    rng = np.random.default_rng(np.random.SeedSequence([24, n]))
+    moments = ContrastMoments(sample_mixture(theta0, density, n, rng).angles)
+    opts = FitOptions()
+    box = opts.box()
+    alphas = np.linspace(box[1, 0], box[1, 1], GRID_SIZE)[:, None]
+    betas = np.linspace(box[2, 0], box[2, 1], GRID_SIZE)[None, :]
+    p, value = moments.profile_p(alphas, betas, opts.p_min, opts.p_max)
+    p_ref, value_ref = profile_by_cell(moments, alphas, betas, opts.p_min, opts.p_max)
+    # both round terms of the grid's scale, so the value is compared on that scale
+    assert np.max(np.abs(value - value_ref)) <= 1e-12 * np.max(np.abs(value_ref))
+    assert np.max(np.abs(p - p_ref)) <= 1e-9
+    # at alpha == beta S_n does not depend on p: no rounding may pick a vertex there
+    c2, c1, _ = moments._p_quadratic(alphas.ravel(), betas.ravel())
+    diagonal = np.arange(GRID_SIZE)
+    assert np.all(c2[diagonal, diagonal] == 0.0) and np.all(c1[diagonal, diagonal] == 0.0)
+    assert np.all(p[diagonal, diagonal] == opts.p_min)
+
+
+def test_profile_p_shapes():
+    rng = np.random.default_rng(25)
+    moments = ContrastMoments(sample_mixture(THETA0, VonMises(5.0), 100, rng).angles)
+    p, value = moments.profile_p(0.3, 1.2, 0.01, 0.49)
+    assert np.shape(p) == np.shape(value) == ()
+    alphas, betas = rng.uniform(0, np.pi, (5, 1)), rng.uniform(0, np.pi, (1, 7))
+    p, value = moments.profile_p(alphas, betas, 0.01, 0.49)
+    assert p.shape == value.shape == (5, 7)
+    assert value[2, 3] == pytest.approx(moments.profile_p(alphas[2, 0], betas[0, 3], 0.01, 0.49)[1],
+                                        rel=1e-12)
+    p_ref, value_ref = profile_by_cell(moments, alphas, betas, 0.01, 0.49)
+    assert_allclose(p, p_ref, rtol=0, atol=1e-9)
+    assert_allclose(value, value_ref, rtol=1e-12)
+    for bad in ((np.zeros(3), np.zeros(3)), (betas, alphas), (alphas, 0.5)):
+        with pytest.raises(DomainError):
+            moments.profile_p(*bad, 0.01, 0.49)
 
 
 FITTER_SAMPLES = [

@@ -9,15 +9,15 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from circmix import (CalibrationError, ContrastMoments, DegeneracyError, DensityEstimate, DomainError,
-                     EmpiricalCoeffs, FitOptions, MixtureParams, VonMises,
-                     WrappedCauchy, empirical_coeffs, estimate_density,
+                     EmpiricalCoeffs, FitOptions, MixtureParams, Tabulated, VonMises,
+                     WrappedCauchy, WrappedNormal, empirical_coeffs, estimate_density,
                      estimate_theta, l2_error, mixture_weight, oracle_risk,
                      penalty_floor, sample_mixture, select_level, slope_lambda)
 
-from circmix.npdens import EVALUATE_CHUNK
+from circmix.npdens import EVALUATE_CHUNK, TAIL_CAP, TAIL_TOL, _tail_mass
 
 from _oracles import (TWO_PI, null_increments, quad_fourier, quad_integral,
-                      slope_rule_levels)
+                      slope_rule_levels, tail_mass_by_level)
 
 THETA0 = MixtureParams(0.25, np.pi / 8, 2 * np.pi / 3)
 
@@ -352,6 +352,26 @@ def test_l2_error_matches_grid_quadrature():
     x = np.linspace(0.0, TWO_PI, 8192, endpoint=False)
     quad = quad_integral((est.evaluate(x) - d.pdf(x)) ** 2) / TWO_PI
     assert_allclose(l2_error(est, d), quad, atol=1e-8)
+
+
+@pytest.mark.parametrize("density", [VonMises(5.0), VonMises(300.0, 1.0), VonMises(0.0),
+                                     WrappedCauchy(0.8), WrappedCauchy(0.999, 0.4),
+                                     WrappedNormal(0.8, 2.2)],
+                         ids=["vm5", "vm300", "uniform", "wc0.8", "wc0.999", "wn0.8"])
+@pytest.mark.parametrize("start", [1, 11, 51])
+def test_tail_mass_is_the_per_level_sum(density, start):
+    assert _tail_mass(density, start) == tail_mass_by_level(density, start, TAIL_TOL, TAIL_CAP)
+
+
+def test_tail_mass_stops_at_the_cap():
+    # grid quadrature aliases, so a rough tabulated density keeps terms above
+    # TAIL_TOL up to the cap: the sum must end there
+    density = Tabulated(np.random.default_rng(3).uniform(0.5, 1.5, 64))
+    start = TAIL_CAP - 30
+    coeffs = density.fourier_coeffs(np.arange(start, TAIL_CAP + 1))
+    assert np.all(2.0 * np.abs(coeffs) ** 2 >= TAIL_TOL)
+    assert _tail_mass(density, start) == tail_mass_by_level(density, start, TAIL_TOL, TAIL_CAP)
+    assert _tail_mass(density, TAIL_CAP + 1) == 0.0
 
 
 def test_oracle_risk_is_lower_bound():
