@@ -10,11 +10,11 @@ package.
 
 from .circ import (ComponentDensity, MixtureParams, Sample, Tabulated, VonMises,
                    WrappedCauchy, WrappedNormal, angular_distance, mixture_density,
-                   mixture_fourier, normalize, parse_density, sample_component,
-                   sample_mixture)
+                   mixture_fourier, mixture_weight, normalize, parse_density,
+                   sample_component, sample_mixture)
 from .contrast import (ContrastMoments, FitOptions, FitResult, asymptotic_cov,
                        canonicalize, contrast, contrast_value, degeneracy_gap,
-                       estimate_theta, mixture_weight, mixture_weight_grad,
+                       estimate_theta, mixture_weight_grad,
                        mixture_weight_hess, population_contrast, power_sums,
                        squared_error)
 from .errors import (CalibrationError, CircmixError, DegeneracyError, DomainError,

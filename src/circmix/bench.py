@@ -48,6 +48,8 @@ class ExperimentConfig:
             raise ExperimentError("all sample sizes must be >= 2")
         if self.seed is None:
             raise ExperimentError("bench experiments refuse to run unseeded")
+        if self.jobs < 1:
+            raise ExperimentError(f"jobs must be >= 1, got {self.jobs}")
         unknown = set(self.experiments) - set(EXPERIMENT_KINDS)
         if unknown:
             raise ExperimentError(f"unknown experiments: {sorted(unknown)}")

@@ -80,6 +80,22 @@ class MixtureParams:
         return MixtureParams(1.0 - self.p, self.beta, self.alpha)
 
 
+def _theta_array(theta) -> np.ndarray:
+    if isinstance(theta, MixtureParams):
+        return theta.as_array()
+    arr = np.asarray(theta, dtype=float)
+    if arr.shape != (3,):
+        raise DomainError("theta must have three components (p, alpha, beta)")
+    return arr
+
+
+def mixture_weight(theta, l):
+    """M^l(theta) = p e^{-i l alpha} + (1-p) e^{-i l beta}, elementwise over an array of levels."""
+    p, alpha, beta = _theta_array(theta)
+    l = np.asarray(l)
+    return p * np.exp(-1j * l * alpha) + (1.0 - p) * np.exp(-1j * l * beta)
+
+
 class ComponentDensity:
     """Base class for circular component densities.
 
@@ -256,8 +272,9 @@ class Tabulated(ComponentDensity):
     """Density given by nonnegative values on a uniform grid over [0, 2*pi).
 
     The values are renormalized by trapezoidal quadrature; evaluation uses
-    periodic linear interpolation and sampling inverts the interpolated CDF.
-    Internal quadratures refine the grid to at least 512 points.
+    periodic linear interpolation and sampling inverts the interpolated CDF
+    on a grid refined to at least 2048 points.  The Fourier coefficients
+    and the squared norm are those of the interpolant, exactly.
     """
 
     def __init__(self, values, mu: float = 0.0):
@@ -290,7 +307,7 @@ class Tabulated(ComponentDensity):
             raise DomainError("tabulated grid must be uniform with >= 16 points")
         return cls(values, mu=mu)
 
-    def _fine(self, n=512):
+    def _fine(self, n):
         if len(self.values) >= n:
             return self.grid, self.values
         fine = np.linspace(0.0, TWO_PI, n, endpoint=False)
@@ -305,14 +322,20 @@ class Tabulated(ComponentDensity):
         out = (1.0 - frac) * self.values[idx] + frac * self.values[nxt]
         return out if out.ndim else float(out)
 
-    def fourier_coeff(self, l: int) -> complex:
-        grid, values = self._fine()
-        step = TWO_PI / len(grid)
-        coeff = np.sum(values * np.exp(-1j * l * grid)) * step / TWO_PI
-        return complex(coeff * np.exp(-1j * l * self.mu))
-
     def fourier_coeffs(self, ls) -> np.ndarray:
-        return np.array([self.fourier_coeff(int(l)) for l in np.atleast_1d(ls)])
+        """c_l of the interpolant: with N values v_j, the hat function of each
+        grid point has the transform sinc^2(pi l / N), so
+        c_l = (1/N) sum_j v_j e^{-2 pi i j l / N} sinc^2(pi l / N) e^{-i l mu}."""
+        ls = np.atleast_1d(ls)
+        size = len(self.values)
+        dft = np.fft.fft(self.values)[ls % size] / size
+        return dft * np.sinc(ls / size) ** 2 * np.exp(-1j * ls * self.mu)
+
+    def squared_norm(self) -> float:
+        """(1/2pi) integral f^2 = sum_l |c_l|^2 of the interpolant, exactly:
+        (1/N) sum_j (v_j^2 + v_j v_{j+1} + v_{j+1}^2) / 3."""
+        v, nxt = self.values, np.roll(self.values, -1)
+        return float(np.mean(v * v + v * nxt + nxt * nxt) / 3.0)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:
@@ -374,8 +397,7 @@ def mixture_density(theta: MixtureParams, density: ComponentDensity, x):
 
 def mixture_fourier(theta: MixtureParams, density: ComponentDensity, l: int) -> complex:
     """Exact Fourier coefficient of the mixture: M^l(theta) * f_l."""
-    m = theta.p * np.exp(-1j * l * theta.alpha) + (1.0 - theta.p) * np.exp(-1j * l * theta.beta)
-    return complex(m * density.fourier_coeff(l))
+    return complex(mixture_weight(theta, l) * density.fourier_coeff(l))
 
 
 _DENSITY_ALIASES = {

@@ -208,10 +208,12 @@ def cmd_slope(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise _CliUsage(f"--jobs must be >= 1, got {args.jobs}")
     config = bench.ExperimentConfig.from_file(args.config)
     if args.out:
         config = replace(config, outdir=args.out)
-    if args.jobs:
+    if args.jobs is not None:
         config = replace(config, jobs=args.jobs)
     results = bench.run_experiments(config)
     for kind in config.experiments:

@@ -6,11 +6,16 @@ The empirical contrast is the diagonal-removed U-statistic
     Z_k^l(theta) = Im(e^{i l X_k} M^l(theta)) / (2 pi),
     M^l(theta)   = p e^{-i l alpha} + (1-p) e^{-i l beta}.
 
-Expanding the off-diagonal double sum as (sum_k Z)^2 - sum_k Z^2 and using
-that Z, its gradient and Hessian are all linear in e^{i l X_k}, every
-quantity needed by the optimizer reduces to the power sums
-P_m = sum_k e^{i m X_k} for m <= 8.  Those are computed once per sample
-(O(n)); each contrast evaluation afterwards costs O(1).
+The sample enters only through the off-diagonal pair sums
+sum_{k != j} e^{il(X_k - X_j)} = |P_l|^2 - n and
+sum_{k != j} e^{il(X_k + X_j)} = P_l^2 - P_2l of the power sums
+P_m = sum_k e^{i m X_k}.  With K = 8 pi^2, per level l = 1..4
+
+    R_l = (|P_l|^2 - n) / K   (real),    T_l = (P_l^2 - P_2l) / K,
+    S_n = 2/(n(n-1)) * sum_l [R_l |M^l|^2 - Re(T_l (M^l)^2)].
+
+The power sums P_1..P_8 are computed once per sample (O(n)); S_n, its
+gradient and its Hessian afterwards cost O(1) per evaluation.
 """
 
 from __future__ import annotations
@@ -22,12 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-from .circ import MixtureParams, Sample, angular_distance
+from .circ import MixtureParams, Sample, _theta_array, angular_distance, mixture_weight
 from .errors import DomainError, EstimationError, InferenceError
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI2 = 4.0 * math.pi ** 2
 L_MAX_CONTRAST = 4
+
+#: K = 8 pi^2, the divisor of the pair sums R_l and T_l.
+K_PAIR = 2.0 * FOUR_PI2
+
+#: The (i, j) entries, i <= j, of a symmetric 3 x 3 matrix.
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 #: Reciprocal-condition floor below which the curvature matrix is treated
 #: as singular.
@@ -38,33 +49,13 @@ RCOND_MIN = 1e-10
 DEGENERACY_WARN_RADIUS = 0.05
 
 
-def _theta_array(theta) -> np.ndarray:
-    if isinstance(theta, MixtureParams):
-        return theta.as_array()
-    arr = np.asarray(theta, dtype=float)
-    if arr.shape != (3,):
-        raise DomainError("theta must have three components (p, alpha, beta)")
-    return arr
-
-
-def mixture_weight(theta, l):
-    """M^l(theta) = p e^{-i l alpha} + (1-p) e^{-i l beta}, elementwise over an array of levels."""
-    p, alpha, beta = _theta_array(theta)
-    l = np.asarray(l)
-    return p * np.exp(-1j * l * alpha) + (1.0 - p) * np.exp(-1j * l * beta)
-
-
-def _weight_grad(p, ea, eb, l: int):
-    """dM^l/d(p, alpha, beta) as three complex scalars, from e_a = e^{-i l alpha}
-    and e_b = e^{-i l beta}."""
-    il = 1j * l
-    return ea - eb, -il * p * ea, -il * (1.0 - p) * eb
-
-
 def mixture_weight_grad(theta, l: int) -> np.ndarray:
     """Gradient of M^l with respect to (p, alpha, beta), complex 3-vector."""
     p, alpha, beta = _theta_array(theta)
-    return np.array(_weight_grad(p, cmath.exp(-1j * l * alpha), cmath.exp(-1j * l * beta), l))
+    ea = cmath.exp(-1j * l * alpha)
+    eb = cmath.exp(-1j * l * beta)
+    il = 1j * l
+    return np.array([ea - eb, -il * p * ea, -il * (1.0 - p) * eb])
 
 
 def mixture_weight_hess(theta, l: int) -> np.ndarray:
@@ -110,7 +101,9 @@ class ContrastMoments:
     """Power sums of a sample, from which S_n and its derivatives follow in O(1).
 
     ``power_sums[m]`` holds P_m = sum_k e^{i m X_k} for m = 0..max(m_max, 8);
-    a larger m_max serves ``empirical_coeffs`` from the same pass.
+    a larger m_max serves ``empirical_coeffs`` from the same pass.  The
+    contrast reads the pair sums (R_l, T_l) of l = 1..4, and P_l and P_2l
+    where R_l and T_l would cancel.
     """
 
     def __init__(self, angles, m_max: int = 2 * L_MAX_CONTRAST):
@@ -119,10 +112,13 @@ class ContrastMoments:
             raise DomainError("angles must be one-dimensional")
         if len(angles) < 2:
             raise DomainError("the contrast needs at least two observations")
-        self.n = len(angles)
+        self.n = n = len(angles)
         self.power_sums = power_sums(angles, max(m_max, 2 * L_MAX_CONTRAST))
-        # P_0..P_8 as Python complex: _scan's scalar arithmetic is slow on numpy scalars
-        self._sums = self.power_sums[:2 * L_MAX_CONTRAST + 1].tolist()
+        # Python scalars: _scan's scalar arithmetic is slow on numpy scalars
+        self._sums = sums = self.power_sums[:2 * L_MAX_CONTRAST + 1].tolist()
+        self._pairs = [((sums[l].real ** 2 + sums[l].imag ** 2 - n) / K_PAIR,
+                        (sums[l] * sums[l] - sums[2 * l]) / K_PAIR)
+                       for l in range(1, L_MAX_CONTRAST + 1)]
 
     def _p_quadratic(self, alphas, betas):
         """(c2, c1, c0) with S_n = 2/(n(n-1)) (c2 p^2 + c1 p + c0) at every
@@ -131,38 +127,28 @@ class ContrastMoments:
 
         M^l = p (A_l - B_l) + B_l with A_l = e^{-il alpha}, B_l = e^{-il beta}
         is affine in p, so S_n is an exact quadratic in p for fixed angles.
-        With K = 8 pi^2, z_l(t) = Im(e^{-ilt} P_l)/2pi and
-        s(t) = sum_l z_l(t)^2 + Re(e^{-2ilt} P_2l)/K, summed over l = 1..4:
+        With s(t) = sum_l R_l - Re(T_l e^{-2ilt}), summed over l = 1..4:
 
-            c0 = s(beta) - 4n/K
+            c0 = s(beta)
             c1 = -2 c0 - X
-            c2 = s(alpha) + s(beta) - 8n/K + X
+            c2 = s(alpha) + c0 + X
 
-        The only alpha-beta coupling is
-            X = sum_l -2 z_l(alpha) z_l(beta) + (2n/K) Re(A_l conj B_l)
-                      - (2/K) Re(A_l B_l P_2l)
-              = sum_l Re(A_l conj G_l),
-            G_l = (2n/K) B_l - (2/K) conj(B_l P_2l) - 2i z_l(beta) conj(P_l)/2pi,
-        a real product of rank 8: the A_l and the G_l, viewed as (re, im)
-        pairs.  At alpha == beta S_n does not depend on p, so c2 and c1 are
-        set to exactly 0 there.
+        The only alpha-beta coupling is X = sum_l Re(A_l G_l) with
+        G_l = 2 (T_l B_l - R_l conj(B_l)), a real product of rank 8: the A_l
+        and the conj(G_l), viewed as (re, im) pairs.  At alpha == beta S_n
+        does not depend on p, so c2 and c1 are set to exactly 0 there.
         """
-        n = self.n
-        k = 2.0 * FOUR_PI2
+        r, t = (np.array(v) for v in zip(*self._pairs))
         ls = np.arange(1, L_MAX_CONTRAST + 1)
-        pl = self.power_sums[ls]
-        p2l = self.power_sums[2 * ls]
         e = np.exp(-1j * np.outer(np.concatenate([alphas, betas]), ls))
-        z = (e * pl).imag / TWO_PI
-        s = (z * z + (e * e * p2l).real / k).sum(axis=1)
+        s = (r - (t * e * e).real).sum(axis=1)
         rows = len(alphas)
         eb = e[rows:]
-        g = ((2.0 * n / k) * eb - (2.0 / k) * np.conj(eb * p2l)
-             - 2j * z[rows:] * np.conj(pl) / TWO_PI)
-        x = e[:rows].view(float) @ g.view(float).T
-        c0 = s[rows:] - L_MAX_CONTRAST * n / k
+        g = 2.0 * (t * eb - r * np.conj(eb))
+        x = e[:rows].view(float) @ np.conj(g).view(float).T
+        c0 = s[rows:]
         c1 = -2.0 * c0 - x
-        c2 = s[:rows, None] + (c0 - L_MAX_CONTRAST * n / k) + x
+        c2 = s[:rows, None] + c0 + x
         same = np.equal.outer(alphas, betas)
         c2[same] = 0.0
         c1[same] = 0.0
@@ -193,41 +179,56 @@ class ContrastMoments:
         value = 2.0 * ((c2 * p + c1) * p + c0) / (self.n * (self.n - 1))
         return p.reshape(shape), value.reshape(shape)
 
-    def value(self, theta) -> float:
-        """S_n(theta)."""
-        return self._scan(theta)[0] * (2.0 / (self.n * (self.n - 1)))
+    def _scan(self, theta, hessian: bool = False):
+        """S_n, its gradient and, if asked, its Hessian (else None), all
+        without the factor 2/(n(n-1)), from one pass of Python-scalar
+        arithmetic over l = 1..4.
 
-    def _scan(self, theta):
-        """One pass of Python-scalar arithmetic over l = 1..4.
+        With W_l = R_l conj(M^l) - T_l M^l, each level adds Re(M W) to the
+        value, 2 Re(d_i M W) to the gradient and
+        2 [Re(d_ij M W) + R_l Re(d_i M conj(d_j M)) - Re(T_l d_i M d_j M)]
+        to the Hessian, whose upper triangle is mirrored.
 
-        Returns S_n and its gradient without the factor 2/(n(n-1)), and per
-        level the terms the Hessian reuses: (l, sum_k Z_k, T, dM^l, sum_k dZ_k).
+        Near the minimum Im(P_l M) is O(sqrt n) while R_l and T_l are
+        O(n^2), so W is evaluated in the equal form
+        (P_2l M - n conj(M) - 2i Im(P_l M) P_l) / K: the value's rounding
+        then stays O(n^1.5), where R_l and T_l would leave O(n^2).
         """
         p, alpha, beta = _theta_array(theta).tolist()
+        q = 1.0 - p
         n = self.n
         ea_step = cmath.exp(-1j * alpha)
         eb_step = cmath.exp(-1j * beta)
         ea = eb = 1.0 + 0.0j
         value = g_p = g_a = g_b = 0.0
-        levels = []
-        for l in range(1, L_MAX_CONTRAST + 1):
+        upper = [0.0] * 6
+        for l, (r, t) in enumerate(self._pairs, 1):
             ea *= ea_step
             eb *= eb_step
+            m = p * ea + q * eb
             pl, p2l = self._sums[l], self._sums[2 * l]
-            m = p * ea + (1.0 - p) * eb
-            dm = dm_p, dm_a, dm_b = _weight_grad(p, ea, eb, l)
-            a = (m * pl).imag / TWO_PI
-            value += a * a - (n * abs(m) ** 2 - (m * m * p2l).real) / (2.0 * FOUR_PI2)
-            # T = sum_k e^{ilX_k} Z_k^l = (M P_2l - n conj(M)) / (4 pi i)
-            t = (m * p2l - n * m.conjugate()) / (4j * math.pi)
-            # sum_k dZ_k, and the gradient terms 2 (sum_k dZ_k a - sum_k dZ_k Z_k)
-            d = d_p, d_a, d_b = ((dm_p * pl).imag / TWO_PI, (dm_a * pl).imag / TWO_PI,
-                                 (dm_b * pl).imag / TWO_PI)
-            g_p += 2.0 * (d_p * a - (dm_p * t).imag / TWO_PI)
-            g_a += 2.0 * (d_a * a - (dm_a * t).imag / TWO_PI)
-            g_b += 2.0 * (d_b * a - (dm_b * t).imag / TWO_PI)
-            levels.append((l, a, t, dm, d))
-        return value, (g_p, g_a, g_b), levels
+            w = (p2l * m - n * m.conjugate() - 2j * (pl * m).imag * pl) / K_PAIR
+            il = 1j * l
+            dm = (ea - eb, -il * p * ea, -il * q * eb)
+            value += (m * w).real
+            g_p += 2.0 * (dm[0] * w).real
+            g_a += 2.0 * (dm[1] * w).real
+            g_b += 2.0 * (dm[2] * w).real
+            if hessian:
+                # d_ij M in the order of _UPPER; d_pp M = d_ab M = 0
+                d2m = (0.0, -il * ea, il * eb, -l * l * p * ea, 0.0, -l * l * q * eb)
+                for k, (i, j) in enumerate(_UPPER):
+                    upper[k] += 2.0 * ((d2m[k] * w).real + r * (dm[i] * dm[j].conjugate()).real
+                                       - (t * dm[i] * dm[j]).real)
+        hess = None
+        if hessian:
+            hpp, hpa, hpb, haa, hab, hbb = upper
+            hess = [[hpp, hpa, hpb], [hpa, haa, hab], [hpb, hab, hbb]]
+        return value, (g_p, g_a, g_b), hess
+
+    def value(self, theta) -> float:
+        """S_n(theta)."""
+        return self._scan(theta)[0] * (2.0 / (self.n * (self.n - 1)))
 
     def value_grad(self, theta):
         """(S_n, gradient)."""
@@ -237,23 +238,9 @@ class ContrastMoments:
 
     def value_grad_hess(self, theta):
         """(S_n, gradient, Hessian); the Hessian is exactly symmetric."""
-        theta_arr = _theta_array(theta)
-        value, grad, levels = self._scan(theta_arr)
-        n = self.n
-        hess = np.zeros((3, 3))
-        for l, a, t, dm, d in levels:
-            pl, p2l = self._sums[l], self._sums[2 * l]
-            d2m = mixture_weight_hess(theta_arr, l)
-            dm = np.array(dm)
-            h_sum = np.imag(d2m * pl) / TWO_PI     # sum_k d2Z_k
-            h_cross = np.imag(d2m * t) / TWO_PI    # sum_k d2Z_k Z_k
-            gg_cross = (n * np.real(np.outer(dm, dm.conjugate()))
-                        - np.real(np.outer(dm, dm) * p2l)) / (2.0 * FOUR_PI2)  # sum_k dZ_k dZ_k^T
-            hess += h_sum * a - h_cross + np.outer(d, d) - gg_cross
-        scale = 2.0 / (n * (n - 1))
-        # numpy's complex products may fuse multiply-adds, so the two halves
-        # can differ in the last bit
-        return value * scale, np.array(grad) * scale, (hess + hess.T) * scale
+        value, grad, hess = self._scan(theta, hessian=True)
+        scale = 2.0 / (self.n * (self.n - 1))
+        return value * scale, np.array(grad) * scale, np.array(hess) * scale
 
 
 def contrast(sample, theta):

@@ -166,9 +166,16 @@ def classify(theta: MixtureParams, tol: float = 1e-9,
     Every configuration carries the label-switch and pi-shift witnesses;
     degenerate spacings add their specific alias recipes.  Classification
     is invariant under label switching and under the joint pi-shift.
+
+    Raises
+    ------
+    DomainError
+        Unless 0 < p < 1 and tol is finite and >= 0.
     """
     if not 0.0 < theta.p < 1.0:
         raise DomainError("classification requires p in (0, 1)")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"classification tolerance must be finite and >= 0, got {tol}")
     delta = theta.beta - theta.alpha
     witnesses = [alias_label_switch(theta), alias_pi_shift(theta)]
     if theta.p <= tol or theta.p >= 1.0 - tol or abs(theta.p - 0.5) <= tol:

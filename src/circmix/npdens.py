@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circ import ComponentDensity, MixtureParams, Sample, TWO_PI
-from .contrast import ContrastMoments, mixture_weight, power_sums
+from .circ import ComponentDensity, MixtureParams, Sample, Tabulated, TWO_PI, mixture_weight
+from .contrast import ContrastMoments, power_sums
 from .errors import CalibrationError, DegeneracyError, DomainError
 
 #: Default cap on the mixing weight; |M^l| is bounded below by 1 - 2*p_cap.
@@ -273,11 +273,17 @@ TAIL_CAP = 100000
 
 
 def _tail_mass(density: ComponentDensity, start: int) -> float:
-    """sum_{|l| >= start} |f_l|^2, stopped after the first term below
-    TAIL_TOL or at l = TAIL_CAP.
+    """sum_{|l| >= start} |f_l|^2, for start >= 1.
 
-    The terms come from the density's array coefficients in blocks of
-    doubling length, 64 levels first, and are added in level order."""
+    A Tabulated density's coefficients vanish at every multiple of its grid
+    size, so its tail is its exact squared norm less the levels below start
+    (Parseval).  Otherwise the terms come from the density's array
+    coefficients in blocks of doubling length, 64 levels first, are added
+    in level order, and stop after the first term below TAIL_TOL or at
+    l = TAIL_CAP."""
+    if isinstance(density, Tabulated):
+        head = _level_sums(np.abs(density.fourier_coeffs(np.arange(start))) ** 2)[-1]
+        return max(0.0, density.squared_norm() - float(head))
     total = 0.0
     first, size = start, 64
     while first <= TAIL_CAP:

@@ -39,6 +39,12 @@ def test_config_requires_seed(tmp_path):
             dict(density="uniform", theta0=THETA, n="100", reps="2"))
 
 
+@pytest.mark.parametrize("jobs", [0, -4])
+def test_config_rejects_jobs_below_one(tmp_path, jobs):
+    with pytest.raises(ExperimentError):
+        config(tmp_path, jobs=jobs)
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ExperimentError):
         ExperimentConfig.from_dict(

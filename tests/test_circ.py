@@ -154,6 +154,20 @@ def test_tabulated_roundtrip(tmp_path):
         assert abs(d.fourier_coeff(l) - ref.fourier_coeff(l)) < 1e-4
 
 
+@pytest.mark.parametrize("values, mu", [
+    (1.0 + np.cos(np.linspace(0.0, TWO_PI, 64, endpoint=False)), 0.0),
+    (1.0 + np.cos(np.linspace(0.0, TWO_PI, 64, endpoint=False)), 0.7),
+    (np.random.default_rng(3).uniform(0.5, 1.5, 64), 1.1),
+])
+def test_tabulated_coefficients_are_the_interpolants(values, mu):
+    # a trapezoid sum on 2^17 points aliases c_l only with c_{l +- 2^17},
+    # which the interpolant's 1/l^2 decay makes negligible
+    d = Tabulated(values, mu=mu)
+    for l in (0, 1, 2, 5, -3, 63, 64, 65, 128, 129, 1000):
+        assert abs(d.fourier_coeff(l) - quad_fourier(d.pdf, l, num=2 ** 17)) < 1e-9
+    assert d.fourier_coeff(64) == pytest.approx(0.0, abs=1e-30)
+
+
 def test_tabulated_rejects_bad_values():
     with pytest.raises(DomainError):
         Tabulated(np.concatenate([[-0.1], np.ones(31)]))

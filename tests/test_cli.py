@@ -346,6 +346,14 @@ def test_ident_case4(capsys):
     assert "p'=0.25" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_ident_bad_tol_is_usage_error(capsys, tol):
+    code, out, err = run(capsys, "ident", "--theta", "0.3,0,0", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_ident_with_density_residuals(tmp_path, capsys):
     out_csv = tmp_path / "w.csv"
     code, out, _ = run(capsys, "ident", "--theta", "0.3,0,3.14159265",
@@ -377,3 +385,22 @@ def test_bench_requires_seed(tmp_path, capsys):
     code, _, err = run(capsys, "bench", "--config", str(cfg))
     assert code == 6
     assert "unseeded" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_bench_jobs_below_one(tmp_path, capsys, jobs):
+    # the flag is a usage error, checked before the config is read; in the
+    # config file it is an experiment error
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"experiment = mse\ndensity = uniform\ntheta0 = {THETA}\n"
+                   "n = 100\nreps = 2\nseed = 5\n")
+    for path in (cfg, tmp_path / "missing.cfg"):
+        code, _, err = run(capsys, "bench", "--config", str(path), "--jobs", jobs,
+                           "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert err.startswith("error:")
+    cfg.write_text(cfg.read_text() + f"jobs = {jobs}\n")
+    code, _, err = run(capsys, "bench", "--config", str(cfg), "--out", str(tmp_path / "r"))
+    assert code == 6
+    assert "jobs" in err
+    assert not (tmp_path / "r").exists()

@@ -180,6 +180,49 @@ def test_contrast_derivatives_match_finite_differences():
         assert np.linalg.norm(hess - fd_h) <= 1e-5 * np.linalg.norm(hess)
 
 
+@pytest.mark.parametrize("n", [3, 50, 400])
+def test_contrast_derivatives_match_the_pair_sums(n):
+    # the literal sums over k != j from the per-observation Z, dZ and d2Z:
+    # d/dtheta sum_{k != j} Z_k Z_j = 2 (sum dZ sum Z - sum_k dZ_k Z_k), and
+    # the Hessian likewise
+    rng = np.random.default_rng(np.random.SeedSequence([26, n]))
+    angles = sample_mixture(THETA0, WrappedCauchy(0.8), n, rng).angles
+    moments = ContrastMoments(angles)
+    scale = 2.0 / (n * (n - 1))
+    for theta in (THETA0.as_array(), random_theta(rng), random_theta(rng)):
+        grad, hess = np.zeros(3), np.zeros((3, 3))
+        for l in range(1, 5):
+            z = z_values(angles, l, theta)
+            dz = z_grads(angles, l, theta)
+            d2z = z_hessians(angles, l, theta)
+            grad += 2.0 * (dz.sum(axis=0) * z.sum() - dz.T @ z)
+            hess += 2.0 * (d2z.sum(axis=0) * z.sum() + np.outer(dz.sum(axis=0), dz.sum(axis=0))
+                           - np.einsum("kij,k->ij", d2z, z) - dz.T @ dz)
+        _, g, h = moments.value_grad_hess(theta)
+        assert np.max(np.abs(g - scale * grad)) <= 1e-12 * np.max(np.abs(scale * grad))
+        assert np.max(np.abs(h - scale * hess)) <= 1e-12 * np.max(np.abs(scale * hess))
+
+
+PRECISION_SAMPLES = [(VonMises(5.0), THETA0), (WrappedCauchy(0.8), THETA0),
+                     (VonMises(5.0), MixtureParams(0.0, 0.3, 2.1))]
+
+
+@pytest.mark.parametrize("case", range(len(PRECISION_SAMPLES)))
+def test_contrast_keeps_its_precision_at_the_truth(case):
+    # at theta0 Im(P_l M^l) is O(sqrt n) while |P_l|^2 and P_l^2 are O(n^2):
+    # S_n must not inherit their rounding, which at n = 2e5 reaches 2e-11
+    density, theta0 = PRECISION_SAMPLES[case]
+    rng = np.random.default_rng(np.random.SeedSequence([27, case]))
+    moments = ContrastMoments(sample_mixture(theta0, density, 200_000, rng).angles)
+    n, sums, ls = moments.n, moments.power_sums, np.arange(1, 5)
+    m = mixture_weight(theta0, ls)
+    ref = np.sum((sums[ls] * m).imag ** 2 / (4 * np.pi ** 2)
+                 - (n * np.abs(m) ** 2 - (sums[2 * ls] * m * m).real) / (8 * np.pi ** 2))
+    ref *= 2.0 / (n * (n - 1))
+    assert abs(moments.value(theta0) - ref) <= 1e-12 * abs(ref)
+    assert abs(moments.value_grad(theta0)[0] - ref) <= 1e-12 * abs(ref)
+
+
 SAMPLES = st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=2, max_size=200)
 THETAS = st.tuples(st.floats(0.01, 0.49), st.floats(0.0, math.pi, exclude_max=True),
                    st.floats(0.0, math.pi, exclude_max=True))

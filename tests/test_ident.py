@@ -24,6 +24,12 @@ def test_classify_spec_cases():
     assert classify(MixtureParams(1e-12, 0.2, 1.0)).tag is IdentTag.BOUNDARY_P
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_classify_rejects_bad_tolerance(tol):
+    with pytest.raises(DomainError):
+        classify(MixtureParams(0.3, 0.0, 0.0), tol=tol)
+
+
 def test_classify_always_carries_trivial_witnesses():
     result = classify(MixtureParams(0.25, np.pi / 8, THIRD))
     kinds = [w.kind for w in result.witnesses]

@@ -364,14 +364,27 @@ def test_tail_mass_is_the_per_level_sum(density, start):
 
 
 def test_tail_mass_stops_at_the_cap():
-    # grid quadrature aliases, so a rough tabulated density keeps terms above
-    # TAIL_TOL up to the cap: the sum must end there
-    density = Tabulated(np.random.default_rng(3).uniform(0.5, 1.5, 64))
+    # a wrapped Cauchy this concentrated keeps terms above TAIL_TOL up to the
+    # cap: the sum must end there
+    density = WrappedCauchy(0.9999, 0.4)
     start = TAIL_CAP - 30
     coeffs = density.fourier_coeffs(np.arange(start, TAIL_CAP + 1))
     assert np.all(2.0 * np.abs(coeffs) ** 2 >= TAIL_TOL)
     assert _tail_mass(density, start) == tail_mass_by_level(density, start, TAIL_TOL, TAIL_CAP)
     assert _tail_mass(density, TAIL_CAP + 1) == 0.0
+
+
+def test_tabulated_tail_mass_is_the_parseval_remainder():
+    # the interpolant's coefficients vanish at multiples of the grid size, so
+    # a sum stopped at its first small term would miss the tail; beyond 2^16
+    # the terms fall as l^-4 and add under 1e-7 of it
+    grid = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+    for density in (Tabulated(1.0 + np.cos(grid)),
+                    Tabulated(np.random.default_rng(3).uniform(0.5, 1.5, 64), mu=1.1)):
+        for start in (1, 11, 64, 65):
+            coeffs = density.fourier_coeffs(np.arange(start, 2 ** 16))
+            direct = 2.0 * np.sum(np.abs(coeffs) ** 2)
+            assert_allclose(_tail_mass(density, start), direct, rtol=1e-6)
 
 
 def test_oracle_risk_is_lower_bound():
