@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circ import MixtureParams, mixture_density, parse_density, sample_mixture
-from .contrast import FitOptions, estimate_theta, squared_error
+from .contrast import ContrastMoments, FitOptions, estimate_theta, squared_error
 from .errors import EstimationError, ExperimentError
-from .npdens import estimate_density, l2_error
+from .npdens import default_l_max, estimate_density, l2_error
 
 EXPERIMENT_KINDS = ("mse", "normality", "density", "slope")
 _STREAM_TAG = {kind: i for i, kind in enumerate(EXPERIMENT_KINDS)}
@@ -163,20 +163,24 @@ class MseRow:
     mse_beta: float
 
 
-def _mse_rep(task):
-    config, n, rep = task
-    rng = _rep_rng(config, "mse", n, rep)
-    density = parse_density(config.density_spec)
-    sample = sample_mixture(config.theta0, density, n, rng)
-    opts = config.fit_options(covariance=False)
+def _fit_rep(task):
+    """The fit of one replication's sample, or None if it fails; the
+    covariance is estimated only for the normality experiment."""
+    config, kind, n, rep = task
+    rng = _rep_rng(config, kind, n, rep)
+    sample = sample_mixture(config.theta0, parse_density(config.density_spec), n, rng)
     try:
-        fit = estimate_theta(sample, opts)
+        return estimate_theta(sample, config.fit_options(covariance=kind == "normality"))
     except EstimationError:
         return None
-    return squared_error(fit.theta_hat, config.theta0)
 
 
-def run_mse(config: ExperimentConfig, write: bool = True) -> list:
+def _fit_reps(config: ExperimentConfig, kind: str, n: int) -> list:
+    """_fit_rep of every replication at sample size n, in replication order."""
+    return _map_reps(config, _fit_rep, [(config, kind, n, r) for r in range(config.reps)])
+
+
+def run_mse(config: ExperimentConfig) -> list:
     """Mean squared errors of theta_hat per sample size.
 
     Angular errors use the squared distance modulo pi (documented in the
@@ -186,40 +190,20 @@ def run_mse(config: ExperimentConfig, write: bool = True) -> list:
     rows = []
     label = parse_density(config.density_spec).label
     for n in config.n_list:
-        results = _map_reps(config, _mse_rep,
-                            [(config, n, r) for r in range(config.reps)])
-        good = [r for r in results if r is not None]
+        good = [squared_error(fit.theta_hat, config.theta0)
+                for fit in _fit_reps(config, "mse", n) if fit is not None]
         excluded = config.reps - len(good)
         if excluded > 0.1 * config.reps:
             raise ExperimentError(
                 f"{excluded}/{config.reps} replications failed at n={n}")
         mse = np.mean(good, axis=0)
         rows.append(MseRow(label, n, config.reps, excluded, *mse))
-    if write:
-        write_csv(os.path.join(config.outdir, "mse.csv"),
-                  ["density", "n", "reps", "excluded",
-                   "mse_p", "mse_alpha_modpi", "mse_beta_modpi"],
-                  [[r.density, r.n, r.reps, r.excluded,
-                    _fmt(r.mse_p), _fmt(r.mse_alpha), _fmt(r.mse_beta)] for r in rows])
+    write_csv(os.path.join(config.outdir, "mse.csv"),
+              ["density", "n", "reps", "excluded",
+               "mse_p", "mse_alpha_modpi", "mse_beta_modpi"],
+              [[r.density, r.n, r.reps, r.excluded,
+                _fmt(r.mse_p), _fmt(r.mse_alpha), _fmt(r.mse_beta)] for r in rows])
     return rows
-
-
-def _normality_rep(task):
-    config, n, rep = task
-    rng = _rep_rng(config, "normality", n, rep)
-    density = parse_density(config.density_spec)
-    sample = sample_mixture(config.theta0, density, n, rng)
-    opts = config.fit_options(covariance=True)
-    try:
-        fit = estimate_theta(sample, opts)
-    except EstimationError:
-        return None
-    if fit.std_errors is None or np.any(fit.std_errors <= 0):
-        return None
-    err = fit.theta_hat.as_array() - config.theta0.as_array()
-    for j in (1, 2):  # signed angular error modulo pi
-        err[j] = math.remainder(err[j], math.pi)
-    return err, err / fit.std_errors
 
 
 @dataclass
@@ -232,7 +216,7 @@ class NormalitySummary:
     reps_used: int
 
 
-def run_normality(config: ExperimentConfig, write: bool = True):
+def run_normality(config: ExperimentConfig):
     """Centered/standardized fit statistics for histogramming.
 
     Emits per-replication raw errors and standardized values; returns
@@ -244,14 +228,15 @@ def run_normality(config: ExperimentConfig, write: bool = True):
     summaries = []
     raw_by_n = {}
     for n in config.n_list:
-        results = _map_reps(config, _normality_rep,
-                            [(config, n, r) for r in range(config.reps)])
-        good = [(i, r) for i, r in enumerate(results) if r is not None]
+        good = [(i, fit) for i, fit in enumerate(_fit_reps(config, "normality", n))
+                if fit is not None and fit.std_errors is not None
+                and not np.any(fit.std_errors <= 0)]
         if config.reps - len(good) > 0.1 * config.reps:
             raise ExperimentError(
                 f"covariance unavailable in {config.reps - len(good)}/{config.reps} reps at n={n}")
-        errs = np.array([r[0] for _, r in good])
-        zs = np.array([r[1] for _, r in good])
+        errs = np.array([fit.theta_hat.as_array() - config.theta0.as_array() for _, fit in good])
+        errs[:, 1:] = np.vectorize(math.remainder)(errs[:, 1:], math.pi)  # signed, modulo pi
+        zs = errs / np.array([fit.std_errors for _, fit in good])
         raw_by_n[n] = (errs, zs)
         for (i, _), e, z in zip(good, errs, zs):
             csv_rows.append([n, i, *[_fmt(v) for v in e], *[_fmt(v) for v in z]])
@@ -260,29 +245,37 @@ def run_normality(config: ExperimentConfig, write: bool = True):
             m, v = float(zj.mean()), float(zj.var(ddof=1))
             skew = float(np.mean((zj - m) ** 3) / v ** 1.5) if v > 0 else 0.0
             summaries.append(NormalitySummary(n, coord, m, v, skew, len(zj)))
-    if write:
-        write_csv(os.path.join(config.outdir, "normality.csv"),
-                  ["n", "rep", "err_p", "err_alpha", "err_beta",
-                   "z_p", "z_alpha", "z_beta"], csv_rows)
+    write_csv(os.path.join(config.outdir, "normality.csv"),
+              ["n", "rep", "err_p", "err_alpha", "err_beta",
+               "z_p", "z_alpha", "z_beta"], csv_rows)
     return summaries, raw_by_n
 
 
-def run_density_recon(config: ExperimentConfig, write: bool = True):
+def _fit_and_density(config: ExperimentConfig, kind: str, penalty=None):
+    """The one replication of a density or slope experiment: its true
+    density, fit and density estimate, both stages read from one power-sum
+    pass over the sample, as ``circmix density`` does."""
+    if len(config.n_list) != 1:
+        raise ExperimentError(f"{kind} experiments use a single sample size")
+    n = config.n_list[0]
+    density = parse_density(config.density_spec)
+    sample = sample_mixture(config.theta0, density, n, _rep_rng(config, kind, n, 0))
+    l_max = default_l_max(n) if config.l_max is None else config.l_max
+    moments = ContrastMoments(sample.angles, l_max)
+    fit = estimate_theta(moments, config.fit_options(covariance=False))
+    estimate = estimate_density(moments, fit, l_max=l_max, penalty=penalty,
+                                p_cap=config.p_max)
+    return density, fit, estimate
+
+
+def run_density_recon(config: ExperimentConfig):
     """Single-replication reconstruction curves for f and the mixture g.
 
     Emits a 512-point grid with the true and estimated component density
     and the corresponding mixtures; returns the grid arrays and the
     realized squared L2 error of f_hat.
     """
-    if len(config.n_list) != 1:
-        raise ExperimentError("density reconstruction uses a single sample size")
-    n = config.n_list[0]
-    rng = _rep_rng(config, "density", n, 0)
-    density = parse_density(config.density_spec)
-    sample = sample_mixture(config.theta0, density, n, rng)
-    fit = estimate_theta(sample, config.fit_options(covariance=False))
-    estimate = estimate_density(sample, fit, l_max=config.l_max,
-                                penalty=config.penalty, p_cap=config.p_max)
+    density, fit, estimate = _fit_and_density(config, "density", config.penalty)
     x, f_hat = estimate.grid(512)
     f_true = density.pdf(x)
     g_true = mixture_density(config.theta0, density, x)
@@ -293,32 +286,22 @@ def run_density_recon(config: ExperimentConfig, write: bool = True):
         "l2_error_f": l2_error(estimate, density),
         "theta_hat": fit.theta_hat,
     }
-    if write:
-        write_csv(os.path.join(config.outdir, "density.csv"),
-                  ["x", "f", "f_hat", "g", "g_hat"],
-                  [[_fmt(a), _fmt(b), _fmt(c), _fmt(d), _fmt(e)]
-                   for a, b, c, d, e in zip(x, f_true, f_hat, g_true, g_hat)])
+    write_csv(os.path.join(config.outdir, "density.csv"),
+              ["x", "f", "f_hat", "g", "g_hat"],
+              [[_fmt(a), _fmt(b), _fmt(c), _fmt(d), _fmt(e)]
+               for a, b, c, d, e in zip(x, f_true, f_hat, g_true, g_hat)])
     return (x, f_true, f_hat, g_true, g_hat), info
 
 
-def run_slope(config: ExperimentConfig, write: bool = True):
+def run_slope(config: ExperimentConfig):
     """Slope-calibration couples for one replication.
 
     Emits ((2L+1)/n, sum_{|l|<=L} |f_hat_l|^2) for L = 0..l_max together
     with the fitted slope and lambda_hat.
     """
-    if len(config.n_list) != 1:
-        raise ExperimentError("slope experiments use a single sample size")
-    n = config.n_list[0]
-    rng = _rep_rng(config, "slope", n, 0)
-    density = parse_density(config.density_spec)
-    sample = sample_mixture(config.theta0, density, n, rng)
-    fit = estimate_theta(sample, config.fit_options(covariance=False))
-    estimate = estimate_density(sample, fit, l_max=config.l_max, p_cap=config.p_max)
-    slope_fit = estimate.slope_fit
-    if write:
-        write_slope_csv(os.path.join(config.outdir, "slope.csv"), slope_fit)
-    return slope_fit, estimate
+    _, _, estimate = _fit_and_density(config, "slope")
+    write_slope_csv(os.path.join(config.outdir, "slope.csv"), estimate.slope_fit)
+    return estimate.slope_fit, estimate
 
 
 def write_slope_csv(path: str, slope_fit) -> str:
@@ -332,17 +315,11 @@ def write_slope_csv(path: str, slope_fit) -> str:
                       for L, x, y in slope_fit.couples])
 
 
+_RUNNERS = {"mse": run_mse, "normality": run_normality,
+            "density": run_density_recon, "slope": run_slope}
+
+
 def run_experiments(config: ExperimentConfig) -> dict:
     """Run every experiment listed in the config; returns per-kind results."""
     os.makedirs(config.outdir, exist_ok=True)
-    out = {}
-    for kind in config.experiments:
-        if kind == "mse":
-            out[kind] = run_mse(config)
-        elif kind == "normality":
-            out[kind] = run_normality(config)
-        elif kind == "density":
-            out[kind] = run_density_recon(config)
-        elif kind == "slope":
-            out[kind] = run_slope(config)
-    return out
+    return {kind: _RUNNERS[kind](config) for kind in config.experiments}

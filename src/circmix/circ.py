@@ -9,7 +9,7 @@ Angles live on [0, 2*pi).  Fourier coefficients follow the convention
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ive
@@ -358,10 +358,9 @@ def _periodic_trapezoid(values):
 
 @dataclass
 class Sample:
-    """Ordered collection of angles with optional provenance."""
+    """Ordered collection of angles."""
 
     angles: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.angles = normalize(np.asarray(self.angles, dtype=float))
@@ -373,7 +372,7 @@ class Sample:
 
 def sample_component(density: ComponentDensity, n: int, rng: np.random.Generator) -> Sample:
     """Draw n i.i.d. angles from a single component density."""
-    return Sample(density.sample(n, rng), meta={"density": density.label})
+    return Sample(density.sample(n, rng))
 
 
 def sample_mixture(theta: MixtureParams, density: ComponentDensity, n: int,
@@ -385,7 +384,7 @@ def sample_mixture(theta: MixtureParams, density: ComponentDensity, n: int,
     """
     y = density.sample(n, rng)
     shifts = np.where(rng.random(n) < theta.p, theta.alpha, theta.beta)
-    return Sample(normalize(y + shifts), meta={"density": density.label, "theta": theta})
+    return Sample(normalize(y + shifts))
 
 
 def mixture_density(theta: MixtureParams, density: ComponentDensity, x):

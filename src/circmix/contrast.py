@@ -83,9 +83,12 @@ def power_sums(angles, m_max: int) -> np.ndarray:
     Each block of POWER_SUM_CHUNK angles runs the recurrence w <- w e^{iX},
     so the cost is n (m_max + 1) complex products and no n x m_max array
     is built.  At n <= POWER_SUM_CHUNK the sums are those of one unchunked
-    recurrence, bit for bit.
+    recurrence, bit for bit.  Other angles than a nonempty one-dimensional
+    array of finite values raise DomainError.
     """
     angles = np.asarray(angles, dtype=float)
+    if angles.ndim != 1 or not len(angles) or not np.isfinite(angles).all():
+        raise DomainError("angles must be a nonempty one-dimensional array of finite values")
     sums = np.zeros(m_max + 1, dtype=complex)
     sums[0] = len(angles)
     for start in range(0, len(angles), POWER_SUM_CHUNK):
@@ -107,13 +110,10 @@ class ContrastMoments:
     """
 
     def __init__(self, angles, m_max: int = 2 * L_MAX_CONTRAST):
-        angles = np.asarray(angles, dtype=float)
-        if angles.ndim != 1:
-            raise DomainError("angles must be one-dimensional")
-        if len(angles) < 2:
-            raise DomainError("the contrast needs at least two observations")
-        self.n = n = len(angles)
         self.power_sums = power_sums(angles, max(m_max, 2 * L_MAX_CONTRAST))
+        self.n = n = int(self.power_sums[0].real)
+        if n < 2:
+            raise DomainError("the contrast needs at least two observations")
         # Python scalars: _scan's scalar arithmetic is slow on numpy scalars
         self._sums = sums = self.power_sums[:2 * L_MAX_CONTRAST + 1].tolist()
         self._pairs = [((sums[l].real ** 2 + sums[l].imag ** 2 - n) / K_PAIR,

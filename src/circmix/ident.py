@@ -72,10 +72,16 @@ class IdentClass:
     witnesses: list = field(default_factory=list)
 
 
+def _check_tol(tol: float) -> None:
+    """Raise DomainError unless the tolerance is finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tolerance must be finite and >= 0, got {tol}")
+
+
 def mixture_residual(theta: MixtureParams, density: ComponentDensity,
-                     recipe: AliasRecipe, grid_n: int = GRID_POINTS) -> float:
-    """Max absolute gap between the original mixture and the alias mixture."""
-    x = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
+                     recipe: AliasRecipe) -> float:
+    """Max absolute gap between the original and the alias mixture on GRID_POINTS points."""
+    x = np.linspace(0.0, TWO_PI, GRID_POINTS, endpoint=False)
     return float(np.max(np.abs(mixture_density(theta, density, x)
                                - recipe.mixture_pdf(density, x))))
 
@@ -102,7 +108,9 @@ def alias_bipolar(theta: MixtureParams, q: float, tol: float = 1e-9) -> AliasRec
 
     Requires q in (1-p, 1] so that p' lies in (0, p].  The label-switched
     angle pair (beta, alpha) with weight 1 - p' is recorded as an alternate.
+    tol must be finite and >= 0.
     """
+    _check_tol(tol)
     if angular_distance(theta.beta - theta.alpha, math.pi) > tol:
         raise DomainError("bipolar alias requires beta - alpha = pi (mod 2*pi)")
     if not 0.0 < q <= 1.0:
@@ -119,7 +127,7 @@ def alias_bipolar(theta: MixtureParams, q: float, tol: float = 1e-9) -> AliasRec
 
 
 def alias_case4(theta: MixtureParams, density: ComponentDensity | None = None,
-                grid_n: int = GRID_POINTS, tol: float = 1e-9) -> AliasRecipe:
+                tol: float = 1e-9) -> AliasRecipe:
     """The 2*pi/3 alias: p' = (1-2p)/(2-3p) and
     f' = (1-p) f(.-pi/3) + (1-p) f(.+pi/3) + (2p-1) f(.-pi).
 
@@ -129,9 +137,10 @@ def alias_case4(theta: MixtureParams, density: ComponentDensity | None = None,
     different blend of f shifted by multiples of 2*pi/3.
 
     When a density is supplied, f' is checked for nonnegativity on a grid
-    (the blend has a negative weight 2p - 1 for p < 1/2, so positivity
-    depends on p and on f).
+    of GRID_POINTS points (the blend has a negative weight 2p - 1 for
+    p < 1/2, so positivity depends on p and on f).  tol must be finite and >= 0.
     """
+    _check_tol(tol)
     delta = theta.beta - theta.alpha
     third = TWO_PI / 3.0
     plus = angular_distance(delta, third) <= tol
@@ -152,7 +161,7 @@ def alias_case4(theta: MixtureParams, density: ComponentDensity | None = None,
     recipe = AliasRecipe(kind=IdentTag.TWO_PI_OVER_THREE, theta_prime=theta_prime,
                          f_weights=weights, alternate_thetas=(alternate,))
     if density is not None:
-        x = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
+        x = np.linspace(0.0, TWO_PI, GRID_POINTS, endpoint=False)
         fp = recipe.f_prime_pdf(density, x)
         recipe.f_prime_min = float(fp.min())
         recipe.f_prime_nonneg = bool(recipe.f_prime_min >= -1e-12)
@@ -174,8 +183,7 @@ def classify(theta: MixtureParams, tol: float = 1e-9,
     """
     if not 0.0 < theta.p < 1.0:
         raise DomainError("classification requires p in (0, 1)")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise DomainError(f"classification tolerance must be finite and >= 0, got {tol}")
+    _check_tol(tol)
     delta = theta.beta - theta.alpha
     witnesses = [alias_label_switch(theta), alias_pi_shift(theta)]
     if theta.p <= tol or theta.p >= 1.0 - tol or abs(theta.p - 0.5) <= tol:

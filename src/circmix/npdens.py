@@ -147,13 +147,14 @@ class SlopeFit:
     theoretical_floor: float  # diagnostic lower bound on the penalty constant
 
 
-def penalty_floor(p_cap: float = DEFAULT_P_CAP, eps: float = 1.0) -> float:
-    """Theoretical penalty-constant lower bound (3/pi^2)(1+1/eps)(1-2P)^-2.
+def penalty_floor(p_cap: float = DEFAULT_P_CAP) -> float:
+    """Theoretical penalty-constant lower bound (3/pi^2)(1+1/eps)(1-2P)^-2
+    at eps = 1, that is (6/pi^2)(1-2P)^-2.
 
     Reported as a diagnostic only; the data-driven calibration is the
     operational choice.  ``p_cap`` must lie in (0, 1/2).
     """
-    return 3.0 / math.pi ** 2 * (1.0 + 1.0 / eps) * _weight_floor(p_cap) ** -2
+    return 3.0 / math.pi ** 2 * 2.0 * _weight_floor(p_cap) ** -2
 
 
 def slope_lambda(coeffs: EmpiricalCoeffs, p_cap: float = DEFAULT_P_CAP) -> SlopeFit:
@@ -256,7 +257,7 @@ def estimate_density(sample, fit_or_theta, l_max: int | None = None,
     theta = getattr(fit_or_theta, "theta_hat", fit_or_theta)
     if l_max is None:
         l_max = default_l_max(sample.n if isinstance(sample, (Sample, ContrastMoments))
-                              else len(sample))
+                              else np.size(sample))
     coeffs = empirical_coeffs(sample, theta, l_max, p_cap=p_cap)
     slope_fit = None
     if penalty is None:

@@ -53,7 +53,7 @@ def test_criterion_01_table1_vonmises(tmp_path):
     start = time.time()
     cfg = bench_config(tmp_path, n="100,1000", reps=50, seed=7)
     rows = {row.n: np.array([row.mse_p, row.mse_alpha, row.mse_beta])
-            for row in run_mse(cfg, write=False)}
+            for row in run_mse(cfg)}
     elapsed = time.time() - start
     ratios_vs_paper = rows[1000] / PAPER_VM_N1000
     decay = rows[100] / rows[1000]
@@ -69,7 +69,7 @@ def test_criterion_01_table1_vonmises(tmp_path):
 def test_criterion_02_table1_wrapped_cauchy(tmp_path):
     cfg = bench_config(tmp_path, density="wrappedcauchy gamma=0.8", n="1000",
                        reps=50, seed=11)
-    row = run_mse(cfg, write=False)[0]
+    row = run_mse(cfg)[0]
     mse = np.array([row.mse_p, row.mse_alpha, row.mse_beta])
     bounds = np.array([1e-3, 5e-3, 1e-3])
     report(2, bool(np.all(mse <= bounds)),
@@ -172,7 +172,7 @@ def test_criterion_06_identifiability():
 
 def test_criterion_07_normality_and_coverage(tmp_path):
     cfg = bench_config(tmp_path, experiment="normality", n="1000", reps=200, seed=13)
-    _, raw = run_normality(cfg, write=False)
+    _, raw = run_normality(cfg)
     _, zs = raw[1000]
     first = zs[:100]
     means = first.mean(axis=0)

@@ -1,16 +1,20 @@
 """Monte Carlo harness: determinism, schemas, failure accounting."""
 
 import ctypes
+import importlib
 import os
 
 import numpy as np
 import pytest
 
-from circmix import ExperimentError
-from circmix.bench import (ExperimentConfig, MseRow, _map_reps, run_density_recon,
+from circmix import (ExperimentError, estimate_density, estimate_theta, parse_density,
+                     sample_mixture)
+from circmix.bench import (ExperimentConfig, MseRow, _map_reps, _rep_rng, run_density_recon,
                            run_experiments, run_mse, run_normality, run_slope)
 
 THETA = "0.25,0.39269908,2.0943951"
+# the package re-exports a function named contrast, so the modules are fetched by name
+contrast, npdens = (importlib.import_module(f"circmix.{m}") for m in ("contrast", "npdens"))
 
 
 def config(tmp_path, **overrides):
@@ -155,6 +159,36 @@ def test_run_slope(tmp_path):
     lines = (tmp_path / "slope.csv").read_text().splitlines()
     assert lines[0] == "L,penalty_shape,coeff_mass,in_window,slope,lambda_hat"
     assert len(lines) == 52
+
+
+@pytest.mark.parametrize("kind", ["density", "slope"])
+def test_density_and_slope_read_one_power_sum_pass(tmp_path, monkeypatch, kind):
+    cfg = config(tmp_path, density="wrappedcauchy gamma=0.8", n="1000", reps=1,
+                 experiment=kind, l_max=30)
+    calls = []
+
+    def counted(angles, m_max):
+        calls.append(m_max)
+        return power_sums(angles, m_max)
+
+    power_sums = contrast.power_sums
+    monkeypatch.setattr(contrast, "power_sums", counted)
+    monkeypatch.setattr(npdens, "power_sums", counted)
+    if kind == "density":
+        _, info = run_density_recon(cfg)
+        theta_hat, level, penalty = info["theta_hat"], info["level"], info["penalty"]
+    else:
+        slope_fit, estimate = run_slope(cfg)
+        theta_hat, level, penalty = (estimate.coeffs.theta_used, estimate.level,
+                                     slope_fit.lambda_hat)
+    assert calls == [30]
+    # the separate stages, each with its own pass, give the same numbers bit for bit
+    sample = sample_mixture(cfg.theta0, parse_density(cfg.density_spec), 1000,
+                            _rep_rng(cfg, kind, 1000, 0))
+    fit = estimate_theta(sample, cfg.fit_options(covariance=False))
+    separate = estimate_density(sample, fit, l_max=30, p_cap=cfg.p_max)
+    assert theta_hat.as_array().tolist() == fit.theta_hat.as_array().tolist()
+    assert (level, penalty) == (separate.level, separate.penalty)
 
 
 def test_run_experiments_dispatch(tmp_path):

@@ -223,7 +223,6 @@ def test_sample_component_meta():
     s = sample_component(VonMises(2.0), 50, np.random.default_rng(0))
     assert isinstance(s, Sample)
     assert s.n == 50
-    assert "vonmises" in s.meta["density"]
 
 
 def test_mixture_params_validation():

@@ -1,6 +1,7 @@
 """Contrast S_n, its derivatives, the estimator, and the sandwich covariance."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from scipy.optimize import differential_evolution, minimize_scalar
 from circmix import (ContrastMoments, DomainError, EstimationError, FitOptions,
                      InferenceError, MixtureParams, VonMises, WrappedCauchy,
                      asymptotic_cov, canonicalize, contrast, contrast_value,
-                     degeneracy_gap, estimate_theta, mixture_fourier,
+                     degeneracy_gap, empirical_coeffs, estimate_density,
+                     estimate_theta, mixture_fourier,
                      mixture_weight, mixture_weight_grad, mixture_weight_hess,
                      population_contrast, power_sums, sample_mixture,
                      squared_error)
@@ -118,6 +120,31 @@ def test_power_sums_one_chunk_is_the_unchunked_recurrence(n):
         for m_max in (0, 8, 9, 50):
             assert (ContrastMoments(x, m_max).power_sums.tolist()
                     == power_sums(x, max(m_max, 8)).tolist())
+
+
+BAD_ANGLES = {
+    "nan": np.array([0.1, math.nan, 0.3, 1.0]),
+    "inf": np.array([0.1, math.inf, 0.3, 1.0]),
+    "2x2": np.array([[0.1, 0.2], [0.3, 1.0]]),
+    "empty": np.array([]),
+    "scalar": np.float64(0.3),
+}
+ANGLE_ENTRY_POINTS = {
+    "power_sums": lambda x: power_sums(x, 8),
+    "estimate_theta": estimate_theta,
+    "empirical_coeffs": lambda x: empirical_coeffs(x, THETA0, 10),
+    "estimate_density": lambda x: estimate_density(x, THETA0),
+}
+
+
+@pytest.mark.parametrize("angles", sorted(BAD_ANGLES))
+@pytest.mark.parametrize("entry", sorted(ANGLE_ENTRY_POINTS))
+def test_stages_reject_bad_angles(entry, angles):
+    # the check is made in power_sums, before any arithmetic could warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            ANGLE_ENTRY_POINTS[entry](BAD_ANGLES[angles])
 
 
 def sandwich_by_triple_sum(angles, theta):

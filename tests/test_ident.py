@@ -30,6 +30,17 @@ def test_classify_rejects_bad_tolerance(tol):
         classify(MixtureParams(0.3, 0.0, 0.0), tol=tol)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("build", [
+    lambda tol: alias_bipolar(MixtureParams(0.3, 0.0, np.pi), 0.9, tol=tol),
+    lambda tol: alias_bipolar(MixtureParams(0.3, 0.0, 1.0), 0.9, tol=tol),
+    lambda tol: alias_case4(MixtureParams(0.4, 0.0, THIRD), tol=tol),
+], ids=["bipolar", "bipolar_not_pi", "case4"])
+def test_alias_builders_reject_bad_tolerance(build, tol):
+    with pytest.raises(DomainError, match="tolerance"):
+        build(tol)
+
+
 def test_classify_always_carries_trivial_witnesses():
     result = classify(MixtureParams(0.25, np.pi / 8, THIRD))
     kinds = [w.kind for w in result.witnesses]

@@ -264,7 +264,7 @@ def test_slope_rule_oracle_matches_program(l_max):
 
 
 def test_penalty_floor_diagnostic():
-    assert penalty_floor(0.25, 1.0) == pytest.approx(3.0 / math.pi ** 2 * 2.0 * 4.0)
+    assert penalty_floor(0.25) == pytest.approx(3.0 / math.pi ** 2 * 2.0 * 4.0)
     assert penalty_floor() > penalty_floor(0.25)
 
 
