@@ -66,10 +66,20 @@ class ExperimentConfig:
                     raise ExperimentError(f"malformed config line: {raw.strip()!r}")
                 key, _, val = line.partition("=")
                 values[key.strip().lower()] = val.strip()
-        return cls.from_dict(values)
+        return cls.from_dict(values, source=str(path))
 
     @classmethod
-    def from_dict(cls, values: dict) -> "ExperimentConfig":
+    def from_dict(cls, values: dict, source: str = "config") -> "ExperimentConfig":
+        """The config that ``values``, a key -> text mapping, describes.
+
+        Raises
+        ------
+        ValueError
+            If a numeric value does not parse.  The message names ``source``
+            (the config file), the key and the value.
+        ExperimentError
+            If a key is missing or unknown, or a value is out of range.
+        """
         values = dict(values)
 
         def pop(key, default=None, required=False):
@@ -79,31 +89,40 @@ class ExperimentConfig:
                 raise ExperimentError(f"config key {key!r} is required")
             return default
 
+        def parse(key, text, convert, what):
+            try:
+                return convert(text)
+            except ValueError:
+                raise ValueError(f"{source}: key {key!r} must be {what}, got {text!r}") from None
+
         density = pop("density", required=True)
         theta_raw = pop("theta0", required=True)
         try:
             p, alpha, beta = (float(v) for v in theta_raw.split(","))
         except ValueError as exc:
             raise ExperimentError("theta0 must be 'p,alpha,beta'") from exc
-        n_list = tuple(int(v) for v in str(pop("n", required=True)).split(","))
+        n_list = parse("n", str(pop("n", required=True)),
+                       lambda text: tuple(int(v) for v in text.split(",")),
+                       "a comma-separated list of integers")
         seed_raw = pop("seed")
         if seed_raw is None:
             raise ExperimentError("bench experiments refuse to run unseeded; set seed")
         experiments = tuple(v.strip() for v in str(pop("experiment", "mse")).split(",") if v.strip())
         penalty_raw = pop("lambda", "slope")
-        penalty = None if str(penalty_raw).lower() == "slope" else float(penalty_raw)
+        penalty = (None if str(penalty_raw).lower() == "slope"
+                   else parse("lambda", penalty_raw, float, "a number or 'slope'"))
         l_max_raw = pop("l_max", None)
         cfg = cls(
             density_spec=density,
             theta0=MixtureParams(p, alpha, beta),
             n_list=n_list,
-            reps=int(pop("reps", required=True)),
-            seed=int(seed_raw),
+            reps=parse("reps", pop("reps", required=True), int, "an integer"),
+            seed=parse("seed", seed_raw, int, "an integer"),
             experiments=experiments,
-            p_max=float(pop("p_max", 0.49)),
-            l_max=None if l_max_raw is None else int(l_max_raw),
+            p_max=parse("p_max", pop("p_max", 0.49), float, "a number"),
+            l_max=None if l_max_raw is None else parse("l_max", l_max_raw, int, "an integer"),
             penalty=penalty,
-            jobs=int(pop("jobs", 1)),
+            jobs=parse("jobs", pop("jobs", 1), int, "an integer"),
             outdir=str(pop("out", ".")),
         )
         if values:

@@ -28,17 +28,30 @@ def normalize(x):
         If any input is not finite.
     """
     arr = np.asarray(x, dtype=float)
+    out = normalize_into(arr, np.empty_like(arr))
+    if np.isscalar(x) or arr.ndim == 0:
+        return float(out)
+    return out
+
+
+def normalize_into(arr: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``normalize(arr)`` for a float array to ``out`` and return it.
+
+    ``out`` may be ``arr`` itself, which normalizes the angles in place
+    without the copy ``normalize`` makes.
+
+    Raises
+    ------
+    DomainError
+        If any input is not finite; ``out`` is then left unwritten.
+    """
     if np.all((arr >= 0.0) & (arr < TWO_PI)):
-        # what mod returns on [0, 2*pi), -0.0 made +0.0 too, as a new array
-        out = arr + 0.0
+        np.add(arr, 0.0, out=out)  # what mod returns on [0, 2*pi), -0.0 made +0.0 too
     else:
         if not np.all(np.isfinite(arr)):
             raise DomainError("angles must be finite")
-        out = np.mod(arr, TWO_PI)
-        # mod can round up to exactly 2*pi for tiny negative inputs
-        out = np.where(out >= TWO_PI, 0.0, out)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
+        np.mod(arr, TWO_PI, out=out)
+        out[out >= TWO_PI] = 0.0  # mod can round up to exactly 2*pi for tiny negative inputs
     return out
 
 
@@ -382,9 +395,9 @@ def sample_mixture(theta: MixtureParams, density: ComponentDensity, n: int,
     Equivalent to X = Y + eps (mod 2*pi) with Y ~ f and eps the Bernoulli
     angle taking value alpha with probability p.
     """
-    y = density.sample(n, rng)
-    shifts = np.where(rng.random(n) < theta.p, theta.alpha, theta.beta)
-    return Sample(normalize(y + shifts))
+    angles = density.sample(n, rng)  # a new array, so it is shifted in place
+    angles += np.where(rng.random(n) < theta.p, theta.alpha, theta.beta)
+    return Sample(angles)
 
 
 def mixture_density(theta: MixtureParams, density: ComponentDensity, x):

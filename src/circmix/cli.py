@@ -11,6 +11,7 @@ failure; 6 experiment or calibration failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import warnings
@@ -19,8 +20,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import bench
-from .circ import MixtureParams, normalize, parse_density, sample_mixture
-from .contrast import ContrastMoments, FitOptions, estimate_theta
+from .circ import MixtureParams, normalize, normalize_into, parse_density, sample_mixture
+from .contrast import POWER_SUM_CHUNK, ContrastMoments, FitOptions, estimate_theta
 from .errors import (CalibrationError, CircmixError, DomainError, EstimationError,
                      ExperimentError, InferenceError)
 from .ident import classify, mixture_residual
@@ -59,7 +60,8 @@ def _read_angles(path: str) -> np.ndarray:
     numpy's parser reads a well-formed file; anything it rejects, reads as
     other than one column or reads as nan or infinite goes through the line
     loop, which accepts whatever finite number ``float`` reads and names the
-    first bad line.
+    first bad line.  The angles are normalized in place, so the returned
+    array is the only n-length one left.
     """
     try:
         with warnings.catch_warnings():
@@ -68,7 +70,8 @@ def _read_angles(path: str) -> np.ndarray:
     except (OSError, ValueError):
         table = np.empty((0, 0))
     if table.shape[0] >= 1 and table.shape[1] == 1 and np.isfinite(table).all():
-        return normalize(table[:, 0])
+        angles = table[:, 0]
+        return normalize_into(angles, angles)
     try:
         with open(path) as fh:
             lines = [line.strip() for line in fh]
@@ -87,7 +90,8 @@ def _read_angles(path: str) -> np.ndarray:
         values.append(value)
     if not values:
         raise ValueError(f"{path}: no angles found")
-    return normalize(np.array(values))
+    angles = np.array(values)
+    return normalize_into(angles, angles)
 
 
 def _read_sample(path: str) -> np.ndarray:
@@ -128,12 +132,19 @@ def _fit_and_density(args, penalty=None):
     return estimate_density(moments, fit, l_max=l_max, penalty=penalty, p_cap=options.p_max)
 
 
-def _write_or_print(text: str, out: str | None):
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The text stream an --out value names: stdout for '-', else the file."""
     if out in (None, "-"):
-        print(text)
+        yield sys.stdout
     else:
         with open(out, "w", newline="\n") as fh:
-            fh.write(text + "\n")
+            yield fh
+
+
+def _write_or_print(text: str, out: str | None):
+    with _output(out) as fh:
+        fh.write(text + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -142,9 +153,12 @@ def cmd_simulate(args) -> int:
     if args.n < 1:
         raise _CliUsage("--n must be >= 1")
     rng = np.random.default_rng(args.seed)
-    sample = sample_mixture(theta, density, args.n, rng)
-    lines = "\n".join(f"{x:.12g}" for x in sample.angles)
-    _write_or_print(lines, args.out)
+    angles = sample_mixture(theta, density, args.n, rng).angles
+    # a block of lines at a time, so the text never holds the whole sample
+    with _output(args.out) as fh:
+        for start in range(0, len(angles), POWER_SUM_CHUNK):
+            block = angles[start:start + POWER_SUM_CHUNK].tolist()
+            fh.write("".join([f"{x:.12g}\n" for x in block]))
     return EXIT_OK
 
 
@@ -181,14 +195,15 @@ def cmd_density(args) -> int:
         true = parse_density(args.true_density)
         header.append("f")
         cols.append(true.pdf(x))
-    rows = [[bench.FLOAT_FMT.format(c[i]) for c in cols] for i in range(len(x))]
+    # Python floats format faster than numpy scalars, to the same text
+    rows = [[bench.FLOAT_FMT.format(v) for v in row] for row in zip(*(c.tolist() for c in cols))]
     bench.write_csv(args.out, header, rows)
     if args.coeffs_out:
-        lm = estimate.coeffs.l_max
+        lm, f_hat = estimate.coeffs.l_max, estimate.coeffs.f_hat
         bench.write_csv(args.coeffs_out, ["l", "re_f_hat", "im_f_hat"],
-                        [[l, bench.FLOAT_FMT.format(estimate.coeffs.f(l).real),
-                          bench.FLOAT_FMT.format(estimate.coeffs.f(l).imag)]
-                         for l in range(-lm, lm + 1)])
+                        [[l, bench.FLOAT_FMT.format(re), bench.FLOAT_FMT.format(im)]
+                         for l, re, im in zip(range(-lm, lm + 1), f_hat.real.tolist(),
+                                              f_hat.imag.tolist())])
     print(f"L_hat = {estimate.level}")
     print(f"lambda = {estimate.penalty:.6g}")
     if estimate.slope_fit is not None:

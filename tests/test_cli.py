@@ -5,13 +5,14 @@ import io
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from circmix import (MixtureParams, VonMises, cli, estimate_density, estimate_theta,
-                     normalize, penalty_floor, sample_mixture)
+                     normalize, parse_density, penalty_floor, sample_mixture)
 from circmix.cli import main
 
 THETA = "0.25,0.3927,2.0944"
@@ -35,6 +36,62 @@ def test_simulate_count_and_determinism(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     values = np.array([float(v) for v in lines])
     assert np.all((values >= 0) & (values < 2 * np.pi))
+
+
+@pytest.mark.parametrize("n", [1, 16383, 16384, 16385])
+@pytest.mark.parametrize("density", ["vonmises:kappa=5", "wrappedcauchy:gamma=0.8",
+                                     "wrappednormal:rho=0.7", "uniform"])
+def test_simulate_writes_one_line_per_angle(tmp_path, capsys, density, n):
+    # written block by block, the text is still that of the whole sample joined
+    angles = sample_mixture(MixtureParams(0.25, 0.3927, 2.0944), parse_density(density), n,
+                            np.random.default_rng(11)).angles
+    expected = "\n".join(f"{x:.12g}" for x in angles) + "\n"
+    out = tmp_path / "s.txt"
+    argv = ["simulate", "--density", density, "--theta", THETA, "--n", str(n), "--seed", "11"]
+    assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
+    assert out.read_bytes() == expected.encode()
+    assert run(capsys, *argv, "--out", "-") == (0, expected, "")
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_per_angle(tmp_path):
+    # the sampler's arrays and one block of text; the whole text is ~90 B/angle
+    n = 200_000
+    args = cli.build_parser().parse_args(["simulate", "--density", "wrappedcauchy:gamma=0.8",
+                                          "--theta", THETA, "--n", str(n), "--seed", "1",
+                                          "--out", str(tmp_path / "s.txt")])
+    peak, code = _peak_bytes(cli.cmd_simulate, args)
+    assert code == 0
+    assert peak / n <= 32, peak / n
+
+
+def test_read_angles_memory_per_angle(tmp_path):
+    # the parsed column, normalized in place, and its flags; a copy is 8 B/angle more
+    n, path = 200_000, tmp_path / "s.txt"
+    path.write_text("\n".join(map(repr, np.random.default_rng(1).uniform(-7, 7, n).tolist())))
+    peak, angles = _peak_bytes(cli._read_angles, str(path))
+    assert len(angles) == n
+    assert peak / n <= 12, peak / n
+
+
+@pytest.mark.parametrize("extra", [[], ["1_0.5"]])
+def test_read_angles_normalizes_like_normalize(tmp_path, extra):
+    # in place, bit for bit: -0.0 becomes +0.0, 2*pi and the tiny negative
+    # value that mod rounds up to 2*pi become 0.0; "1_0.5" takes the line loop
+    path = tmp_path / "s.txt"
+    for values in ([-1.5, 7.0, 2 * np.pi, -0.0, -1e-17, 0.0, 3.0, 4 * np.pi, -2 * np.pi, 1e300],
+                   [-0.0, 1.0, 6.25]):
+        path.write_text("".join(f"{v}\n" for v in values + extra))
+        expected = normalize(np.array(values + [float(v) for v in extra]))
+        assert cli._read_angles(str(path)).tobytes() == expected.tobytes()
 
 
 def test_simulate_rejects_large_p(capsys):
@@ -385,6 +442,22 @@ def test_bench_requires_seed(tmp_path, capsys):
     code, _, err = run(capsys, "bench", "--config", str(cfg))
     assert code == 6
     assert "unseeded" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", "100,x"), ("n", "abc"), ("reps", "abc"), ("seed", "abc"), ("jobs", "abc"),
+    ("l_max", "abc"), ("p_max", "abc"), ("lambda", "abc"),
+])
+def test_bench_bad_config_value_names_key_and_file(tmp_path, capsys, key, value):
+    values = dict(experiment="mse", density="uniform", theta0=THETA, n="100", reps="2",
+                  seed="5")
+    values[key] = value
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    code, out, err = run(capsys, "bench", "--config", str(cfg), "--out", str(tmp_path / "r"))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {cfg}: key {key!r} must be ")
+    assert err.endswith(f", got {value!r}\n")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-4"])
