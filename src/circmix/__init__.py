@@ -8,15 +8,12 @@ identifiability toolkit and a Monte Carlo benchmark harness round out the
 package.
 """
 
-from .circ import (ComponentDensity, MixtureParams, Sample, Tabulated, VonMises,
-                   WrappedCauchy, WrappedNormal, angular_distance, mixture_density,
-                   mixture_fourier, mixture_weight, normalize, parse_density,
-                   sample_component, sample_mixture)
+from .circ import (ComponentDensity, MixtureParams, Tabulated, VonMises, WrappedCauchy,
+                   WrappedNormal, angular_distance, mixture_density, mixture_fourier,
+                   mixture_weight, normalize, parse_density, sample_mixture)
 from .contrast import (ContrastMoments, FitOptions, FitResult, asymptotic_cov,
-                       canonicalize, contrast, contrast_value, degeneracy_gap,
-                       estimate_theta, mixture_weight_grad,
-                       mixture_weight_hess, population_contrast, power_sums,
-                       squared_error)
+                       canonicalize, degeneracy_gap, estimate_theta, mixture_weight_grad,
+                       population_contrast, power_sums, squared_error)
 from .errors import (CalibrationError, CircmixError, DegeneracyError, DomainError,
                      EstimationError, ExperimentError, InferenceError)
 from .ident import (AliasRecipe, IdentClass, IdentTag, alias_bipolar, alias_case4,

@@ -50,6 +50,8 @@ class ExperimentConfig:
             raise ExperimentError("bench experiments refuse to run unseeded")
         if self.jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {self.jobs}")
+        if not self.experiments:
+            raise ExperimentError("no experiments to run")
         unknown = set(self.experiments) - set(EXPERIMENT_KINDS)
         if unknown:
             raise ExperimentError(f"unknown experiments: {sorted(unknown)}")
@@ -96,11 +98,8 @@ class ExperimentConfig:
                 raise ValueError(f"{source}: key {key!r} must be {what}, got {text!r}") from None
 
         density = pop("density", required=True)
-        theta_raw = pop("theta0", required=True)
-        try:
-            p, alpha, beta = (float(v) for v in theta_raw.split(","))
-        except ValueError as exc:
-            raise ExperimentError("theta0 must be 'p,alpha,beta'") from exc
+        p, alpha, beta = parse("theta0", pop("theta0", required=True), _three_floats,
+                               "three comma-separated numbers 'p,alpha,beta'")
         n_list = parse("n", str(pop("n", required=True)),
                        lambda text: tuple(int(v) for v in text.split(",")),
                        "a comma-separated list of integers")
@@ -131,6 +130,11 @@ class ExperimentConfig:
 
     def fit_options(self, covariance: bool) -> FitOptions:
         return FitOptions(p_max=self.p_max, compute_covariance=covariance)
+
+
+def _three_floats(text: str) -> tuple:
+    p, alpha, beta = (float(v) for v in text.split(","))  # a wrong count raises ValueError too
+    return p, alpha, beta
 
 
 def _rep_rng(config: ExperimentConfig, kind: str, n: int, rep: int) -> np.random.Generator:
@@ -278,9 +282,9 @@ def _fit_and_density(config: ExperimentConfig, kind: str, penalty=None):
         raise ExperimentError(f"{kind} experiments use a single sample size")
     n = config.n_list[0]
     density = parse_density(config.density_spec)
-    sample = sample_mixture(config.theta0, density, n, _rep_rng(config, kind, n, 0))
+    angles = sample_mixture(config.theta0, density, n, _rep_rng(config, kind, n, 0))
     l_max = default_l_max(n) if config.l_max is None else config.l_max
-    moments = ContrastMoments(sample.angles, l_max)
+    moments = ContrastMoments(angles, l_max)
     fit = estimate_theta(moments, config.fit_options(covariance=False))
     estimate = estimate_density(moments, fit, l_max=l_max, penalty=penalty,
                                 p_cap=config.p_max)

@@ -1,7 +1,8 @@
 """Circular arithmetic, component densities, exact Fourier coefficients,
 and sampling for two-component rotation mixtures.
 
-Angles live on [0, 2*pi).  Fourier coefficients follow the convention
+Angles live on [0, 2*pi), and a sample is a plain float array of them, as
+``sample_mixture`` returns it.  Fourier coefficients follow the convention
 ``c_l = (1/2pi) * integral f(x) exp(-i l x) dx``, so every density has
 ``c_0 = 1/(2pi)``.
 """
@@ -328,10 +329,12 @@ class Tabulated(ComponentDensity):
 
     def pdf(self, x):
         x = normalize(np.asarray(x, dtype=float) - self.mu)
-        step = TWO_PI / len(self.values)
-        idx = np.floor(x / step).astype(int)
-        frac = x / step - idx
-        nxt = (idx + 1) % len(self.values)
+        size = len(self.values)
+        pos = x / (TWO_PI / size)
+        # x just below 2*pi can round to pos = size: clamped, it interpolates to values[0]
+        idx = np.minimum(np.floor(pos).astype(int), size - 1)
+        frac = pos - idx
+        nxt = (idx + 1) % size
         out = (1.0 - frac) * self.values[idx] + frac * self.values[nxt]
         return out if out.ndim else float(out)
 
@@ -369,35 +372,16 @@ def _periodic_trapezoid(values):
     return float(np.mean(values) * TWO_PI)
 
 
-@dataclass
-class Sample:
-    """Ordered collection of angles."""
-
-    angles: np.ndarray
-
-    def __post_init__(self):
-        self.angles = normalize(np.asarray(self.angles, dtype=float))
-
-    @property
-    def n(self) -> int:
-        return len(self.angles)
-
-
-def sample_component(density: ComponentDensity, n: int, rng: np.random.Generator) -> Sample:
-    """Draw n i.i.d. angles from a single component density."""
-    return Sample(density.sample(n, rng))
-
-
 def sample_mixture(theta: MixtureParams, density: ComponentDensity, n: int,
-                   rng: np.random.Generator) -> Sample:
-    """Draw n angles from p*f(.-alpha) + (1-p)*f(.-beta).
+                   rng: np.random.Generator) -> np.ndarray:
+    """Draw n angles from p*f(.-alpha) + (1-p)*f(.-beta), normalized to [0, 2*pi).
 
     Equivalent to X = Y + eps (mod 2*pi) with Y ~ f and eps the Bernoulli
     angle taking value alpha with probability p.
     """
-    angles = density.sample(n, rng)  # a new array, so it is shifted in place
+    angles = density.sample(n, rng)  # a new array, so it is shifted and normalized in place
     angles += np.where(rng.random(n) < theta.p, theta.alpha, theta.beta)
-    return Sample(angles)
+    return normalize_into(angles, angles)
 
 
 def mixture_density(theta: MixtureParams, density: ComponentDensity, x):

@@ -153,7 +153,7 @@ def cmd_simulate(args) -> int:
     if args.n < 1:
         raise _CliUsage("--n must be >= 1")
     rng = np.random.default_rng(args.seed)
-    angles = sample_mixture(theta, density, args.n, rng).angles
+    angles = sample_mixture(theta, density, args.n, rng)
     # a block of lines at a time, so the text never holds the whole sample
     with _output(args.out) as fh:
         for start in range(0, len(angles), POWER_SUM_CHUNK):

@@ -15,7 +15,8 @@ P_m = sum_k e^{i m X_k}.  With K = 8 pi^2, per level l = 1..4
     S_n = 2/(n(n-1)) * sum_l [R_l |M^l|^2 - Re(T_l (M^l)^2)].
 
 The power sums P_1..P_8 are computed once per sample (O(n)); S_n, its
-gradient and its Hessian afterwards cost O(1) per evaluation.
+gradient and its Hessian afterwards cost O(1) per evaluation.  The stages
+take a sample as an array of angles or as its ContrastMoments.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-from .circ import MixtureParams, Sample, _theta_array, angular_distance, mixture_weight
+from .circ import MixtureParams, _theta_array, angular_distance, mixture_weight
 from .errors import DomainError, EstimationError, InferenceError
 
 TWO_PI = 2.0 * math.pi
@@ -56,20 +57,6 @@ def mixture_weight_grad(theta, l: int) -> np.ndarray:
     eb = cmath.exp(-1j * l * beta)
     il = 1j * l
     return np.array([ea - eb, -il * p * ea, -il * (1.0 - p) * eb])
-
-
-def mixture_weight_hess(theta, l: int) -> np.ndarray:
-    """Hessian of M^l with respect to (p, alpha, beta), complex 3x3."""
-    p, alpha, beta = _theta_array(theta)
-    ea = cmath.exp(-1j * l * alpha)
-    eb = cmath.exp(-1j * l * beta)
-    il = 1j * l
-    l2 = float(l * l)
-    return np.array([
-        [0.0, -il * ea, il * eb],
-        [-il * ea, -l2 * p * ea, 0.0],
-        [il * eb, 0.0, -l2 * (1.0 - p) * eb],
-    ])
 
 
 #: Angles per block of the power-sum recurrence: its working memory is a
@@ -243,24 +230,9 @@ class ContrastMoments:
         return value * scale, np.array(grad) * scale, np.array(hess) * scale
 
 
-def contrast(sample, theta):
-    """Evaluate S_n with gradient and Hessian at theta.
-
-    Returns (value, gradient, hessian); the Hessian is exactly symmetric.
-    """
-    moments = _as_moments(sample)
-    return moments.value_grad_hess(theta)
-
-
-def contrast_value(sample, theta) -> float:
-    """S_n(theta) alone."""
-    return _as_moments(sample).value(theta)
-
-
 def _as_moments(sample) -> ContrastMoments:
-    if isinstance(sample, ContrastMoments):
-        return sample
-    return ContrastMoments(sample.angles if isinstance(sample, Sample) else sample)
+    """The moments of ``sample``, an array of angles or a ContrastMoments."""
+    return sample if isinstance(sample, ContrastMoments) else ContrastMoments(sample)
 
 
 def population_contrast(theta, theta0, f_coeffs) -> float:
@@ -395,7 +367,7 @@ def estimate_theta(sample, options: FitOptions | None = None) -> FitResult:
     L-BFGS-B run each; the lowest result wins, and EstimationError is raised
     if no run converged.  Label switching is resolved by p < 1/2; fits with
     beta - alpha within DEGENERACY_WARN_RADIUS of a multiple of 2*pi/3 are
-    flagged.
+    flagged.  ``sample`` is an array of angles or its ContrastMoments.
     """
     opts = options or FitOptions()
     moments = _as_moments(sample)
@@ -466,8 +438,9 @@ def asymptotic_cov(sample, theta) -> tuple[np.ndarray, np.ndarray]:
     l, l' = 1..4, with D^l = sum_j dZ_j^l = Im(dM^l P_l) / 2pi and the Gram
     matrix G_ll' = sum_k Z_k^l Z_k^l'
     = Re(M^l conj(M^l') P_{l-l'} - M^l M^l' P_{l+l'}) / (8 pi^2),
-    so it reads only the power sums P_0..P_8.  Returns (Sigma_hat,
-    per-coordinate standard errors sqrt(diag(Sigma_hat)/n)).
+    so it reads only the power sums P_0..P_8.  ``sample`` is an array of
+    angles or its ContrastMoments.  Returns (Sigma_hat, per-coordinate
+    standard errors sqrt(diag(Sigma_hat)/n)).
 
     Raises
     ------

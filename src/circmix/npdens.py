@@ -2,7 +2,8 @@
 
 Pipeline: plug-in coefficients f_hat_l = g_hat_l / M^l(theta_hat), a
 projection estimator at resolution L, penalized selection of L, and
-slope-heuristic calibration of the penalty constant.
+slope-heuristic calibration of the penalty constant.  A sample is an array
+of angles or its ``contrast.ContrastMoments``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circ import ComponentDensity, MixtureParams, Sample, Tabulated, TWO_PI, mixture_weight
+from .circ import ComponentDensity, MixtureParams, Tabulated, TWO_PI, mixture_weight
 from .contrast import ContrastMoments, power_sums
 from .errors import CalibrationError, DegeneracyError, DomainError
 
@@ -83,8 +84,9 @@ def empirical_coeffs(sample, theta: MixtureParams, l_max: int,
 
     g_hat_l is conj(P_l) / (2 pi n) with P_l from the chunked kernel
     ``contrast.power_sums``, so memory stays O(l_max) beyond the sample.
-    ``sample`` may also be a ContrastMoments holding P_0..P_l_max, whose
-    sums are then read instead of passing over the angles again.
+    ``sample`` is an array of angles, or a ContrastMoments holding
+    P_0..P_l_max, whose sums are then read instead of passing over the
+    angles again.
 
     Raises
     ------
@@ -101,7 +103,7 @@ def empirical_coeffs(sample, theta: MixtureParams, l_max: int,
                               f"not up to l_max = {l_max}")
         sums = sample.power_sums[:l_max + 1]
     else:
-        sums = power_sums(sample.angles if isinstance(sample, Sample) else sample, l_max)
+        sums = power_sums(sample, l_max)
     n = int(sums[0].real)
     ls = np.arange(0, l_max + 1)
     g_pos = np.conj(sums) / (TWO_PI * n)
@@ -234,16 +236,6 @@ class DensityEstimate:
         x = np.asarray(x, dtype=float)
         return th.p * self.evaluate(x - th.alpha) + (1.0 - th.p) * self.evaluate(x - th.beta)
 
-    def clipped_renormalized(self, num: int = 512):
-        """Optional post-hoc nonnegative version on a grid (off the main path:
-        the theory concerns the raw projection)."""
-        x, y = self.grid(num)
-        y = np.clip(y, 0.0, None)
-        mass = np.mean(y) * TWO_PI
-        if mass <= 0:
-            raise DomainError("clipped estimate has no mass")
-        return x, y / mass
-
 
 def estimate_density(sample, fit_or_theta, l_max: int | None = None,
                      penalty: float | None = None,
@@ -251,12 +243,13 @@ def estimate_density(sample, fit_or_theta, l_max: int | None = None,
     """Full adaptive pipeline: plug-in coefficients, penalty calibration,
     penalized level choice.
 
-    ``penalty=None`` triggers the slope heuristic; an explicit positive
-    value bypasses it.
+    ``sample`` is an array of angles or its ContrastMoments, as in
+    ``empirical_coeffs``.  ``penalty=None`` triggers the slope heuristic;
+    an explicit positive value bypasses it.
     """
     theta = getattr(fit_or_theta, "theta_hat", fit_or_theta)
     if l_max is None:
-        l_max = default_l_max(sample.n if isinstance(sample, (Sample, ContrastMoments))
+        l_max = default_l_max(sample.n if isinstance(sample, ContrastMoments)
                               else np.size(sample))
     coeffs = empirical_coeffs(sample, theta, l_max, p_cap=p_cap)
     slope_fit = None

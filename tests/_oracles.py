@@ -4,14 +4,31 @@ These deliberately avoid the production code paths: Fourier coefficients
 come from grid quadrature, the contrast from the literal O(n^2) double sum,
 and derivatives from central finite differences.  The per-observation terms
 Z_k^l and their derivatives, which the program never forms, are built here
-from the library's M^l and its derivatives.
+from the library's M^l and its gradient, and from the Hessian of M^l below.
 """
+
+import cmath
 
 import numpy as np
 
-from circmix import mixture_weight, mixture_weight_grad, mixture_weight_hess
+from circmix import mixture_weight, mixture_weight_grad
+from circmix.circ import _theta_array
 
 TWO_PI = 2.0 * np.pi
+
+
+def mixture_weight_hess(theta, l: int) -> np.ndarray:
+    """Hessian of M^l with respect to (p, alpha, beta), complex 3x3."""
+    p, alpha, beta = _theta_array(theta)
+    ea = cmath.exp(-1j * l * alpha)
+    eb = cmath.exp(-1j * l * beta)
+    il = 1j * l
+    l2 = float(l * l)
+    return np.array([
+        [0.0, -il * ea, il * eb],
+        [-il * ea, -l2 * p * ea, 0.0],
+        [il * eb, 0.0, -l2 * (1.0 - p) * eb],
+    ])
 
 
 def quad_fourier(pdf, l, num=2048):

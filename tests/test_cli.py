@@ -44,7 +44,7 @@ def test_simulate_count_and_determinism(tmp_path, capsys):
 def test_simulate_writes_one_line_per_angle(tmp_path, capsys, density, n):
     # written block by block, the text is still that of the whole sample joined
     angles = sample_mixture(MixtureParams(0.25, 0.3927, 2.0944), parse_density(density), n,
-                            np.random.default_rng(11)).angles
+                            np.random.default_rng(11))
     expected = "\n".join(f"{x:.12g}" for x in angles) + "\n"
     out = tmp_path / "s.txt"
     argv = ["simulate", "--density", density, "--theta", THETA, "--n", str(n), "--seed", "11"]
@@ -176,7 +176,7 @@ def test_fit_non_finite_sample_is_input_error(tmp_path, capsys, value):
 def test_one_power_sum_pass_gives_the_two_pass_estimate(tmp_path, lmax, penalty):
     # density and slope read the fit and the coefficients from one pass
     angles = sample_mixture(MixtureParams(0.25, 0.3927, 2.0944), VonMises(5.0), 700,
-                            np.random.default_rng(8)).angles
+                            np.random.default_rng(8))
     path = tmp_path / "s.txt"
     path.write_text("\n".join(map(repr, angles.tolist())))
     assert np.array_equal(cli._read_angles(str(path)), angles)  # the file holds them exactly
@@ -344,6 +344,22 @@ def test_density_large_kappa_truth(tmp_path, capsys):
     assert np.all(np.isfinite(values))
 
 
+def test_density_tabulated_truth_just_below_two_pi(tmp_path, capsys):
+    # mu is curve point 21 of 512, so one point sits just below 2*pi on the 24-point table
+    grid = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
+    table = tmp_path / "t.txt"
+    np.savetxt(table, np.column_stack([grid, 1.0 + 0.5 * np.cos(grid)]))
+    sample = tmp_path / "s.txt"
+    run(capsys, "simulate", "--density", "vonmises:kappa=5", "--theta", THETA,
+        "--n", "500", "--seed", "7", "--out", str(sample))
+    out_csv = tmp_path / "d.csv"
+    code, _, err = run(capsys, "density", "--in", str(sample), "--out", str(out_csv),
+                       "--true", f"tabulated path={table} mu=0.25770877236478823")
+    assert code == 0, err
+    f_true = [float(line.split(",")[2]) for line in out_csv.read_text().splitlines()[1:]]
+    assert len(f_true) == 512 and np.all(np.isfinite(f_true))
+
+
 def test_fit_near_degenerate_warning(tmp_path, capsys):
     sample = tmp_path / "s.txt"
     run(capsys, "simulate", "--density", "vonmises:kappa=5",
@@ -444,9 +460,22 @@ def test_bench_requires_seed(tmp_path, capsys):
     assert "unseeded" in err
 
 
+@pytest.mark.parametrize("experiments", [",", ""])
+def test_bench_empty_experiment_list(tmp_path, capsys, experiments):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"experiment = {experiments}\ndensity = uniform\ntheta0 = {THETA}\n"
+                   "n = 100\nreps = 2\nseed = 5\n")
+    out = tmp_path / "r"
+    code, stdout, err = run(capsys, "bench", "--config", str(cfg), "--out", str(out))
+    assert (code, stdout) == (6, "")
+    assert "no experiments" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("n", "100,x"), ("n", "abc"), ("reps", "abc"), ("seed", "abc"), ("jobs", "abc"),
     ("l_max", "abc"), ("p_max", "abc"), ("lambda", "abc"),
+    ("theta0", "a,b,c"), ("theta0", "0.25,0.39"), ("theta0", "0.25,0.39,2.09,1"),
 ])
 def test_bench_bad_config_value_names_key_and_file(tmp_path, capsys, key, value):
     values = dict(experiment="mse", density="uniform", theta0=THETA, n="100", reps="2",

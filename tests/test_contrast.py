@@ -11,16 +11,16 @@ from scipy.optimize import differential_evolution, minimize_scalar
 
 from circmix import (ContrastMoments, DomainError, EstimationError, FitOptions,
                      InferenceError, MixtureParams, VonMises, WrappedCauchy,
-                     asymptotic_cov, canonicalize, contrast, contrast_value,
+                     asymptotic_cov, canonicalize,
                      degeneracy_gap, empirical_coeffs, estimate_density,
                      estimate_theta, mixture_fourier,
-                     mixture_weight, mixture_weight_grad, mixture_weight_hess,
+                     mixture_weight, mixture_weight_grad,
                      population_contrast, power_sums, sample_mixture,
                      squared_error)
 from circmix.contrast import GRID_SIZE, POWER_SUM_CHUNK
 
-from _oracles import (brute_contrast, fd_gradient, fd_jacobian, p_quadratic_by_cell, z_grads,
-                      z_hessians, z_values)
+from _oracles import (brute_contrast, fd_gradient, fd_jacobian, mixture_weight_hess,
+                      p_quadratic_by_cell, z_grads, z_hessians, z_values)
 
 THETA0 = MixtureParams(0.25, np.pi / 8, 2 * np.pi / 3)
 TWO_PI = 2.0 * np.pi
@@ -162,7 +162,7 @@ def sandwich_by_triple_sum(angles, theta):
                                         (VonMises(2.0), POWER_SUM_CHUNK + 3)])
 def test_asymptotic_cov_matches_triple_sum(density, n):
     rng = np.random.default_rng(np.random.SeedSequence([23, n]))
-    angles = sample_mixture(THETA0, density, n, rng).angles
+    angles = sample_mixture(THETA0, density, n, rng)
     for theta in (THETA0.as_array(), random_theta(rng)):
         sigma, _ = asymptotic_cov(angles, theta)
         assert_allclose(sigma, sandwich_by_triple_sum(angles, theta), rtol=1e-10)
@@ -176,7 +176,7 @@ def test_contrast_requires_two_points():
 def test_contrast_two_equal_points():
     x = np.array([1.3, 1.3])
     theta = np.array([0.3, 0.4, 2.2])
-    value = contrast_value(x, theta)
+    value = ContrastMoments(x).value(theta)
     expected = sum(float(np.imag(np.exp(1j * l * 1.3) * mixture_weight(theta, l))) ** 2
                    for l in range(-4, 5)) / (4 * math.pi ** 2)
     assert value >= 0.0
@@ -189,14 +189,14 @@ def test_contrast_matches_brute_force():
     sample = sample_mixture(THETA0, VonMises(5.0), 120, rng)
     for _ in range(5):
         theta = random_theta(rng)
-        fast = contrast_value(sample.angles, theta)
-        slow = brute_contrast(sample.angles, theta)
+        fast = ContrastMoments(sample).value(theta)
+        slow = brute_contrast(sample, theta)
         assert abs(fast - slow) <= 1e-13 * max(1.0, abs(slow))
 
 
 def test_contrast_derivatives_match_finite_differences():
     rng = np.random.default_rng(11)
-    moments = ContrastMoments(sample_mixture(THETA0, VonMises(5.0), 200, rng).angles)
+    moments = ContrastMoments(sample_mixture(THETA0, VonMises(5.0), 200, rng))
     for _ in range(10):
         theta = random_theta(rng)
         value, grad, hess = moments.value_grad_hess(theta)
@@ -213,7 +213,7 @@ def test_contrast_derivatives_match_the_pair_sums(n):
     # d/dtheta sum_{k != j} Z_k Z_j = 2 (sum dZ sum Z - sum_k dZ_k Z_k), and
     # the Hessian likewise
     rng = np.random.default_rng(np.random.SeedSequence([26, n]))
-    angles = sample_mixture(THETA0, WrappedCauchy(0.8), n, rng).angles
+    angles = sample_mixture(THETA0, WrappedCauchy(0.8), n, rng)
     moments = ContrastMoments(angles)
     scale = 2.0 / (n * (n - 1))
     for theta in (THETA0.as_array(), random_theta(rng), random_theta(rng)):
@@ -240,7 +240,7 @@ def test_contrast_keeps_its_precision_at_the_truth(case):
     # S_n must not inherit their rounding, which at n = 2e5 reaches 2e-11
     density, theta0 = PRECISION_SAMPLES[case]
     rng = np.random.default_rng(np.random.SeedSequence([27, case]))
-    moments = ContrastMoments(sample_mixture(theta0, density, 200_000, rng).angles)
+    moments = ContrastMoments(sample_mixture(theta0, density, 200_000, rng))
     n, sums, ls = moments.n, moments.power_sums, np.arange(1, 5)
     m = mixture_weight(theta0, ls)
     ref = np.sum((sums[ls] * m).imag ** 2 / (4 * np.pi ** 2)
@@ -288,7 +288,7 @@ def test_contrast_unbiased():
     values = []
     for _ in range(2000):
         s = sample_mixture(THETA0, d, 50, rng)
-        values.append(contrast_value(s.angles, theta))
+        values.append(ContrastMoments(s).value(theta))
     values = np.array(values)
     margin = 4 * values.std(ddof=1) / math.sqrt(len(values))
     assert abs(values.mean() - target) < margin
@@ -302,7 +302,7 @@ def test_contrast_variance_decay():
     target = population_contrast(theta, THETA0, f_coeffs)
     mse_by_n = {}
     for n in (50, 200, 800):
-        errs = [(contrast_value(sample_mixture(THETA0, d, n, rng).angles, theta) - target) ** 2
+        errs = [(ContrastMoments(sample_mixture(THETA0, d, n, rng)).value(theta) - target) ** 2
                 for _ in range(300)]
         mse_by_n[n] = np.mean(errs)
     assert mse_by_n[50] > mse_by_n[200] > mse_by_n[800]
@@ -332,7 +332,7 @@ def test_estimate_theta_recovers_parameters():
     err = np.abs(fit.theta_hat.as_array() - THETA0.as_array())
     assert np.all(err < 0.15)
     # minimizer never beats every visited point, in particular theta0
-    assert fit.contrast_at_min <= contrast_value(s.angles, THETA0) + 1e-15
+    assert fit.contrast_at_min <= ContrastMoments(s).value(THETA0) + 1e-15
     assert fit.converged_starts >= 1
     assert not fit.near_degenerate
     assert fit.std_errors is not None and np.all(fit.std_errors > 0)
@@ -363,7 +363,7 @@ def test_profiled_p_matches_scalar_minimization():
     # S_n is quadratic in p at fixed angles: the closed-form minimizer over
     # [p_min, p_max] agrees with a bounded search on the literal double sum
     rng = np.random.default_rng(21)
-    angles = sample_mixture(THETA0, VonMises(5.0), 30, rng).angles
+    angles = sample_mixture(THETA0, VonMises(5.0), 30, rng)
     moments = ContrastMoments(angles)
     for _ in range(20):
         alpha, beta = rng.uniform(0, np.pi, 2)
@@ -399,7 +399,7 @@ GRID_SAMPLES = {
 def test_profile_p_grid_matches_the_per_cell_quadratic(kind, n):
     density, theta0 = GRID_SAMPLES[kind]
     rng = np.random.default_rng(np.random.SeedSequence([24, n]))
-    moments = ContrastMoments(sample_mixture(theta0, density, n, rng).angles)
+    moments = ContrastMoments(sample_mixture(theta0, density, n, rng))
     opts = FitOptions()
     box = opts.box()
     alphas = np.linspace(box[1, 0], box[1, 1], GRID_SIZE)[:, None]
@@ -418,7 +418,7 @@ def test_profile_p_grid_matches_the_per_cell_quadratic(kind, n):
 
 def test_profile_p_shapes():
     rng = np.random.default_rng(25)
-    moments = ContrastMoments(sample_mixture(THETA0, VonMises(5.0), 100, rng).angles)
+    moments = ContrastMoments(sample_mixture(THETA0, VonMises(5.0), 100, rng))
     p, value = moments.profile_p(0.3, 1.2, 0.01, 0.49)
     assert np.shape(p) == np.shape(value) == ()
     alphas, betas = rng.uniform(0, np.pi, (5, 1)), rng.uniform(0, np.pi, (1, 7))
@@ -453,7 +453,7 @@ def test_fit_not_above_differential_evolution(case):
     # stochastic search over the same box
     density, theta0, n = FITTER_SAMPLES[case]
     rng = np.random.default_rng(np.random.SeedSequence([22, case]))
-    moments = ContrastMoments(sample_mixture(theta0, density, n, rng).angles)
+    moments = ContrastMoments(sample_mixture(theta0, density, n, rng))
     opts = FitOptions(compute_covariance=False)
     fit = estimate_theta(moments, opts)
     ref = differential_evolution(moments.value, opts.box(), seed=case, tol=1e-10)
@@ -488,12 +488,12 @@ def test_asymptotic_cov_properties():
     rng = np.random.default_rng(20)
     s = sample_mixture(THETA0, VonMises(5.0), 800, rng)
     fit = estimate_theta(s, FitOptions(compute_covariance=False))
-    sigma, se = asymptotic_cov(s.angles, fit.theta_hat)
+    sigma, se = asymptotic_cov(s, fit.theta_hat)
     assert_allclose(sigma, sigma.T, atol=1e-15)
     eigvals = np.linalg.eigvalsh(sigma)
     assert np.all(eigvals >= -1e-12)
     assert np.all(se > 0)
-    assert_allclose(se, np.sqrt(np.diag(sigma) / s.n))
+    assert_allclose(se, np.sqrt(np.diag(sigma) / len(s)))
 
 
 def test_asymptotic_cov_singular_raises():

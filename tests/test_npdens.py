@@ -67,7 +67,7 @@ def test_empirical_coeffs_uniform_noise_level():
 def test_empirical_coeffs_reads_the_moments():
     # moments holding P_0..P_l_max give the coefficients of the angles, bit
     # for bit; moments holding fewer sums are refused
-    x = sample_mixture(THETA0, VonMises(5.0), 300, np.random.default_rng(3)).angles
+    x = sample_mixture(THETA0, VonMises(5.0), 300, np.random.default_rng(3))
     with pytest.raises(DomainError):
         empirical_coeffs(ContrastMoments(x), THETA0, 9)
     for moments, l_max in ((ContrastMoments(x), 8), (ContrastMoments(x, 9), 9)):
@@ -414,12 +414,3 @@ def test_oracle_risk_is_the_best_l2_error():
         assert_allclose(risks[L], head + tail, rtol=1e-12)
 
 
-def test_clipped_renormalized():
-    rng = np.random.default_rng(11)
-    d = WrappedCauchy(0.8)
-    s = sample_mixture(THETA0, d, 400, rng)
-    fit = estimate_theta(s, FitOptions(compute_covariance=False))
-    est = estimate_density(s, fit)
-    x, y = est.clipped_renormalized(1024)
-    assert np.all(y >= 0)
-    assert abs(quad_integral(y) - 1.0) < 1e-12
