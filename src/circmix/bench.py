@@ -18,7 +18,7 @@ import numpy as np
 
 from .circ import MixtureParams, mixture_density, parse_density, sample_mixture
 from .contrast import ContrastMoments, FitOptions, estimate_theta, squared_error
-from .errors import EstimationError, ExperimentError
+from .errors import DomainError, EstimationError, ExperimentError
 from .npdens import default_l_max, estimate_density, l2_error
 
 EXPERIMENT_KINDS = ("mse", "normality", "density", "slope")
@@ -80,7 +80,8 @@ class ExperimentConfig:
             If a numeric value does not parse.  The message names ``source``
             (the config file), the key and the value.
         ExperimentError
-            If a key is missing or unknown, or a value is out of range.
+            If a key is missing or unknown, or a value is out of range; for
+            ``theta0`` the message names ``source``, the key and the value.
         """
         values = dict(values)
 
@@ -98,8 +99,14 @@ class ExperimentConfig:
                 raise ValueError(f"{source}: key {key!r} must be {what}, got {text!r}") from None
 
         density = pop("density", required=True)
-        p, alpha, beta = parse("theta0", pop("theta0", required=True), _three_floats,
+        theta0_raw = pop("theta0", required=True)
+        p, alpha, beta = parse("theta0", theta0_raw, _three_floats,
                                "three comma-separated numbers 'p,alpha,beta'")
+        try:
+            theta0 = MixtureParams(p, alpha, beta)
+        except DomainError as exc:
+            raise ExperimentError(f"{source}: key 'theta0' is out of range, "
+                                  f"got {theta0_raw!r}: {exc}") from None
         n_list = parse("n", str(pop("n", required=True)),
                        lambda text: tuple(int(v) for v in text.split(",")),
                        "a comma-separated list of integers")
@@ -113,7 +120,7 @@ class ExperimentConfig:
         l_max_raw = pop("l_max", None)
         cfg = cls(
             density_spec=density,
-            theta0=MixtureParams(p, alpha, beta),
+            theta0=theta0,
             n_list=n_list,
             reps=parse("reps", pop("reps", required=True), int, "an integer"),
             seed=parse("seed", seed_raw, int, "an integer"),
@@ -158,6 +165,9 @@ def _one_blas_thread():
 
 def _map_reps(config: ExperimentConfig, worker, tasks):
     if config.jobs > 1:
+        # The fits load scipy.optimize lazily; load it here, before the fork, so
+        # the workers inherit it and _one_blas_thread finds its OpenBLAS to pin
+        import scipy.optimize  # noqa: F401
         with ProcessPoolExecutor(max_workers=config.jobs, initializer=_one_blas_thread) as pool:
             return list(pool.map(worker, tasks, chunksize=1))
     return [worker(t) for t in tasks]

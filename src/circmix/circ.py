@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive
 
 from .errors import DomainError
 
@@ -160,12 +159,12 @@ class VonMises(ComponentDensity):
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.exp(self.kappa * (np.cos(x - self.mu) - 1.0)) / (TWO_PI * ive(0, self.kappa))
+        out = np.exp(self.kappa * (np.cos(x - self.mu) - 1.0)) / (TWO_PI * _ive(0, self.kappa))
         return out if out.ndim else float(out)
 
     def fourier_coeffs(self, ls) -> np.ndarray:
         ls = np.atleast_1d(ls)
-        mag = ive(np.abs(ls), self.kappa) / (TWO_PI * ive(0, self.kappa))
+        mag = _ive(np.abs(ls), self.kappa) / (TWO_PI * _ive(0, self.kappa))
         return mag * np.exp(-1j * ls * self.mu)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -174,6 +173,14 @@ class VonMises(ComponentDensity):
         if self.kappa < 1e-12:
             return rng.uniform(0.0, TWO_PI, size=n)
         return _vonmises_best_fisher(self.kappa, self.mu, n, rng)
+
+
+def _ive(order, kappa):
+    # scipy.special loads at the first von Mises pdf or coefficient, not with
+    # the package: its import is most of the start-up of commands that never
+    # evaluate one (simulate, ident, --help)
+    from scipy.special import ive
+    return ive(order, kappa)
 
 
 def _vonmises_best_fisher(kappa, mu, n, rng):

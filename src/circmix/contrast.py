@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .circ import MixtureParams, _theta_array, angular_distance, mixture_weight
 from .errors import DomainError, EstimationError, InferenceError
@@ -369,6 +368,10 @@ def estimate_theta(sample, options: FitOptions | None = None) -> FitResult:
     beta - alpha within DEGENERACY_WARN_RADIUS of a multiple of 2*pi/3 are
     flagged.  ``sample`` is an array of angles or its ContrastMoments.
     """
+    # scipy.optimize loads at the first fit, not with the package: its import
+    # is most of the start-up of every command that does not fit
+    from scipy.optimize import Bounds, minimize
+
     opts = options or FitOptions()
     moments = _as_moments(sample)
     box = opts.box()

@@ -2,10 +2,17 @@
 
 import ctypes
 import importlib
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+# The fits load scipy.optimize at their first call; loading it here maps its
+# OpenBLAS before the skipif below looks for it, whatever the collection order
+import scipy.optimize  # noqa: F401
 
 from circmix import (ExperimentError, estimate_density, estimate_theta, parse_density,
                      sample_mixture)
@@ -94,6 +101,55 @@ def test_pool_workers_use_one_blas_thread(tmp_path):
     workers = _map_reps(config(tmp_path, jobs=2), _blas_threads, [0, 1])
     assert workers == [[1] * len(before)] * 2
     assert _blas_threads() == before
+
+
+# Run as a script by a fresh interpreter: the parent imports only circmix.bench,
+# so scipy is first loaded by _map_reps or, without its preload, by the workers.
+_POOL_PROBE = """\
+import ctypes, json, sys
+
+import numpy as np
+
+from circmix import bench
+
+
+def scipy_openblas_threads():
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line[line.index("/"):].strip() for line in fh
+                        if "/libscipy_openblas" in line})
+    libs = [ctypes.CDLL(path) for path in paths]
+    return [lib.scipy_openblas_get_num_threads() for lib in libs
+            if hasattr(lib, "scipy_openblas_get_num_threads")]
+
+
+def fit_then_count(seed):
+    angles = bench.sample_mixture(bench.MixtureParams(0.25, 0.4, 2.1),
+                                  bench.parse_density("vonmises kappa=5"), 200,
+                                  np.random.default_rng(seed))
+    bench.estimate_theta(angles)
+    return scipy_openblas_threads()
+
+
+if __name__ == "__main__":
+    scipy_before = sorted(m for m in sys.modules if m.startswith("scipy"))
+    config = bench.ExperimentConfig.from_dict(dict(
+        density="uniform", theta0="0.25,0.4,2.1", n="200", reps="2", seed="1", jobs="2"))
+    print(json.dumps([scipy_before, bench._map_reps(config, fit_then_count, [0, 1])]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_pool_workers_from_fresh_interpreter_use_one_blas_thread(tmp_path):
+    script = tmp_path / "pool_probe.py"
+    script.write_text(_POOL_PROBE)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script)], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300, check=True)
+    scipy_before, workers = json.loads(proc.stdout)
+    assert scipy_before == []
+    assert len(workers) == 2 and all(workers)
+    assert all(threads == [1] * len(threads) for threads in workers)
 
 
 def test_mse_csv_schema(tmp_path):

@@ -2,10 +2,15 @@
 
 import contextlib
 import io
+import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from circmix import (MixtureParams, VonMises, cli, estimate_density, estimate_th
 from circmix.cli import main
 
 THETA = "0.25,0.3927,2.0944"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -489,6 +495,19 @@ def test_bench_bad_config_value_names_key_and_file(tmp_path, capsys, key, value)
     assert err.endswith(f", got {value!r}\n")
 
 
+@pytest.mark.parametrize("value", ["2,0,1", "-0.1,0,1", "0.2,inf,1"])
+def test_bench_theta0_out_of_range_names_key_and_file(tmp_path, capsys, value):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"experiment = mse\ndensity = uniform\ntheta0 = {value}\n"
+                   "n = 100\nreps = 2\nseed = 5\n")
+    out = tmp_path / "r"
+    code, stdout, err = run(capsys, "bench", "--config", str(cfg), "--out", str(out))
+    assert (code, stdout) == (6, "")
+    assert err.startswith(f"experiment error: {cfg}: key 'theta0' is out of range, "
+                          f"got {value!r}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-4"])
 def test_bench_jobs_below_one(tmp_path, capsys, jobs):
     # the flag is a usage error, checked before the config is read; in the
@@ -506,3 +525,52 @@ def test_bench_jobs_below_one(tmp_path, capsys, jobs):
     assert code == 6
     assert "jobs" in err
     assert not (tmp_path / "r").exists()
+
+
+def _fresh_interpreter(module, argv=None):
+    """Import ``module`` in a fresh interpreter and, given ``argv``, run
+    ``cli.main(argv)`` there with its output discarded.  Returns the exit code
+    (None without argv) and the sorted names of the loaded scipy modules."""
+    script = textwrap.dedent(f"""\
+        import contextlib, io, json, sys
+        import {module}
+        code = None
+        if {argv!r} is not None:
+            from circmix.cli import main
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                code = main({argv!r})
+        print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+        """)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    return tuple(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("module, argv, expected_code", [
+    ("circmix", None, None),
+    ("circmix.cli", None, None),
+    ("circmix.cli", ["simulate", "--density", "vonmises:kappa=5", "--theta", THETA,
+                     "--n", "100", "--seed", "1"], 0),
+    ("circmix.cli", ["simulate", "--density", "wrappedcauchy:gamma=0.8", "--theta", THETA,
+                     "--n", "100", "--seed", "1"], 0),
+    ("circmix.cli", ["ident", "--theta", "0.4,0,2.0944"], 0),
+    ("circmix.cli", ["--help"], 0),
+    ("circmix.cli", ["fit", "--pmax", "x"], 2),
+], ids=["import-circmix", "import-cli", "simulate-vm", "simulate-wc", "ident", "help",
+        "bad-flag"])
+def test_commands_that_do_not_fit_load_no_scipy(module, argv, expected_code):
+    # scipy's import is most of a command's start-up, so it loads only where
+    # a fit or a von Mises pdf or coefficient needs it
+    assert _fresh_interpreter(module, argv) == (expected_code, [])
+
+
+def test_fit_loads_the_optimizer(tmp_path):
+    path = tmp_path / "s.txt"
+    angles = sample_mixture(MixtureParams(0.25, 0.3927, 2.0944),
+                            parse_density("vonmises:kappa=5"), 500, np.random.default_rng(3))
+    np.savetxt(path, angles)
+    code, modules = _fresh_interpreter("circmix.cli", ["fit", "--in", str(path)])
+    assert code == 0
+    assert "scipy.optimize" in modules
