@@ -19,7 +19,7 @@ import numpy as np
 from .circ import MixtureParams, mixture_density, parse_density, sample_mixture
 from .contrast import ContrastMoments, FitOptions, estimate_theta, squared_error
 from .errors import DomainError, EstimationError, ExperimentError
-from .npdens import default_l_max, estimate_density, l2_error
+from .npdens import _check_settings, _weight_floor, default_l_max, estimate_density, l2_error
 
 EXPERIMENT_KINDS = ("mse", "normality", "density", "slope")
 _STREAM_TAG = {kind: i for i, kind in enumerate(EXPERIMENT_KINDS)}
@@ -81,7 +81,10 @@ class ExperimentConfig:
             (the config file), the key and the value.
         ExperimentError
             If a key is missing or unknown, or a value is out of range; for
-            ``theta0`` the message names ``source``, the key and the value.
+            ``theta0``, ``p_max``, ``l_max`` and ``lambda`` the message names
+            ``source``, the key and the value.  ``p_max`` must lie below 1/2
+            only when a density or slope experiment is listed, as the fit
+            alone accepts a larger one.
         """
         values = dict(values)
 
@@ -98,15 +101,18 @@ class ExperimentConfig:
             except ValueError:
                 raise ValueError(f"{source}: key {key!r} must be {what}, got {text!r}") from None
 
+        def check(key, text, accept, *args, **kwargs):
+            try:
+                return accept(*args, **kwargs)
+            except DomainError as exc:
+                raise ExperimentError(f"{source}: key {key!r} is out of range, "
+                                      f"got {text!r}: {exc}") from None
+
         density = pop("density", required=True)
         theta0_raw = pop("theta0", required=True)
-        p, alpha, beta = parse("theta0", theta0_raw, _three_floats,
-                               "three comma-separated numbers 'p,alpha,beta'")
-        try:
-            theta0 = MixtureParams(p, alpha, beta)
-        except DomainError as exc:
-            raise ExperimentError(f"{source}: key 'theta0' is out of range, "
-                                  f"got {theta0_raw!r}: {exc}") from None
+        theta0 = check("theta0", theta0_raw, MixtureParams,
+                       *parse("theta0", theta0_raw, _three_floats,
+                              "three comma-separated numbers 'p,alpha,beta'"))
         n_list = parse("n", str(pop("n", required=True)),
                        lambda text: tuple(int(v) for v in text.split(",")),
                        "a comma-separated list of integers")
@@ -114,10 +120,18 @@ class ExperimentConfig:
         if seed_raw is None:
             raise ExperimentError("bench experiments refuse to run unseeded; set seed")
         experiments = tuple(v.strip() for v in str(pop("experiment", "mse")).split(",") if v.strip())
+        p_max_raw = pop("p_max", 0.49)
+        p_max = parse("p_max", p_max_raw, float, "a number")
+        check("p_max", p_max_raw, FitOptions, p_max=p_max)
+        if {"density", "slope"} & set(experiments):
+            check("p_max", p_max_raw, _weight_floor, p_max)
+        l_max_raw = pop("l_max", None)
+        l_max = None if l_max_raw is None else parse("l_max", l_max_raw, int, "an integer")
+        check("l_max", l_max_raw, _check_settings, l_max=l_max)
         penalty_raw = pop("lambda", "slope")
         penalty = (None if str(penalty_raw).lower() == "slope"
                    else parse("lambda", penalty_raw, float, "a number or 'slope'"))
-        l_max_raw = pop("l_max", None)
+        check("lambda", penalty_raw, _check_settings, penalty=penalty)
         cfg = cls(
             density_spec=density,
             theta0=theta0,
@@ -125,8 +139,8 @@ class ExperimentConfig:
             reps=parse("reps", pop("reps", required=True), int, "an integer"),
             seed=parse("seed", seed_raw, int, "an integer"),
             experiments=experiments,
-            p_max=parse("p_max", pop("p_max", 0.49), float, "a number"),
-            l_max=None if l_max_raw is None else parse("l_max", l_max_raw, int, "an integer"),
+            p_max=p_max,
+            l_max=l_max,
             penalty=penalty,
             jobs=parse("jobs", pop("jobs", 1), int, "an integer"),
             outdir=str(pop("out", ".")),

@@ -143,7 +143,10 @@ class VonMises(ComponentDensity):
 
     Evaluated with the scaled Bessel function ive(l, kappa) = I_l(kappa)
     e^{-kappa}, so neither the density nor the coefficients overflow at
-    large kappa.
+    large kappa.  Samples come from numpy's ``Generator.vonmises``, the
+    Best-Fisher (1979) rejection sampler with a wrapped-normal path above
+    kappa = 1e6, except that kappa < 1e-12 draws uniform angles on
+    [0, 2*pi).
     """
 
     kappa: float
@@ -172,7 +175,8 @@ class VonMises(ComponentDensity):
             raise DomainError("sample size must be >= 1")
         if self.kappa < 1e-12:
             return rng.uniform(0.0, TWO_PI, size=n)
-        return _vonmises_best_fisher(self.kappa, self.mu, n, rng)
+        angles = rng.vonmises(self.mu, self.kappa, size=n)
+        return normalize_into(angles, angles)
 
 
 def _ive(order, kappa):
@@ -181,32 +185,6 @@ def _ive(order, kappa):
     # evaluate one (simulate, ident, --help)
     from scipy.special import ive
     return ive(order, kappa)
-
-
-def _vonmises_best_fisher(kappa, mu, n, rng):
-    # Best-Fisher wrapped-Cauchy envelope rejection sampler.
-    tau = 1.0 + math.sqrt(1.0 + 4.0 * kappa * kappa)
-    rho = (tau - math.sqrt(2.0 * tau)) / (2.0 * kappa)
-    r = (1.0 + rho * rho) / (2.0 * rho)
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = max(n - filled, 16)
-        u1 = rng.random(m)
-        u2 = rng.random(m)
-        u3 = rng.random(m)
-        z = np.cos(math.pi * u1)
-        f = (1.0 + r * z) / (r + z)
-        c = kappa * (r - f)
-        accept = (c * (2.0 - c) - u2 > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            accept |= (np.log(c / u2) + 1.0 - c >= 0.0)
-        f_acc = f[accept]
-        signs = np.where(u3[accept] < 0.5, -1.0, 1.0)
-        take = min(len(f_acc), n - filled)
-        out[filled:filled + take] = mu + signs[:take] * np.arccos(np.clip(f_acc[:take], -1.0, 1.0))
-        filled += take
-    return normalize(out)
 
 
 @dataclass(frozen=True, repr=False)

@@ -56,6 +56,14 @@ def test_config_rejects_jobs_below_one(tmp_path, jobs):
         config(tmp_path, jobs=jobs)
 
 
+def test_config_p_max_above_half_only_for_the_fit(tmp_path):
+    # the fit accepts p_max >= 1/2; the density stage needs p_max < 1/2
+    assert config(tmp_path, p_max=0.7).p_max == 0.7
+    for kind in ("density", "slope"):
+        with pytest.raises(ExperimentError, match="key 'p_max' is out of range"):
+            config(tmp_path, p_max=0.7, n=200, experiment=f"mse,{kind}")
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ExperimentError):
         ExperimentConfig.from_dict(

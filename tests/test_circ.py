@@ -217,6 +217,20 @@ def test_samplers_match_exact_coefficients():
             assert abs(emp - d.fourier_coeff(l)) < bound
 
 
+@pytest.mark.parametrize("kappa, seed", [(300.0, 104), (1e7, 105)])
+def test_vonmises_sampler_matches_exact_coefficients_at_large_kappa(kappa, seed):
+    # numpy's rejection loop at kappa = 300 and its wrapped-normal path above
+    # kappa = 1e6; e^{-ilX} has variance 1 - |2 pi c_l|^2, so the CLT-scale
+    # bound shrinks with the spread
+    n = 100000
+    d = VonMises(kappa)
+    x = d.sample(n, np.random.default_rng(seed))
+    for l in range(1, 5):
+        exact = d.fourier_coeff(l)
+        emp = np.mean(np.exp(-1j * l * x)) / TWO_PI
+        assert abs(emp - exact) < 4.0 * math.sqrt((1.0 - abs(TWO_PI * exact) ** 2) / n) / TWO_PI
+
+
 def test_tabulated_sampler():
     grid = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
     d = Tabulated(np.exp(1.5 * np.cos(grid)))

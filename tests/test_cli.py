@@ -68,15 +68,30 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-def test_simulate_memory_per_angle(tmp_path):
+@pytest.mark.parametrize("density", ["wrappedcauchy:gamma=0.8", "vonmises:kappa=5"])
+def test_simulate_memory_per_angle(tmp_path, density):
     # the sampler's arrays and one block of text; the whole text is ~90 B/angle
     n = 200_000
-    args = cli.build_parser().parse_args(["simulate", "--density", "wrappedcauchy:gamma=0.8",
+    args = cli.build_parser().parse_args(["simulate", "--density", density,
                                           "--theta", THETA, "--n", str(n), "--seed", "1",
                                           "--out", str(tmp_path / "s.txt")])
     peak, code = _peak_bytes(cli.cmd_simulate, args)
     assert code == 0
     assert peak / n <= 32, peak / n
+
+
+@pytest.mark.parametrize("kappa", ["1e17", "1e200"])
+def test_simulate_ends_at_large_kappa(kappa):
+    # run in a subprocess with a timeout, so a sampler that never ends fails
+    # the test instead of hanging it
+    argv = ["simulate", "--density", f"vonmises kappa={kappa}", "--theta", THETA,
+            "--n", "100", "--seed", "1"]
+    proc = subprocess.run([sys.executable, "-m", "circmix.cli", *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    angles = np.array(proc.stdout.split(), dtype=float)
+    assert len(angles) == 100
+    assert np.isfinite(angles).all()
 
 
 def test_read_angles_memory_per_angle(tmp_path):
@@ -508,6 +523,22 @@ def test_bench_theta0_out_of_range_names_key_and_file(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("p_max", "0.7"), ("p_max", "nan"), ("l_max", "-1"), ("lambda", "-1"), ("lambda", "nan"),
+])
+def test_bench_setting_out_of_range_names_key_and_file(tmp_path, capsys, key, value):
+    # checked with the config, before any experiment runs or writes its file
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"experiment = mse,density\ndensity = uniform\ntheta0 = {THETA}\n"
+                   f"n = 100\nreps = 2\nseed = 5\n{key} = {value}\n")
+    out = tmp_path / "r"
+    code, stdout, err = run(capsys, "bench", "--config", str(cfg), "--out", str(out))
+    assert (code, stdout) == (6, "")
+    assert err.startswith(f"experiment error: {cfg}: key {key!r} is out of range, "
+                          f"got {value!r}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-4"])
 def test_bench_jobs_below_one(tmp_path, capsys, jobs):
     # the flag is a usage error, checked before the config is read; in the
@@ -527,6 +558,12 @@ def test_bench_jobs_below_one(tmp_path, capsys, jobs):
     assert not (tmp_path / "r").exists()
 
 
+def _src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def _fresh_interpreter(module, argv=None):
     """Import ``module`` in a fresh interpreter and, given ``argv``, run
     ``cli.main(argv)`` there with its output discarded.  Returns the exit code
@@ -542,8 +579,7 @@ def _fresh_interpreter(module, argv=None):
                 code = main({argv!r})
         print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
         """)
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                           capture_output=True, text=True, timeout=120, check=True)
     return tuple(json.loads(proc.stdout))
 
