@@ -5,7 +5,8 @@ outputs differ.
 
 OLD_SRC and NEW_SRC are ``src`` directories, each holding a ``circmix``
 package: say the ``src`` of a second checkout at the parent commit, and
-``src`` of this one.  For each density the list runs ``simulate``, ``fit``,
+``src`` of this one.  For each density the list runs ``simulate`` (to a
+file, and to stdout in one and in four 16384-line blocks), ``fit``,
 ``density``, ``slope``, ``ident``, and two ``bench`` configs at
 ``--jobs 1`` and ``--jobs 2``.  Each command runs as its own
 ``python -m circmix.cli`` process in a work directory of its tree, with
@@ -57,6 +58,8 @@ def _commands(tag: str, spec: str) -> list:
         ["simulate", "--density", spec, "--theta", THETA, "--n", "16385", "--seed", "4",
          "--out", big],
         ["simulate", "--density", spec, "--theta", "0,0.3,2.1", "--n", "20", "--seed", "5"],
+        ["simulate", "--density", spec, "--theta", THETA, "--n", str(3 * 16384 + 5),
+         "--seed", "6"],
         ["fit", "--in", sample],
         ["fit", "--in", big, "--format", "csv", "--no-cov", "--out", f"{tag}-fit.csv"],
         ["density", "--in", sample, "--true", spec, "--out", f"{tag}-density.csv",

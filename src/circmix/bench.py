@@ -8,10 +8,8 @@ are aggregated in replication order.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,6 +169,7 @@ def _one_blas_thread():
             paths = {line[line.index("/"):].strip() for line in fh if "/libscipy_openblas" in line}
     except OSError:
         return
+    import ctypes
     for path in paths:
         lib = ctypes.CDLL(path)
         if hasattr(lib, "scipy_openblas_set_num_threads"):
@@ -180,7 +179,9 @@ def _one_blas_thread():
 def _map_reps(config: ExperimentConfig, worker, tasks):
     if config.jobs > 1:
         # The fits load scipy.optimize lazily; load it here, before the fork, so
-        # the workers inherit it and _one_blas_thread finds its OpenBLAS to pin
+        # the workers inherit it and _one_blas_thread finds its OpenBLAS to pin.
+        # The process pool, and with it multiprocessing, loads only here too.
+        from concurrent.futures import ProcessPoolExecutor
         import scipy.optimize  # noqa: F401
         with ProcessPoolExecutor(max_workers=config.jobs, initializer=_one_blas_thread) as pool:
             return list(pool.map(worker, tasks, chunksize=1))

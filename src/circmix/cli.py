@@ -158,7 +158,8 @@ def cmd_simulate(args) -> int:
     with _output(args.out) as fh:
         for start in range(0, len(angles), POWER_SUM_CHUNK):
             block = angles[start:start + POWER_SUM_CHUNK].tolist()
-            fh.write("".join([f"{x:.12g}\n" for x in block]))
+            # one %-format per block: the text of an f"{x:.12g}\n" per angle, in less time
+            fh.write(("%.12g\n" * len(block)) % tuple(block))
     return EXIT_OK
 
 

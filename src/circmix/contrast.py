@@ -260,7 +260,14 @@ N_POLISH = 3
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Search box of the minimization of S_n, and whether to estimate the covariance."""
+    """Search box of the minimization of S_n, and whether to estimate the covariance.
+
+    Raises
+    ------
+    DomainError
+        Unless every bound is finite, 0 < p_min <= p_max <= 1 and
+        angle_min < angle_max.
+    """
 
     p_min: float = 0.01
     p_max: float = 0.49
@@ -269,8 +276,11 @@ class FitOptions:
     compute_covariance: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.p_min <= self.p_max:
-            raise DomainError("fit box requires 0 < p_min <= p_max")
+        bounds = (self.p_min, self.p_max, self.angle_min, self.angle_max)
+        if not all(math.isfinite(b) for b in bounds):
+            raise DomainError(f"fit box bounds must be finite, got {bounds}")
+        if not 0.0 < self.p_min <= self.p_max <= 1.0:
+            raise DomainError("fit box requires 0 < p_min <= p_max <= 1")
         if not self.angle_min < self.angle_max:
             raise DomainError("fit box requires angle_min < angle_max")
 

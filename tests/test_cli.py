@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from circmix import (MixtureParams, VonMises, cli, estimate_density, estimate_theta,
                      normalize, parse_density, penalty_floor, sample_mixture)
 from circmix.cli import main
+from circmix.contrast import POWER_SUM_CHUNK as CHUNK
 
 THETA = "0.25,0.3927,2.0944"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -44,14 +45,15 @@ def test_simulate_count_and_determinism(tmp_path, capsys):
     assert np.all((values >= 0) & (values < 2 * np.pi))
 
 
-@pytest.mark.parametrize("n", [1, 16383, 16384, 16385])
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
 @pytest.mark.parametrize("density", ["vonmises:kappa=5", "wrappedcauchy:gamma=0.8",
                                      "wrappednormal:rho=0.7", "uniform"])
 def test_simulate_writes_one_line_per_angle(tmp_path, capsys, density, n):
-    # written block by block, the text is still that of the whole sample joined
+    # formatted and written a block at a time, the text is still each angle's
+    # format(x, ".12g") on its own line
     angles = sample_mixture(MixtureParams(0.25, 0.3927, 2.0944), parse_density(density), n,
                             np.random.default_rng(11))
-    expected = "\n".join(f"{x:.12g}" for x in angles) + "\n"
+    expected = "".join(format(x, ".12g") + "\n" for x in angles)
     out = tmp_path / "s.txt"
     argv = ["simulate", "--density", density, "--theta", THETA, "--n", str(n), "--seed", "11"]
     assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
@@ -289,6 +291,10 @@ def test_fit_output_ignores_seed(tmp_path, capsys):
     ("slope", "--pmax", "0.5"),
     ("fit", "--pmax", "0"),
     ("density", "--lmax", "-1"),
+    ("fit", "--pmax", "inf"),
+    ("fit", "--pmax", "2"),
+    ("fit", "--box", "0.01,0.49,0,inf,0,inf"),
+    ("fit", "--box", "0.01,0.49,-inf,1,-inf,1"),
 ])
 def test_bad_fit_flags_are_usage_errors(tmp_path, capsys, flags):
     # flags are checked before the file is read, so a one-angle file, which
@@ -539,6 +545,20 @@ def test_bench_setting_out_of_range_names_key_and_file(tmp_path, capsys, key, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "2"])
+def test_bench_fit_p_max_out_of_range_names_key_and_file(tmp_path, capsys, value):
+    # with no density stage listed, the fit's own box check rejects the value
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"experiment = mse\ndensity = uniform\ntheta0 = {THETA}\n"
+                   f"n = 100\nreps = 2\nseed = 5\np_max = {value}\n")
+    out = tmp_path / "r"
+    code, stdout, err = run(capsys, "bench", "--config", str(cfg), "--out", str(out))
+    assert (code, stdout) == (6, "")
+    assert err.startswith(f"experiment error: {cfg}: key 'p_max' is out of range, "
+                          f"got {value!r}: fit box ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-4"])
 def test_bench_jobs_below_one(tmp_path, capsys, jobs):
     # the flag is a usage error, checked before the config is read; in the
@@ -564,10 +584,11 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
-def _fresh_interpreter(module, argv=None):
+def _fresh_interpreter(module, argv=None, prefixes=("scipy",)):
     """Import ``module`` in a fresh interpreter and, given ``argv``, run
     ``cli.main(argv)`` there with its output discarded.  Returns the exit code
-    (None without argv) and the sorted names of the loaded scipy modules."""
+    (None without argv) and the sorted names of the loaded modules that start
+    with one of ``prefixes``, scipy's by default."""
     script = textwrap.dedent(f"""\
         import contextlib, io, json, sys
         import {module}
@@ -577,7 +598,7 @@ def _fresh_interpreter(module, argv=None):
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
                 code = main({argv!r})
-        print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+        print(json.dumps([code, sorted(m for m in sys.modules if m.startswith({prefixes!r}))]))
         """)
     proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                           capture_output=True, text=True, timeout=120, check=True)
@@ -610,3 +631,28 @@ def test_fit_loads_the_optimizer(tmp_path):
     code, modules = _fresh_interpreter("circmix.cli", ["fit", "--in", str(path)])
     assert code == 0
     assert "scipy.optimize" in modules
+
+
+_PROCESS_POOL = ("multiprocessing", "concurrent.futures.process")
+
+
+def test_only_bench_with_jobs_loads_the_process_pool(tmp_path):
+    # every command would pay the pool's import (multiprocessing, socket,
+    # subprocess), which only bench with more than one worker needs
+    sample, cfg = tmp_path / "s.txt", tmp_path / "c.cfg"
+    np.savetxt(sample, sample_mixture(MixtureParams(0.25, 0.3927, 2.0944),
+                                      parse_density("vonmises:kappa=5"), 300,
+                                      np.random.default_rng(3)))
+    cfg.write_text(f"experiment = mse\ndensity = uniform\ntheta0 = {THETA}\n"
+                   "n = 100\nreps = 2\nseed = 5\n")
+    bench = ["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]
+    for argv in (None,
+                 ["simulate", "--density", "wrappedcauchy:gamma=0.8", "--theta", THETA,
+                  "--n", "100", "--seed", "1"],
+                 ["fit", "--in", str(sample)],
+                 bench + ["--jobs", "1"]):
+        expected = (None if argv is None else 0, [])
+        assert _fresh_interpreter("circmix.cli", argv, _PROCESS_POOL) == expected, argv
+    code, modules = _fresh_interpreter("circmix.cli", bench + ["--jobs", "2"], _PROCESS_POOL)
+    assert code == 0
+    assert "concurrent.futures.process" in modules

@@ -168,6 +168,19 @@ def test_asymptotic_cov_matches_triple_sum(density, n):
         assert_allclose(sigma, sandwich_by_triple_sum(angles, theta), rtol=1e-10)
 
 
+@pytest.mark.parametrize("bounds", [
+    dict(p_max=math.inf), dict(p_max=2.0), dict(p_min=math.nan),
+    dict(angle_max=math.inf), dict(angle_min=-math.inf), dict(angle_max=math.nan),
+])
+def test_fit_options_reject_non_finite_or_p_above_one(bounds):
+    with pytest.raises(DomainError, match="fit box"):
+        FitOptions(**bounds)
+
+
+def test_fit_options_accept_p_max_one():
+    assert FitOptions(p_max=1.0).box()[0, 1] == 1.0
+
+
 def test_contrast_requires_two_points():
     with pytest.raises(DomainError):
         ContrastMoments(np.array([1.0]))
