@@ -7,7 +7,8 @@ OLD_SRC and NEW_SRC are ``src`` directories, each holding a ``circmix``
 package: say the ``src`` of a second checkout at the parent commit, and
 ``src`` of this one.  For each density the list runs ``simulate`` (to a
 file, and to stdout in one and in four 16384-line blocks), ``fit``,
-``density``, ``slope``, ``ident``, and two ``bench`` configs at
+``density`` (with the weight cap also set by ``--pmax`` and by ``--box``),
+``slope``, ``ident``, and two ``bench`` configs at
 ``--jobs 1`` and ``--jobs 2``.  Each command runs as its own
 ``python -m circmix.cli`` process in a work directory of its tree, with
 relative paths, so the two trees see the same command lines.
@@ -66,6 +67,11 @@ def _commands(tag: str, spec: str) -> list:
          "--coeffs-out", f"{tag}-coeffs.csv"],
         ["density", "--in", big, "--lambda", "1", "--lmax", "20", "--grid", "7",
          "--out", f"{tag}-density2.csv"],
+        # the density stage's weight cap, taken from --pmax and from --box
+        ["density", "--in", sample, "--pmax", "0.3", "--true", spec,
+         "--out", f"{tag}-density-pmax.csv"],
+        ["density", "--in", sample, "--box", "0.01,0.3,0,3.1415,0,3.1415", "--true", spec,
+         "--out", f"{tag}-density-box.csv"],
         ["slope", "--in", sample, "--out", f"{tag}-slope.csv"],
         ["ident", "--theta", "0.4,0,2.0944", "--density", spec, "--out", f"{tag}-ident.csv"],
     ]

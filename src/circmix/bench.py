@@ -33,7 +33,7 @@ class ExperimentConfig:
     reps: int
     seed: int
     experiments: tuple = ("mse",)
-    p_max: float = 0.49
+    p_max: float = FitOptions.p_max
     l_max: int | None = None
     penalty: float | None = None  # None -> slope heuristic
     jobs: int = 1
@@ -53,6 +53,8 @@ class ExperimentConfig:
         unknown = set(self.experiments) - set(EXPERIMENT_KINDS)
         if unknown:
             raise ExperimentError(f"unknown experiments: {sorted(unknown)}")
+        for kind in self.experiments:
+            _check_experiment(self, kind)
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -118,7 +120,7 @@ class ExperimentConfig:
         if seed_raw is None:
             raise ExperimentError("bench experiments refuse to run unseeded; set seed")
         experiments = tuple(v.strip() for v in str(pop("experiment", "mse")).split(",") if v.strip())
-        p_max_raw = pop("p_max", 0.49)
+        p_max_raw = pop("p_max", FitOptions.p_max)
         p_max = parse("p_max", p_max_raw, float, "a number")
         check("p_max", p_max_raw, FitOptions, p_max=p_max)
         if {"density", "slope"} & set(experiments):
@@ -151,6 +153,14 @@ class ExperimentConfig:
         return FitOptions(p_max=self.p_max, compute_covariance=covariance)
 
 
+def _check_experiment(config: ExperimentConfig, kind: str) -> None:
+    """Raise ExperimentError unless the config can run experiment ``kind``."""
+    if kind in ("density", "slope") and len(config.n_list) != 1:
+        raise ExperimentError(f"{kind} experiments use a single sample size")
+    if kind == "normality" and config.reps < 50:
+        raise ExperimentError("normality experiments need reps >= 50")
+
+
 def _three_floats(text: str) -> tuple:
     p, alpha, beta = (float(v) for v in text.split(","))  # a wrong count raises ValueError too
     return p, alpha, beta
@@ -177,13 +187,15 @@ def _one_blas_thread():
 
 
 def _map_reps(config: ExperimentConfig, worker, tasks):
-    if config.jobs > 1:
+    # a forked pool starts all its workers at once: start no more than there are tasks
+    workers = min(config.jobs, len(tasks))
+    if workers > 1:
         # The fits load scipy.optimize lazily; load it here, before the fork, so
         # the workers inherit it and _one_blas_thread finds its OpenBLAS to pin.
         # The process pool, and with it multiprocessing, loads only here too.
         from concurrent.futures import ProcessPoolExecutor
         import scipy.optimize  # noqa: F401
-        with ProcessPoolExecutor(max_workers=config.jobs, initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             return list(pool.map(worker, tasks, chunksize=1))
     return [worker(t) for t in tasks]
 
@@ -270,8 +282,7 @@ def run_normality(config: ExperimentConfig):
     Emits per-replication raw errors and standardized values; returns
     per-coordinate summaries.  Covariance failures beyond 10% abort.
     """
-    if config.reps < 50:
-        raise ExperimentError("normality experiments need reps >= 50")
+    _check_experiment(config, "normality")
     csv_rows = []
     summaries = []
     raw_by_n = {}
@@ -303,16 +314,14 @@ def _fit_and_density(config: ExperimentConfig, kind: str, penalty=None):
     """The one replication of a density or slope experiment: its true
     density, fit and density estimate, both stages read from one power-sum
     pass over the sample, as ``circmix density`` does."""
-    if len(config.n_list) != 1:
-        raise ExperimentError(f"{kind} experiments use a single sample size")
+    _check_experiment(config, kind)
     n = config.n_list[0]
     density = parse_density(config.density_spec)
     angles = sample_mixture(config.theta0, density, n, _rep_rng(config, kind, n, 0))
     l_max = default_l_max(n) if config.l_max is None else config.l_max
     moments = ContrastMoments(angles, l_max)
     fit = estimate_theta(moments, config.fit_options(covariance=False))
-    estimate = estimate_density(moments, fit, l_max=l_max, penalty=penalty,
-                                p_cap=config.p_max)
+    estimate = estimate_density(moments, fit, l_max=l_max, penalty=penalty)
     return density, fit, estimate
 
 

@@ -3,9 +3,9 @@
 Subcommands: simulate, fit, density, bench, slope, ident.  Sample files are
 newline-delimited angles in radians; all diagnostics go to stderr.
 
-Exit codes: 0 success; 2 usage / bad flag or spec; 3 unreadable or
-malformed input file; 4 estimation failure; 5 inference (covariance)
-failure; 6 experiment or calibration failure.
+Exit codes: 0 success; 2 usage / bad flag or spec; 3 a file that cannot be
+read or written, or a malformed input file; 4 estimation failure; 5 inference
+(covariance) failure; 6 experiment or calibration failure.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class _CliUsage(CircmixError):
     pass
 
 
-def _parse_theta(text: str, degrees: bool, p_cap: float = 0.5) -> MixtureParams:
+def _parse_theta(text: str, degrees: bool, p_limit: float = 0.5) -> MixtureParams:
     parts = text.split(",")
     if len(parts) != 3:
         raise _CliUsage("theta must be 'p,alpha,beta'")
@@ -49,8 +49,8 @@ def _parse_theta(text: str, degrees: bool, p_cap: float = 0.5) -> MixtureParams:
         raise _CliUsage(f"theta components must be numeric: {text!r}") from exc
     if degrees:
         alpha, beta = math.radians(alpha), math.radians(beta)
-    if not 0.0 <= p < p_cap:
-        raise _CliUsage(f"p must lie in [0, {p_cap:g}), got {p}")
+    if not 0.0 <= p < p_limit:
+        raise _CliUsage(f"p must lie in [0, {p_limit:g}), got {p}")
     return MixtureParams(p, normalize(alpha), normalize(beta))
 
 
@@ -76,7 +76,7 @@ def _read_angles(path: str) -> np.ndarray:
         with open(path) as fh:
             lines = [line.strip() for line in fh]
     except OSError as exc:
-        raise FileNotFoundError(f"cannot read sample file {path}: {exc}") from exc
+        raise OSError(f"cannot read sample file {path}: {exc}") from exc
     values = []
     for i, line in enumerate(lines, 1):
         if not line:
@@ -121,15 +121,15 @@ def _fit_options(args, covariance: bool) -> FitOptions:
 def _fit_and_density(args, penalty=None):
     """The fit and the density estimate of ``density`` and ``slope``, both read
     from one power-sum pass over the sample file, which is read only once the
-    density stage has accepted p_cap, the penalty and --lmax."""
+    density stage has accepted the fit's p_max, the penalty and --lmax."""
     options = _fit_options(args, covariance=False)
-    _weight_floor(options.p_max)  # the density stage's p_cap is the fit's p_max
+    _weight_floor(options.p_max)  # the density stage's weight cap is the fit's p_max
     _check_settings(args.lmax, penalty)
     angles = _read_sample(args.infile)
     l_max = default_l_max(len(angles)) if args.lmax is None else args.lmax
     moments = ContrastMoments(angles, l_max)
     fit = estimate_theta(moments, options)
-    return estimate_density(moments, fit, l_max=l_max, penalty=penalty, p_cap=options.p_max)
+    return estimate_density(moments, fit, l_max=l_max, penalty=penalty)
 
 
 @contextlib.contextmanager
@@ -252,7 +252,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_ident(args) -> int:
-    theta = _parse_theta(args.theta, args.degrees, p_cap=1.0)
+    theta = _parse_theta(args.theta, args.degrees, p_limit=1.0)
     density = parse_density(args.density) if args.density else None
     # CLI inputs are typically rounded, so the default classification
     # tolerance here is looser than the library's exact 1e-9.
@@ -344,7 +344,7 @@ def _add_fit_flags(sub):
     sub.add_argument("--seed", type=int, default=0,
                      help="no effect: the fit is deterministic; kept so that command "
                           "lines passing it, as the README examples do, still run")
-    sub.add_argument("--pmax", type=float, default=0.49,
+    sub.add_argument("--pmax", type=float, default=FitOptions.p_max,
                      help="largest mixing weight searched; density and slope need "
                           "it below 1/2")
     sub.add_argument("--box", default=None,
@@ -362,7 +362,7 @@ def main(argv=None) -> int:
     except (_CliUsage, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except EstimationError as exc:

@@ -297,7 +297,7 @@ class FitResult:
     """Outcome of estimate_theta.
 
     ``n_starts`` counts the grid minima polished and ``converged_starts``
-    those whose polish converged.
+    those whose polish converged.  ``options`` holds the box searched.
 
     ``sigma_hat`` is the asymptotic covariance of sqrt(n) (theta_hat - theta0)
     and ``std_errors`` the standard errors of theta_hat; both are None when
@@ -310,6 +310,7 @@ class FitResult:
     n: int
     converged_starts: int
     near_degenerate: bool
+    options: FitOptions
     sigma_hat: np.ndarray | None = None
     std_errors: np.ndarray | None = None
     inference_warning: str | None = None
@@ -418,6 +419,7 @@ def estimate_theta(sample, options: FitOptions | None = None) -> FitResult:
         n=n,
         converged_starts=converged,
         near_degenerate=degeneracy_gap(theta_hat) < DEGENERACY_WARN_RADIUS,
+        options=opts,
     )
     if opts.compute_covariance:
         try:

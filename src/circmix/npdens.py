@@ -14,11 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circ import ComponentDensity, MixtureParams, Tabulated, TWO_PI, mixture_weight
-from .contrast import ContrastMoments, power_sums
+from .contrast import ContrastMoments, FitOptions, FitResult, power_sums
 from .errors import CalibrationError, DegeneracyError, DomainError
-
-#: Default cap on the mixing weight; |M^l| is bounded below by 1 - 2*p_cap.
-DEFAULT_P_CAP = 0.49
 
 
 def _weight_floor(p_cap: float) -> float:
@@ -66,6 +63,7 @@ class EmpiricalCoeffs:
     n: int
     theta_used: MixtureParams
     l_max: int
+    p_cap: float  # the weight cap: |M^l| >= 1 - 2*p_cap
 
     def g(self, l: int) -> complex:
         return complex(self.g_hat[l + self.l_max])
@@ -79,7 +77,7 @@ class EmpiricalCoeffs:
 
 
 def empirical_coeffs(sample, theta: MixtureParams, l_max: int,
-                     p_cap: float = DEFAULT_P_CAP) -> EmpiricalCoeffs:
+                     p_cap: float = FitOptions.p_max) -> EmpiricalCoeffs:
     """Compute g_hat_l = (1/2pi n) sum_k e^{-i l X_k} and f_hat_l = g_hat_l / M^l(theta).
 
     g_hat_l is conj(P_l) / (2 pi n) with P_l from the chunked kernel
@@ -120,7 +118,7 @@ def empirical_coeffs(sample, theta: MixtureParams, l_max: int,
     f_pos = g_pos / m_pos
     f_hat = np.concatenate([np.conj(f_pos[:0:-1]), f_pos])
     theta_used = theta if isinstance(theta, MixtureParams) else MixtureParams(*np.asarray(theta, float))
-    return EmpiricalCoeffs(g_hat=g_hat, f_hat=f_hat, n=n, theta_used=theta_used, l_max=l_max)
+    return EmpiricalCoeffs(g_hat, f_hat, n, theta_used, l_max, p_cap)
 
 
 def select_level(coeffs: EmpiricalCoeffs, penalty: float):
@@ -149,7 +147,7 @@ class SlopeFit:
     theoretical_floor: float  # diagnostic lower bound on the penalty constant
 
 
-def penalty_floor(p_cap: float = DEFAULT_P_CAP) -> float:
+def penalty_floor(p_cap: float) -> float:
     """Theoretical penalty-constant lower bound (3/pi^2)(1+1/eps)(1-2P)^-2
     at eps = 1, that is (6/pi^2)(1-2P)^-2.
 
@@ -159,7 +157,7 @@ def penalty_floor(p_cap: float = DEFAULT_P_CAP) -> float:
     return 3.0 / math.pi ** 2 * 2.0 * _weight_floor(p_cap) ** -2
 
 
-def slope_lambda(coeffs: EmpiricalCoeffs, p_cap: float = DEFAULT_P_CAP) -> SlopeFit:
+def slope_lambda(coeffs: EmpiricalCoeffs) -> SlopeFit:
     """Calibrate the penalty constant from the contrast-versus-dimension plot.
 
     Fits a least-squares line to the couples ((2L+1)/n, sum_{|l|<=L}|f_hat_l|^2)
@@ -171,7 +169,7 @@ def slope_lambda(coeffs: EmpiricalCoeffs, p_cap: float = DEFAULT_P_CAP) -> Slope
     the level choice returns L = 0 about 69% of the time, and 80% if the
     slope were known exactly rather than fitted.
 
-    ``p_cap`` enters only the diagnostic ``theoretical_floor``.
+    ``coeffs.p_cap`` enters only the diagnostic ``theoretical_floor``.
 
     Raises
     ------
@@ -190,7 +188,7 @@ def slope_lambda(coeffs: EmpiricalCoeffs, p_cap: float = DEFAULT_P_CAP) -> Slope
     return SlopeFit(lambda_hat=2.0 * float(slope), slope=float(slope),
                     intercept=float(intercept),
                     couples=list(zip(ls.tolist(), xs.tolist(), ys.tolist())),
-                    window=ls[in_window].tolist(), theoretical_floor=penalty_floor(p_cap))
+                    window=ls[in_window].tolist(), theoretical_floor=penalty_floor(coeffs.p_cap))
 
 
 #: Points per block of DensityEstimate.evaluate: its working memory is a
@@ -237,24 +235,24 @@ class DensityEstimate:
         return th.p * self.evaluate(x - th.alpha) + (1.0 - th.p) * self.evaluate(x - th.beta)
 
 
-def estimate_density(sample, fit_or_theta, l_max: int | None = None,
-                     penalty: float | None = None,
-                     p_cap: float = DEFAULT_P_CAP) -> DensityEstimate:
+def estimate_density(sample, fit: FitResult, l_max: int | None = None,
+                     penalty: float | None = None) -> DensityEstimate:
     """Full adaptive pipeline: plug-in coefficients, penalty calibration,
     penalized level choice.
 
     ``sample`` is an array of angles or its ContrastMoments, as in
-    ``empirical_coeffs``.  ``penalty=None`` triggers the slope heuristic;
-    an explicit positive value bypasses it.
+    ``empirical_coeffs``; theta_hat and the weight cap p_cap (the ``p_max``
+    of the box searched) come from ``fit``.  ``penalty=None`` triggers the
+    slope heuristic; an explicit positive value bypasses it.  For a known
+    theta, call ``empirical_coeffs``, ``slope_lambda`` and ``select_level``.
     """
-    theta = getattr(fit_or_theta, "theta_hat", fit_or_theta)
     if l_max is None:
         l_max = default_l_max(sample.n if isinstance(sample, ContrastMoments)
                               else np.size(sample))
-    coeffs = empirical_coeffs(sample, theta, l_max, p_cap=p_cap)
+    coeffs = empirical_coeffs(sample, fit.theta_hat, l_max, p_cap=fit.options.p_max)
     slope_fit = None
     if penalty is None:
-        slope_fit = slope_lambda(coeffs, p_cap=p_cap)
+        slope_fit = slope_lambda(coeffs)
         penalty = slope_fit.lambda_hat
     level, path = select_level(coeffs, penalty)
     return DensityEstimate(coeffs=coeffs, level=level, penalty=penalty,

@@ -235,7 +235,7 @@ def test_criterion_09_slope_heuristic():
     f_pos = np.concatenate([[1 / TWO_PI], np.full(16, math.sqrt(c))])
     f_hat = np.concatenate([np.conj(f_pos[:0:-1]), f_pos])
     coeffs = EmpiricalCoeffs(g_hat=f_hat.copy(), f_hat=f_hat, n=n,
-                             theta_used=THETA0, l_max=16)
+                             theta_used=THETA0, l_max=16, p_cap=0.49)
     recovered = slope_lambda(coeffs).lambda_hat
     exact_ok = abs(recovered - 2 * slope_target) <= 1e-10
     # WC pipeline at the figure setting

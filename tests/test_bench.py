@@ -111,6 +111,35 @@ def test_pool_workers_use_one_blas_thread(tmp_path):
     assert _blas_threads() == before
 
 
+@pytest.mark.parametrize("jobs, reps, pool_sizes", [(64, 2, [2]), (8, 1, []), (2, 3, [2])])
+def test_pool_has_no_more_workers_than_replications(tmp_path, monkeypatch, jobs, reps,
+                                                     pool_sizes):
+    # a forked pool starts all of its workers at once; this one starts none
+    import concurrent.futures
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool, raising=False)
+    serial_dir, pool_dir = tmp_path / "s", tmp_path / "p"
+    serial_dir.mkdir(), pool_dir.mkdir()
+    run_mse(config(serial_dir, reps=reps))
+    run_mse(config(pool_dir, reps=reps, jobs=jobs))
+    assert sizes == pool_sizes
+    assert (serial_dir / "mse.csv").read_bytes() == (pool_dir / "mse.csv").read_bytes()
+
+
 # Run as a script by a fresh interpreter: the parent imports only circmix.bench,
 # so scipy is first loaded by _map_reps or, without its preload, by the workers.
 _POOL_PROBE = """\
@@ -250,7 +279,7 @@ def test_density_and_slope_read_one_power_sum_pass(tmp_path, monkeypatch, kind):
     sample = sample_mixture(cfg.theta0, parse_density(cfg.density_spec), 1000,
                             _rep_rng(cfg, kind, 1000, 0))
     fit = estimate_theta(sample, cfg.fit_options(covariance=False))
-    separate = estimate_density(sample, fit, l_max=30, p_cap=cfg.p_max)
+    separate = estimate_density(sample, fit, l_max=30)
     assert theta_hat.as_array().tolist() == fit.theta_hat.as_array().tolist()
     assert (level, penalty) == (separate.level, separate.penalty)
 

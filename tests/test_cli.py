@@ -195,6 +195,40 @@ def test_fit_non_finite_sample_is_input_error(tmp_path, capsys, value):
     assert err == f"error: {bad}:2: not a finite number: {value!r}\n"
 
 
+# Command lines that name a directory, or an existing file, where a file must be
+# read or written; {dir} is a directory, {sample} a sample file, {cfg} a bench
+# config whose out is that sample file and {file} a new file.
+OS_ERROR_ARGV = {
+    "simulate --out dir": ["simulate", "--density", "uniform", "--theta", THETA, "--n", "5",
+                           "--out", "{dir}"],
+    "fit --out dir": ["fit", "--in", "{sample}", "--no-cov", "--out", "{dir}"],
+    "density --out dir": ["density", "--in", "{sample}", "--out", "{dir}"],
+    "density --coeffs-out dir": ["density", "--in", "{sample}", "--out", "{file}",
+                                 "--coeffs-out", "{dir}"],
+    "density --true tabulated dir": ["density", "--in", "{sample}", "--out", "{file}",
+                                     "--true", "tabulated path={dir}"],
+    "slope --out dir": ["slope", "--in", "{sample}", "--out", "{dir}"],
+    "ident --out dir": ["ident", "--theta", "0.4,0,2.0944", "--out", "{dir}"],
+    "bench --config dir": ["bench", "--config", "{dir}"],
+    "bench out = file": ["bench", "--config", "{cfg}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OS_ERROR_ARGV))
+def test_os_errors_exit_3(tmp_path, capsys, case):
+    sample, cfg = tmp_path / "s.txt", tmp_path / "c.cfg"
+    angles = sample_mixture(MixtureParams(0.25, 0.3927, 2.0944), VonMises(5.0), 300,
+                            np.random.default_rng(2))
+    sample.write_text("\n".join(map(repr, angles.tolist())))
+    cfg.write_text(f"experiment = mse\ndensity = uniform\ntheta0 = {THETA}\n"
+                   f"n = 100\nreps = 2\nseed = 5\nout = {sample}\n")
+    names = dict(dir=tmp_path, sample=sample, cfg=cfg, file=tmp_path / "f.csv")
+    code, _, err = run(capsys, *(arg.format(**names) for arg in OS_ERROR_ARGV[case]))
+    assert code == 3
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("lmax, penalty", [(None, None), (5, 2.0), (30, None)])
 def test_one_power_sum_pass_gives_the_two_pass_estimate(tmp_path, lmax, penalty):
     # density and slope read the fit and the coefficients from one pass
@@ -207,7 +241,7 @@ def test_one_power_sum_pass_gives_the_two_pass_estimate(tmp_path, lmax, penalty)
     args = cli.build_parser().parse_args(["slope", "--in", str(path), "--out", "-", *level])
     one_pass = cli._fit_and_density(args, penalty)
     fit = estimate_theta(angles, cli._fit_options(args, covariance=False))
-    two_pass = estimate_density(angles, fit, l_max=lmax, penalty=penalty, p_cap=args.pmax)
+    two_pass = estimate_density(angles, fit, l_max=lmax, penalty=penalty)
     assert one_pass.coeffs.theta_used == two_pass.coeffs.theta_used
     assert np.array_equal(one_pass.coeffs.f_hat, two_pass.coeffs.f_hat)
     assert (one_pass.level, one_pass.penalty) == (two_pass.level, two_pass.penalty)
@@ -556,6 +590,24 @@ def test_bench_fit_p_max_out_of_range_names_key_and_file(tmp_path, capsys, value
     assert (code, stdout) == (6, "")
     assert err.startswith(f"experiment error: {cfg}: key 'p_max' is out of range, "
                           f"got {value!r}: fit box ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiments, sizes, reps, message", [
+    ("mse,density", "200,400", "2", "density experiments use a single sample size"),
+    ("mse,slope", "200,400", "2", "slope experiments use a single sample size"),
+    ("mse,normality", "200", "20", "normality experiments need reps >= 50"),
+])
+def test_bench_experiment_rules_checked_with_the_config(tmp_path, capsys, experiments, sizes,
+                                                        reps, message):
+    # refused before any experiment runs, so mse writes no mse.csv
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"experiment = {experiments}\ndensity = uniform\ntheta0 = {THETA}\n"
+                   f"n = {sizes}\nreps = {reps}\nseed = 5\n")
+    out = tmp_path / "r"
+    code, stdout, err = run(capsys, "bench", "--config", str(cfg), "--out", str(out))
+    assert (code, stdout) == (6, "")
+    assert err == f"experiment error: {message}\n"
     assert not out.exists()
 
 

@@ -17,6 +17,7 @@ from circmix import (ContrastMoments, DomainError, EstimationError, FitOptions,
                      mixture_weight, mixture_weight_grad,
                      population_contrast, power_sums, sample_mixture,
                      squared_error)
+from circmix import bench, cli
 from circmix.contrast import DEGENERACY_WARN_RADIUS, GRID_SIZE, POWER_SUM_CHUNK
 
 from _oracles import (brute_contrast, fd_gradient, fd_jacobian, mixture_weight_hess,
@@ -133,7 +134,8 @@ ANGLE_ENTRY_POINTS = {
     "power_sums": lambda x: power_sums(x, 8),
     "estimate_theta": estimate_theta,
     "empirical_coeffs": lambda x: empirical_coeffs(x, THETA0, 10),
-    "estimate_density": lambda x: estimate_density(x, THETA0),
+    "estimate_density": lambda x: estimate_density(
+        x, estimate_theta(np.array([0.1, 0.2, 0.3, 1.0]), FitOptions(compute_covariance=False))),
 }
 
 
@@ -558,3 +560,30 @@ def test_mse_risk_decay():
     assert risks[100] > risks[400] > risks[1600]
     scaled = [n * v for n, v in risks.items()]
     assert max(scaled) <= 6 * min(scaled)
+
+
+def test_no_converged_polish_is_an_estimation_error(tmp_path, monkeypatch, capsys):
+    # every polish reports failure: the fit, a bench replication and `circmix fit` fail
+    import scipy.optimize
+    minimize, runs = scipy.optimize.minimize, []
+
+    def unconverged(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        result.success, result.message = False, "ABNORMAL: no convergence"
+        runs.append(result)
+        return result
+
+    monkeypatch.setattr(scipy.optimize, "minimize", unconverged)
+    angles = sample_mixture(THETA0, VonMises(5.0), 300, np.random.default_rng(4))
+    with pytest.raises(EstimationError) as info:
+        estimate_theta(angles, FitOptions(compute_covariance=False))
+    best = min(r.fun for r in runs) / len(angles)
+    assert str(info.value) == (f"no polish converged (best contrast {best!r}: "
+                               "ABNORMAL: no convergence)")
+    config = bench.ExperimentConfig.from_dict(dict(
+        density="vonmises kappa=5", theta0="0.25,0.4,2.1", n="200", reps="1", seed="3"))
+    assert bench._fit_rep((config, "mse", 200, 0)) is None
+    path = tmp_path / "s.txt"
+    path.write_text("\n".join(map(repr, angles.tolist())))
+    assert cli.main(["fit", "--in", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("estimation error: no polish converged ")

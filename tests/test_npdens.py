@@ -28,7 +28,7 @@ def make_coeffs(f_moduli_sq, n=1000):
     f_pos = np.concatenate([[1 / TWO_PI], np.sqrt(np.asarray(f_moduli_sq, dtype=float))])
     f_hat = np.concatenate([np.conj(f_pos[:0:-1]), f_pos])
     return EmpiricalCoeffs(g_hat=f_hat.copy(), f_hat=f_hat, n=n,
-                           theta_used=THETA0, l_max=l_max)
+                           theta_used=THETA0, l_max=l_max, p_cap=0.49)
 
 
 def test_empirical_coeffs_basics():
@@ -265,7 +265,18 @@ def test_slope_rule_oracle_matches_program(l_max):
 
 def test_penalty_floor_diagnostic():
     assert penalty_floor(0.25) == pytest.approx(3.0 / math.pi ** 2 * 2.0 * 4.0)
-    assert penalty_floor() > penalty_floor(0.25)
+    assert penalty_floor(0.49) > penalty_floor(0.25)
+
+
+def test_density_stage_reads_the_cap_from_the_fit():
+    s = sample_mixture(THETA0, VonMises(5.0), 500, np.random.default_rng(6))
+    options = FitOptions(p_max=0.3, compute_covariance=False)
+    fit = estimate_theta(s, options)
+    assert fit.options is options
+    est = estimate_density(s, fit)
+    assert est.coeffs.p_cap == 0.3
+    assert est.slope_fit.theoretical_floor == penalty_floor(0.3)
+    assert est.coeffs.theta_used == fit.theta_hat
 
 
 @pytest.mark.parametrize("p_cap", [0.5, 0.6, 0.0, -0.1, math.nan])
@@ -327,7 +338,7 @@ def test_l2_error_exact_coefficients():
     f_pos = np.array([d.fourier_coeff(l) for l in range(0, l_max + 1)])
     f_hat = np.concatenate([np.conj(f_pos[:0:-1]), f_pos])
     coeffs = EmpiricalCoeffs(g_hat=f_hat.copy(), f_hat=f_hat, n=1000,
-                             theta_used=THETA0, l_max=l_max)
+                             theta_used=THETA0, l_max=l_max, p_cap=0.49)
     est = DensityEstimate(coeffs=coeffs, level=l_max, penalty=1.0, contrast_path=[])
     assert l2_error(est, d) < 1e-10
 
