@@ -188,12 +188,13 @@ def cmd_density(args) -> int:
             raise _CliUsage(f"--lambda must be a number or 'slope': {args.penalty!r}") from exc
     if args.grid <= 0:
         raise _CliUsage(f"--grid must be a positive number of points, got {args.grid}")
+    # a bad --true is a usage error whatever the sample holds, so it is parsed before the fit
+    true = parse_density(args.true_density) if args.true_density else None
     estimate = _fit_and_density(args, penalty)
     x, f_hat = estimate.grid(args.grid)
     header = ["x", "f_hat"]
     cols = [x, f_hat]
-    if args.true_density:
-        true = parse_density(args.true_density)
+    if true is not None:
         header.append("f")
         cols.append(true.pdf(x))
     # Python floats format faster than numpy scalars, to the same text

@@ -254,8 +254,14 @@ def population_contrast(theta, theta0, f_coeffs) -> float:
 #: Points per angle axis of the profiled-contrast grid scan.
 GRID_SIZE = 96
 
-#: Lowest grid local minima polished by L-BFGS-B.
+#: Lowest grid local minima that may start an L-BFGS-B polish.  The lowest
+#: is always polished; each later one is polished unless the screen of
+#: estimate_theta rules it out.
 N_POLISH = 3
+
+#: A start is skipped when its basin's predicted floor of n S_n lies more than
+#: this above the lowest converged polish.
+SCREEN_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
@@ -296,8 +302,9 @@ class FitOptions:
 class FitResult:
     """Outcome of estimate_theta.
 
-    ``n_starts`` counts the grid minima polished and ``converged_starts``
-    those whose polish converged.  ``options`` holds the box searched.
+    ``n_starts`` counts the polishes run, at most N_POLISH since the screen
+    skips the starts it rules out, and ``converged_starts`` those of them that
+    converged.  ``options`` holds the box searched.
 
     ``sigma_hat`` is the asymptotic covariance of sqrt(n) (theta_hat - theta0)
     and ``std_errors`` the standard errors of theta_hat; both are None when
@@ -373,11 +380,16 @@ def estimate_theta(sample, options: FitOptions | None = None) -> FitResult:
 
     For each point of a GRID_SIZE x GRID_SIZE (alpha, beta) grid, p is
     profiled out in closed form (S_n is quadratic in p).  The N_POLISH
-    lowest local minima of that grid, against their 8 neighbours, start one
-    L-BFGS-B run each; the lowest result wins, and EstimationError is raised
-    if no run converged.  Label switching is resolved by p < 1/2; fits with
-    beta - alpha within DEGENERACY_WARN_RADIUS of a multiple of 2*pi/3 are
-    flagged.  ``sample`` is an array of angles or its ContrastMoments.
+    lowest local minima of that grid, against their 8 neighbours, are the
+    starts, lowest first.  The first start is always polished by L-BFGS-B.
+    Once a polish has converged, a later start is skipped when the Newton
+    model of S_n there (see _newton_floor) is convex and predicts a basin
+    floor more than SCREEN_MARGIN above the lowest converged n S_n.  The model
+    is not a lower bound, so the screen is a heuristic.  The lowest polish
+    wins, and EstimationError is raised if no polish converged.  Label
+    switching is resolved by p < 1/2; fits with beta - alpha within
+    DEGENERACY_WARN_RADIUS of a multiple of 2*pi/3 are flagged.  ``sample``
+    is an array of angles or its ContrastMoments.
     """
     # scipy.optimize loads at the first fit, not with the package: its import
     # is most of the start-up of every command that does not fit
@@ -399,10 +411,19 @@ def estimate_theta(sample, options: FitOptions | None = None) -> FitResult:
         return n * value, n * grad
 
     runs = []
+    incumbent = math.inf  # the lowest n S_n of a converged polish
     for i, j in _lowest_local_minima(values, N_POLISH):
-        runs.append(minimize(n_contrast, [ps[i, j], alphas[i], betas[j]], jac=True,
-                             method="L-BFGS-B", bounds=bounds,
-                             options={"ftol": 1e-13, "gtol": 1e-9, "maxiter": 500}))
+        start = np.array([ps[i, j], alphas[i], betas[j]])
+        # only a converged incumbent screens: an unconverged one may sit above
+        # the minimum that a skipped start would have reached
+        if (incumbent < math.inf
+                and n * _newton_floor(moments, start, box) > incumbent + SCREEN_MARGIN):
+            continue
+        run = minimize(n_contrast, start, jac=True, method="L-BFGS-B", bounds=bounds,
+                       options={"ftol": 1e-13, "gtol": 1e-9, "maxiter": 500})
+        runs.append(run)
+        if run.success:
+            incumbent = min(incumbent, run.fun)
     converged = sum(bool(r.success) for r in runs)
     if not converged:
         raise EstimationError(
@@ -427,6 +448,25 @@ def estimate_theta(sample, options: FitOptions | None = None) -> FitResult:
         except InferenceError as exc:
             result.inference_warning = str(exc)
     return result
+
+
+def _newton_floor(moments: ContrastMoments, theta: np.ndarray, box: np.ndarray) -> float:
+    """Floor of the second-order model of S_n at ``theta`` within the box faces
+    that hold it: S_n - 1/2 g_F^T H_FF^-1 g_F over the coordinates F that no
+    active face holds, or -inf unless H_FF is positive definite.
+
+    A coordinate is held when it sits on its lower bound with g > 0 or on
+    its upper bound with g < 0.
+    """
+    value, grad, hess = moments.value_grad_hess(theta)
+    held = ((theta <= box[:, 0]) & (grad > 0.0)) | ((theta >= box[:, 1]) & (grad < 0.0))
+    free = ~held
+    try:
+        chol = np.linalg.cholesky(hess[np.ix_(free, free)])
+    except np.linalg.LinAlgError:
+        return -math.inf
+    step = np.linalg.solve(chol, grad[free])
+    return value - 0.5 * float(step @ step)
 
 
 def _lowest_local_minima(values: np.ndarray, count: int) -> list:

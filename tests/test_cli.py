@@ -445,6 +445,31 @@ def test_density_uniform_reports_level_zero(tmp_path, capsys):
     assert "L_hat = 0" in out
 
 
+def test_density_bad_true_is_a_usage_error_whatever_the_sample(tmp_path, capsys):
+    one = tmp_path / "one.txt"
+    one.write_text("1.0\n")
+    code, _, err = run(capsys, "density", "--in", str(one), "--true", "bogus",
+                       "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert err == "error: unknown density kind 'bogus'\n"
+
+
+def test_density_bad_true_exits_before_the_fit(tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the fit ran")
+
+    monkeypatch.setattr(cli, "estimate_theta", no_fit)
+    sample = tmp_path / "s.txt"
+    run(capsys, "simulate", "--density", "vonmises:kappa=5", "--theta", THETA,
+        "--n", "300", "--seed", "7", "--out", str(sample))
+    out_csv = tmp_path / "x.csv"
+    code, _, err = run(capsys, "density", "--in", str(sample), "--true", "vonmises kappa",
+                       "--out", str(out_csv))
+    assert code == 2
+    assert err.startswith("error: malformed density parameter ")
+    assert not out_csv.exists()
+
+
 def test_density_outputs(tmp_path, capsys):
     sample = tmp_path / "s.txt"
     run(capsys, "simulate", "--density", "vonmises:kappa=5", "--theta", THETA,

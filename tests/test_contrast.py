@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import differential_evolution, minimize_scalar
 
 from circmix import (ContrastMoments, DomainError, EstimationError, FitOptions,
-                     InferenceError, MixtureParams, VonMises, WrappedCauchy,
+                     InferenceError, MixtureParams, VonMises, WrappedCauchy, WrappedNormal,
                      asymptotic_cov, canonicalize,
                      degeneracy_gap, empirical_coeffs, estimate_density,
                      estimate_theta, mixture_fourier,
@@ -18,7 +18,8 @@ from circmix import (ContrastMoments, DomainError, EstimationError, FitOptions,
                      population_contrast, power_sums, sample_mixture,
                      squared_error)
 from circmix import bench, cli
-from circmix.contrast import DEGENERACY_WARN_RADIUS, GRID_SIZE, POWER_SUM_CHUNK
+from circmix.contrast import (DEGENERACY_WARN_RADIUS, GRID_SIZE, N_POLISH, POWER_SUM_CHUNK,
+                              _lowest_local_minima)
 
 from _oracles import (brute_contrast, fd_gradient, fd_jacobian, mixture_weight_hess,
                       p_quadratic_by_cell, z_grads, z_hessians, z_values)
@@ -479,6 +480,70 @@ def test_fit_not_above_differential_evolution(case):
     fit = estimate_theta(moments, opts)
     ref = differential_evolution(moments.value, opts.box(), seed=case, tol=1e-10)
     assert fit.contrast_at_min <= ref.fun + 1e-12 * max(1.0, abs(ref.fun))
+
+
+def polish_every_start(moments, opts):
+    """Lowest n S_n over an L-BFGS-B polish of each of the N_POLISH lowest
+    grid local minima, with the grid and the polish of estimate_theta."""
+    from scipy.optimize import Bounds, minimize
+    box, n = opts.box(), moments.n
+    alphas = np.linspace(box[1, 0], box[1, 1], GRID_SIZE)
+    betas = np.linspace(box[2, 0], box[2, 1], GRID_SIZE)
+    ps, values = moments.profile_p(alphas[:, None], betas[None, :], opts.p_min, opts.p_max)
+
+    def n_contrast(theta):
+        value, grad = moments.value_grad(theta)
+        return n * value, n * grad
+
+    return min(minimize(n_contrast, np.array([ps[i, j], alphas[i], betas[j]]), jac=True,
+                        method="L-BFGS-B", bounds=Bounds(box[:, 0], box[:, 1]),
+                        options={"ftol": 1e-13, "gtol": 1e-9, "maxiter": 500}).fun
+               for i, j in _lowest_local_minima(values, N_POLISH))
+
+
+SCREEN_DENSITIES = [
+    (VonMises(5.0), THETA0), (WrappedCauchy(0.8), THETA0), (WrappedNormal(0.7), THETA0),
+    (VonMises(5.0), MixtureParams(0.0, 0.3, 2.1)),
+    (VonMises(5.0), MixtureParams(0.35, 0.5, 0.5 + 2 * np.pi / 3)),
+]
+
+
+def test_screen_keeps_the_minimum_of_every_polish():
+    # 40 samples: the screened fit is never above the lowest of all N_POLISH
+    # polishes, and the screen skips a polish on some of them
+    opts = FitOptions(compute_covariance=False)
+    screened = 0
+    for k, (density, theta0) in enumerate(SCREEN_DENSITIES):
+        for n in (300, 1000, 4000, 20000):
+            for rep in range(2):
+                rng = np.random.default_rng(np.random.SeedSequence([23, k, n, rep]))
+                moments = ContrastMoments(sample_mixture(theta0, density, n, rng))
+                fit = estimate_theta(moments, opts)
+                assert fit.contrast_at_min * n <= polish_every_start(moments, opts) + 1e-12
+                screened += fit.n_starts < N_POLISH
+    assert screened > 0
+
+
+def test_unconverged_first_polish_screens_nothing(monkeypatch):
+    # only a converged polish may rule out a later start, so a first polish
+    # that reports failure leaves the next start to be polished
+    angles = sample_mixture(THETA0, VonMises(5.0), 1000, np.random.default_rng(0))
+    opts = FitOptions(compute_covariance=False)
+    assert estimate_theta(angles, opts).n_starts == 1
+    import scipy.optimize
+    minimize, calls = scipy.optimize.minimize, []
+
+    def first_unconverged(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        if not calls:
+            result.success = False
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(scipy.optimize, "minimize", first_unconverged)
+    fit = estimate_theta(angles, opts)
+    assert fit.n_starts >= 2
+    assert fit.converged_starts == fit.n_starts - 1
 
 
 def test_canonicalize_label_switch():
