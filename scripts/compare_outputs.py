@@ -34,6 +34,9 @@ THETA = "0.25,0.3927,2.0944"
 DENSITIES = {
     "vm": "vonmises kappa=5",
     "wc": "wrappedcauchy gamma=0.8",
+    # gamma^(2l) stays above 1e-16 up to l ~ 1.8e4 here, so the density risk
+    # (the bench dens run's l2_error_f) rests on a long coefficient tail
+    "wc999": "wrappedcauchy gamma=0.999",
     "wn": "wrappednormal rho=0.7",
     "uniform": "uniform",
     "tab": "tabulated path=grid.txt",

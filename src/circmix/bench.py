@@ -336,7 +336,7 @@ def run_density_recon(config: ExperimentConfig):
     x, f_hat = estimate.grid(512)
     f_true = density.pdf(x)
     g_true = mixture_density(config.theta0, density, x)
-    g_hat = estimate.mixture_pdf(x)
+    g_hat = mixture_density(fit.theta_hat, estimate, x)
     info = {
         "level": estimate.level,
         "penalty": estimate.penalty,

@@ -112,8 +112,8 @@ def mixture_weight(theta, l):
 class ComponentDensity:
     """Base class for circular component densities.
 
-    Subclasses implement ``pdf``, ``fourier_coeffs`` and ``sample``; all are
-    pure given an explicit ``numpy.random.Generator``.
+    Subclasses implement ``pdf``, ``fourier_coeffs``, ``squared_norm`` and
+    ``sample``; all are pure given an explicit ``numpy.random.Generator``.
     """
 
     mu: float = 0.0
@@ -128,6 +128,10 @@ class ComponentDensity:
 
     def fourier_coeffs(self, ls) -> np.ndarray:
         """c_l for each level of ``ls``, a complex array."""
+        raise NotImplementedError
+
+    def squared_norm(self) -> float:
+        """(1/2pi) integral f^2 = sum_l |c_l|^2, exactly (Parseval)."""
         raise NotImplementedError
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -169,6 +173,11 @@ class VonMises(ComponentDensity):
         ls = np.atleast_1d(ls)
         mag = _ive(np.abs(ls), self.kappa) / (TWO_PI * _ive(0, self.kappa))
         return mag * np.exp(-1j * ls * self.mu)
+
+    def squared_norm(self) -> float:
+        """I_0(2 kappa) / (2 pi I_0(kappa))^2, from sum_l I_l(kappa)^2 = I_0(2 kappa);
+        the scalings e^{-2 kappa} of ive cancel."""
+        return float(_ive(0, 2.0 * self.kappa) / _ive(0, self.kappa) ** 2 / TWO_PI ** 2)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:
@@ -212,6 +221,13 @@ class WrappedCauchy(ComponentDensity):
         ls = np.atleast_1d(ls)
         return self.gamma ** np.abs(ls) / TWO_PI * np.exp(-1j * ls * self.mu)
 
+    def squared_norm(self) -> float:
+        """(1 + gamma^2) / ((1 - gamma^2) (2 pi)^2), the geometric series of
+        gamma^(2|l|); 1 - gamma^2 is taken as (1 - gamma)(1 + gamma), which
+        keeps its digits near gamma = 1."""
+        g = self.gamma
+        return (1.0 + g * g) / ((1.0 - g) * (1.0 + g)) / TWO_PI ** 2
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:
             raise DomainError("sample size must be >= 1")
@@ -237,34 +253,54 @@ class WrappedNormal(ComponentDensity):
     def label(self):
         return f"wrappednormal rho={self.rho:g} mu={self.mu:g}"
 
-    def _n_terms(self):
-        if self.rho == 0.0:
-            return 0
-        # rho^(l^2) < 1e-16 beyond this index
-        return int(math.ceil(math.sqrt(math.log(1e-16) / math.log(self.rho))))
+    def _sigma(self):
+        return math.sqrt(-2.0 * math.log(self.rho)) if self.rho > 0.0 else math.inf
 
     def pdf(self, x):
-        # Fourier series (1/2pi)(1 + 2 sum_l rho^(l^2) cos(l(x-mu))); the
-        # rho^(l^2) decay makes this cheaper and more accurate than the
-        # wrapped Gaussian sum.
-        x = np.asarray(x, dtype=float)
-        acc = np.ones_like(x)
-        for l in range(1, self._n_terms() + 1):
-            acc = acc + 2.0 * self.rho ** (l * l) * np.cos(l * (x - self.mu))
-        out = acc / TWO_PI
+        out = _wrapped_normal(np.asarray(x, dtype=float) - self.mu, self.rho, self._sigma())
         return out if out.ndim else float(out)
 
     def fourier_coeffs(self, ls) -> np.ndarray:
         ls = np.atleast_1d(ls)
         return self.rho ** (ls * ls) / TWO_PI * np.exp(-1j * ls * self.mu)
 
+    def squared_norm(self) -> float:
+        """sum_l rho^(2 l^2) / (2 pi)^2: the series of the rho^2 density, whose
+        sigma is sqrt(2) sigma, at its mode, divided by 2 pi."""
+        return float(_wrapped_normal(0.0, self.rho * self.rho,
+                                     math.sqrt(2.0) * self._sigma())) / TWO_PI
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:
             raise DomainError("sample size must be >= 1")
         if self.rho == 0.0:
             return rng.uniform(0.0, TWO_PI, size=n)
-        sigma = math.sqrt(-2.0 * math.log(self.rho))
-        return normalize(rng.normal(self.mu, sigma, size=n))
+        return normalize(rng.normal(self.mu, self._sigma(), size=n))
+
+
+def _wrapped_normal(d, rho, sigma):
+    """Wrapped normal density at offsets d from its mean, with rho = e^{-sigma^2/2}
+    passed both ways, as neither rounds well from the other near rho = 1.
+
+    It is the Fourier series (1/2pi)(1 + 2 sum_l rho^(l^2) cos(l d)) or the
+    image sum (1/(sigma sqrt(2pi))) sum_k exp(-(d + 2pi k)^2/(2 sigma^2)),
+    whichever needs fewer terms.  Each is cut where its terms fall below
+    1e-16 of its first: past level ~8.6/sigma or image ~1.4 sigma.
+    """
+    levels, images = 0, 0
+    if rho > 0.0:
+        levels = int(math.ceil(math.sqrt(math.log(1e-16) / math.log(rho))))
+        # |d + 2pi k| >= pi(2|k| - 1) once d is taken into [-pi, pi]
+        images = int((sigma * math.sqrt(-2.0 * math.log(1e-16)) / math.pi + 1.0) / 2.0)
+    if 2 * images + 1 < levels:
+        d = d - TWO_PI * np.round(d / TWO_PI)
+        acc = sum(np.exp(-0.5 * ((d + TWO_PI * k) / sigma) ** 2)
+                  for k in range(-images, images + 1))
+        return acc / (sigma * math.sqrt(TWO_PI))
+    acc = np.ones_like(d)
+    for l in range(1, levels + 1):
+        acc = acc + 2.0 * rho ** (l * l) * np.cos(l * d)
+    return acc / TWO_PI
 
 
 class Tabulated(ComponentDensity):

@@ -27,15 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circ import MixtureParams, _theta_array, angular_distance, mixture_weight
+from .circ import TWO_PI, MixtureParams, _theta_array, angular_distance, mixture_weight
 from .errors import DomainError, EstimationError, InferenceError
 
-TWO_PI = 2.0 * math.pi
-FOUR_PI2 = 4.0 * math.pi ** 2
 L_MAX_CONTRAST = 4
 
 #: K = 8 pi^2, the divisor of the pair sums R_l and T_l.
-K_PAIR = 2.0 * FOUR_PI2
+K_PAIR = 8.0 * math.pi ** 2
 
 #: The (i, j) entries, i <= j, of a symmetric 3 x 3 matrix.
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -519,7 +517,7 @@ def asymptotic_cov(sample, theta) -> tuple[np.ndarray, np.ndarray]:
     lag = ls[:, None] - ls[None, :]
     p_lag = np.where(lag >= 0, sums[np.abs(lag)], np.conj(sums[np.abs(lag)]))
     gram = np.real(m[:, None] * np.conj(m)[None, :] * p_lag
-                   - m[:, None] * m[None, :] * sums[ls[:, None] + ls[None, :]]) / (2.0 * FOUR_PI2)
+                   - m[:, None] * m[None, :] * sums[ls[:, None] + ls[None, :]]) / K_PAIR
     v_hat = 16.0 * (d.T @ gram @ d) / n ** 3
     v_hat = 0.5 * (v_hat + v_hat.T)
     a_inv = np.linalg.inv(a_hat)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circ import ComponentDensity, MixtureParams, Tabulated, TWO_PI, mixture_weight
+from .circ import ComponentDensity, MixtureParams, TWO_PI, mixture_weight
 from .contrast import ContrastMoments, FitOptions, FitResult, power_sums
 from .errors import CalibrationError, DegeneracyError, DomainError
 
@@ -191,7 +191,7 @@ def slope_lambda(coeffs: EmpiricalCoeffs) -> SlopeFit:
                     window=ls[in_window].tolist(), theoretical_floor=penalty_floor(coeffs.p_cap))
 
 
-#: Points per block of DensityEstimate.evaluate: its working memory is a
+#: Points per block of DensityEstimate.pdf: its working memory is a
 #: block x (2L+1) complex array, whatever the number of points.
 EVALUATE_CHUNK = 4096
 
@@ -206,7 +206,7 @@ class DensityEstimate:
     contrast_path: list
     slope_fit: SlopeFit | None = None
 
-    def evaluate(self, x):
+    def pdf(self, x):
         """f_hat(x) = sum_{|l| <= L_hat} f_hat_l e^{i l x}; real by conjugate symmetry."""
         x = np.asarray(x, dtype=float)
         ls = np.arange(-self.level, self.level + 1)
@@ -226,13 +226,7 @@ class DensityEstimate:
     def grid(self, num: int = 512):
         """(x, f_hat(x)) on a uniform grid over [0, 2*pi)."""
         x = np.linspace(0.0, TWO_PI, num, endpoint=False)
-        return x, self.evaluate(x)
-
-    def mixture_pdf(self, x):
-        """Reconstructed mixture p_hat f_hat(x-alpha_hat) + (1-p_hat) f_hat(x-beta_hat)."""
-        th = self.coeffs.theta_used
-        x = np.asarray(x, dtype=float)
-        return th.p * self.evaluate(x - th.alpha) + (1.0 - th.p) * self.evaluate(x - th.beta)
+        return x, self.pdf(x)
 
 
 def estimate_density(sample, fit: FitResult, l_max: int | None = None,
@@ -259,55 +253,23 @@ def estimate_density(sample, fit: FitResult, l_max: int | None = None,
                            contrast_path=path, slope_fit=slope_fit)
 
 
-#: Last term and last level of the exact coefficient tail sums.
-TAIL_TOL = 1e-16
-TAIL_CAP = 100000
-
-
-def _tail_mass(density: ComponentDensity, start: int) -> float:
-    """sum_{|l| >= start} |f_l|^2, for start >= 1.
-
-    A Tabulated density's coefficients vanish at every multiple of its grid
-    size, so its tail is its exact squared norm less the levels below start
-    (Parseval).  Otherwise the terms come from the density's array
-    coefficients in blocks of doubling length, 64 levels first, are added
-    in level order, and stop after the first term below TAIL_TOL or at
-    l = TAIL_CAP."""
-    if isinstance(density, Tabulated):
-        head = _level_sums(np.abs(density.fourier_coeffs(np.arange(start))) ** 2)[-1]
-        return max(0.0, density.squared_norm() - float(head))
-    total = 0.0
-    first, size = start, 64
-    while first <= TAIL_CAP:
-        coeffs = density.fourier_coeffs(np.arange(first, min(first + size, TAIL_CAP + 1)))
-        terms = 2.0 * (coeffs.real ** 2 + coeffs.imag ** 2)
-        small = np.flatnonzero(terms < TAIL_TOL)
-        if len(small):
-            terms = terms[:small[0] + 1]
-        # accumulate adds one term after another, as a loop over the levels does
-        total = np.add.accumulate(np.append(total, terms))[-1]
-        if len(small):
-            break
-        first, size = first + size, 2 * size
-    return float(total)
-
-
 def _risk_profile(coeffs: EmpiricalCoeffs, density: ComponentDensity) -> np.ndarray:
-    """||f_hat_L - f||_2^2 for L = 0..l_max, via Parseval.
+    """||f_hat_L - f||_2^2 for L = 0..l_max, by Parseval.
 
-    Each entry is sum_{|l| <= L} |f_hat_l - f_l|^2 (a prefix sum) plus
-    sum_{L < |l| <= l_max} |f_l|^2 (a suffix sum) plus the exact tail beyond
-    l_max.
+    Each entry is sum_{|l| <= L} |f_hat_l - f_l|^2 plus the tail
+    sum_{|l| > L} |f_l|^2, the density's exact squared norm less
+    sum_{|l| <= L} |f_l|^2 (floored at 0): two prefix sums and no truncated series.
     """
     f_true = density.fourier_coeffs(np.arange(0, coeffs.l_max + 1))
     head = _level_sums(np.abs(coeffs.f_hat[coeffs.l_max:] - f_true) ** 2)
-    beyond = 2.0 * np.append(np.cumsum(np.abs(f_true[:0:-1]) ** 2)[::-1], 0.0)
-    return head + (beyond + _tail_mass(density, coeffs.l_max + 1))
+    tail = np.maximum(density.squared_norm() - _level_sums(np.abs(f_true) ** 2), 0.0)
+    return head + tail
 
 
 def l2_error(estimate: DensityEstimate, density: ComponentDensity) -> float:
     """Squared L2 distance (norm (1/2pi) integral phi^2) between the
-    estimate and an exact density."""
+    estimate and an exact density: the risk profile at the estimate's level,
+    exact up to rounding whatever the density's concentration."""
     return float(_risk_profile(estimate.coeffs, density)[estimate.level])
 
 

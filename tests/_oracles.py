@@ -165,15 +165,81 @@ def p_quadratic_by_cell(power_sums, n, alpha, beta):
     return c2, c1, c0
 
 
-def tail_mass_by_level(density, start, tol, cap):
-    """sum_{|l| >= start} |f_l|^2 by one scalar coefficient per level, added
-    in level order and stopped after the first term below ``tol`` or at
-    l = ``cap``."""
-    total = 0.0
-    for l in range(start, cap + 1):
-        coeff = density.fourier_coeff(l)
-        term = 2.0 * (coeff.real ** 2 + coeff.imag ** 2)
-        total += term
-        if term < tol:
-            break
-    return total
+#: Decimal digits of the mpmath references.
+MP_DPS = 40
+
+
+def coeff_modulus_mp(density, l):
+    """|c_l| of a von Mises, wrapped Cauchy or wrapped normal density in
+    mpmath, from its closed form at the density's own double parameters."""
+    from mpmath import besseli, mpf, pi, workdps
+    c = density.__class__.__name__
+    with workdps(MP_DPS):
+        if c == "VonMises":
+            kappa = mpf(density.kappa)
+            return besseli(abs(l), kappa) / besseli(0, kappa) / (2 * pi)
+        if c == "WrappedCauchy":
+            return mpf(density.gamma) ** abs(l) / (2 * pi)
+        return mpf(density.rho) ** (l * l) / (2 * pi)
+
+
+def coeff_mp(density, l):
+    """c_l = |c_l| e^{-i l mu} in mpmath."""
+    from mpmath import expj, mpf, workdps
+    with workdps(MP_DPS):
+        return coeff_modulus_mp(density, l) * expj(-l * mpf(density.mu))
+
+
+def squared_norm_mp(density):
+    """(1/2pi) integral f^2 in mpmath: I_0(2 kappa)/I_0(kappa)^2,
+    (1 + gamma^2)/(1 - gamma^2) and sum_l rho^(2 l^2), each over (2pi)^2, or
+    the quadrature of a tabulated interpolant's square, segment by segment."""
+    from mpmath import besseli, jtheta, mpf, pi, quad, workdps
+    c = density.__class__.__name__
+    with workdps(MP_DPS):
+        if c == "VonMises":
+            kappa = mpf(density.kappa)
+            return besseli(0, 2 * kappa) / besseli(0, kappa) ** 2 / (2 * pi) ** 2
+        if c == "WrappedCauchy":
+            g = mpf(density.gamma)
+            return (1 + g * g) / (1 - g * g) / (2 * pi) ** 2
+        if c == "WrappedNormal":
+            r = mpf(density.rho)
+            return jtheta(3, 0, r * r) / (2 * pi) ** 2
+        values = [mpf(v) for v in density.values]
+        size = len(values)
+        total = 0
+        for j in range(size):
+            a, b = values[j], values[(j + 1) % size]
+            total += quad(lambda t: (a + (b - a) * t) ** 2, [0, 1])
+        return total / size
+
+
+def tail_mp(density, start):
+    """sum_{|l| >= start} |f_l|^2 in mpmath: the closed-form norm less the
+    head sum, with the moduli of ``coeff_modulus_mp`` or, for a tabulated
+    density, of its own ``fourier_coeffs``."""
+    from mpmath import fsum, mpc, workdps
+    with workdps(MP_DPS):
+        if density.__class__.__name__ == "Tabulated":
+            head = [abs(mpc(complex(c))) for c in density.fourier_coeffs(range(start))]
+        else:
+            head = [coeff_modulus_mp(density, l) for l in range(start)]
+        return squared_norm_mp(density) - head[0] ** 2 - 2 * fsum(c * c for c in head[1:])
+
+
+def risk_profile_mp(f_hat_pos, density):
+    """||f_hat_L - f||^2 for L = 0..len(f_hat_pos)-1 in mpmath, from the
+    estimate's coefficients f_hat_0..f_hat_l_max: the head sum of
+    |f_hat_l - f_l|^2 plus the closed-form norm less the head sum of |f_l|^2."""
+    from mpmath import mpc, workdps
+    with workdps(MP_DPS):
+        norm = squared_norm_mp(density)
+        out, err, mass = [], 0, 0
+        for l, f_hat in enumerate(f_hat_pos):
+            f = coeff_mp(density, l)
+            weight = 1 if l == 0 else 2
+            err += weight * abs(mpc(complex(f_hat)) - f) ** 2
+            mass += weight * abs(f) ** 2
+            out.append(err + norm - mass)
+        return out

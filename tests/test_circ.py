@@ -11,7 +11,7 @@ from circmix import (DomainError, MixtureParams, Tabulated, VonMises,
                      mixture_fourier, normalize, parse_density,
                      sample_mixture)
 
-from _oracles import TWO_PI, quad_fourier, quad_integral
+from _oracles import TWO_PI, quad_fourier, quad_integral, squared_norm_mp
 
 NAMED = [VonMises(1.0), VonMises(5.0), WrappedCauchy(0.8), WrappedNormal(0.8)]
 
@@ -140,6 +140,16 @@ def test_parseval_partial_sums():
             assert partial <= total + 1e-12
             previous = partial
         assert_allclose(partial, total, rtol=1e-8)
+
+
+@pytest.mark.parametrize("density", [
+    VonMises(0.0), VonMises(300.0), WrappedCauchy(0.0), WrappedCauchy(0.9999),
+    WrappedNormal(0.0), WrappedNormal(0.8, 2.2), WrappedNormal(0.9999),
+    Tabulated(np.random.default_rng(3).uniform(0.5, 1.5, 64), mu=1.1),
+], ids=["vm0", "vm300", "wc0", "wc0.9999", "wn0", "wn0.8", "wn0.9999", "tab"])
+def test_squared_norm_matches_mpmath(density):
+    assert_allclose(density.squared_norm(), float(squared_norm_mp(density)),
+                    rtol=8 * np.finfo(float).eps, atol=0)
 
 
 def test_tabulated_roundtrip(tmp_path):

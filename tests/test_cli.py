@@ -405,6 +405,26 @@ def test_density_large_kappa_truth(tmp_path, capsys):
     assert np.all(np.isfinite(values))
 
 
+def test_density_truth_ends_at_rho_next_to_one(tmp_path, capsys):
+    # its Fourier series needs ~6e8 terms; run in a subprocess with a timeout,
+    # so a pdf that never ends fails the test instead of hanging it
+    sample = tmp_path / "s.txt"
+    run(capsys, "simulate", "--density", "vonmises:kappa=5", "--theta", THETA,
+        "--n", "500", "--seed", "7", "--out", str(sample))
+    out_csv = tmp_path / "d.csv"
+    argv = ["density", "--in", str(sample), "--out", str(out_csv),
+            "--true", "wrappednormal rho=0.9999999999999999"]
+    proc = subprocess.run([sys.executable, "-m", "circmix.cli", *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    f_true = np.array([float(line.split(",")[2])
+                       for line in out_csv.read_text().splitlines()[1:]])
+    # sigma = 1.5e-8, so every grid point but x = 0 lies beyond 1e5 sigma
+    assert f_true[0] == pytest.approx(1.0 / (1.4901161193847656e-08 * math.sqrt(2 * math.pi)),
+                                      rel=1e-5)
+    assert np.all(f_true[1:] == 0.0)
+
+
 def test_density_tabulated_truth_just_below_two_pi(tmp_path, capsys):
     # mu is curve point 21 of 512, so one point sits just below 2*pi on the 24-point table
     grid = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)

@@ -11,13 +11,15 @@ from numpy.testing import assert_allclose
 from circmix import (CalibrationError, ContrastMoments, DegeneracyError, DensityEstimate, DomainError,
                      EmpiricalCoeffs, FitOptions, MixtureParams, Tabulated, VonMises,
                      WrappedCauchy, WrappedNormal, empirical_coeffs, estimate_density,
-                     estimate_theta, l2_error, mixture_weight, oracle_risk,
+                     estimate_theta, l2_error, mixture_density, mixture_weight, oracle_risk,
                      penalty_floor, sample_mixture, select_level, slope_lambda)
 
-from circmix.npdens import EVALUATE_CHUNK, TAIL_CAP, TAIL_TOL, _tail_mass
+from circmix.npdens import EVALUATE_CHUNK
 
 from _oracles import (TWO_PI, null_increments, quad_fourier, quad_integral,
-                      slope_rule_levels, tail_mass_by_level)
+                      risk_profile_mp, slope_rule_levels, tail_mp)
+
+EPS = np.finfo(float).eps
 
 THETA0 = MixtureParams(0.25, np.pi / 8, 2 * np.pi / 3)
 
@@ -130,8 +132,8 @@ def test_evaluate_blocks_are_the_unblocked_sum(large_n_estimate, num):
     ls = np.arange(-est.level, est.level + 1)
     sel = est.coeffs.f_hat[est.coeffs.l_max - est.level:est.coeffs.l_max + est.level + 1]
     unblocked = (np.exp(1j * np.outer(x, ls)) * sel).sum(axis=-1).real
-    assert np.array_equal(est.evaluate(x), unblocked)
-    assert est.evaluate(x[0]) == unblocked[0]
+    assert np.array_equal(est.pdf(x), unblocked)
+    assert est.pdf(x[0]) == unblocked[0]
 
 
 def test_empirical_coeffs_degeneracy_guard():
@@ -319,7 +321,7 @@ def test_estimate_density_reconstruction_quality():
     # reconstruction is real and integrates to one
     x, y = est.grid(512)
     assert abs(quad_integral(y) - 1.0) < 1e-10
-    g = est.mixture_pdf(x)
+    g = mixture_density(fit.theta_hat, est, x)
     assert abs(quad_integral(g) - 1.0) < 1e-6
 
 
@@ -361,8 +363,20 @@ def test_l2_error_matches_grid_quadrature():
     fit = estimate_theta(s, FitOptions(compute_covariance=False))
     est = estimate_density(s, fit)
     x = np.linspace(0.0, TWO_PI, 8192, endpoint=False)
-    quad = quad_integral((est.evaluate(x) - d.pdf(x)) ** 2) / TWO_PI
+    quad = quad_integral((est.pdf(x) - d.pdf(x)) ** 2) / TWO_PI
     assert_allclose(l2_error(est, d), quad, atol=1e-8)
+
+
+def _exact_tail(density, start):
+    """l2_error of the estimate whose coefficients up to level start - 1 are
+    the density's own: the tail sum_{|l| >= start} |f_l|^2 alone."""
+    l_max = start - 1
+    f_pos = density.fourier_coeffs(np.arange(0, l_max + 1))
+    f_hat = np.concatenate([np.conj(f_pos[:0:-1]), f_pos])
+    coeffs = EmpiricalCoeffs(g_hat=f_hat.copy(), f_hat=f_hat, n=1000,
+                             theta_used=THETA0, l_max=l_max, p_cap=0.49)
+    return l2_error(DensityEstimate(coeffs=coeffs, level=l_max, penalty=1.0,
+                                    contrast_path=[]), density)
 
 
 @pytest.mark.parametrize("density", [VonMises(5.0), VonMises(300.0, 1.0), VonMises(0.0),
@@ -371,31 +385,47 @@ def test_l2_error_matches_grid_quadrature():
                          ids=["vm5", "vm300", "uniform", "wc0.8", "wc0.999", "wn0.8"])
 @pytest.mark.parametrize("start", [1, 11, 51])
 def test_tail_mass_is_the_per_level_sum(density, start):
-    assert _tail_mass(density, start) == tail_mass_by_level(density, start, TAIL_TOL, TAIL_CAP)
+    # the tail is ||f||^2 less the head: one subtraction, so it is off the
+    # mpmath norm less its head sum by the rounding of a few eps ||f||^2
+    tail = _exact_tail(density, start)
+    assert abs(tail - float(tail_mp(density, start))) <= 8 * EPS * density.squared_norm()
 
 
-def test_tail_mass_stops_at_the_cap():
-    # a wrapped Cauchy this concentrated keeps terms above TAIL_TOL up to the
-    # cap: the sum must end there
+def test_tail_mass_past_100000_levels():
+    # gamma^(2l) stays above 1e-16 past l = 1e5 here, so the tail has no cut;
+    # the head is a running sum of 1e5 terms, whose rounding, about
+    # sqrt(1e5) eps ||f||^2, sets the tolerance
     density = WrappedCauchy(0.9999, 0.4)
-    start = TAIL_CAP - 30
-    coeffs = density.fourier_coeffs(np.arange(start, TAIL_CAP + 1))
-    assert np.all(2.0 * np.abs(coeffs) ** 2 >= TAIL_TOL)
-    assert _tail_mass(density, start) == tail_mass_by_level(density, start, TAIL_TOL, TAIL_CAP)
-    assert _tail_mass(density, TAIL_CAP + 1) == 0.0
+    for start in (99970, 100001):
+        tail = _exact_tail(density, start)
+        assert tail > 5e-7
+        assert abs(tail - float(tail_mp(density, start))) <= 320 * EPS * density.squared_norm()
 
 
 def test_tabulated_tail_mass_is_the_parseval_remainder():
-    # the interpolant's coefficients vanish at multiples of the grid size, so
-    # a sum stopped at its first small term would miss the tail; beyond 2^16
-    # the terms fall as l^-4 and add under 1e-7 of it
+    # the interpolant's coefficients vanish at multiples of the grid size; its
+    # tail is still the norm, from mpmath quadrature, less the head
     grid = np.linspace(0.0, TWO_PI, 64, endpoint=False)
     for density in (Tabulated(1.0 + np.cos(grid)),
                     Tabulated(np.random.default_rng(3).uniform(0.5, 1.5, 64), mu=1.1)):
         for start in (1, 11, 64, 65):
-            coeffs = density.fourier_coeffs(np.arange(start, 2 ** 16))
-            direct = 2.0 * np.sum(np.abs(coeffs) ** 2)
-            assert_allclose(_tail_mass(density, start), direct, rtol=1e-6)
+            tail = _exact_tail(density, start)
+            assert abs(tail - float(tail_mp(density, start))) <= 8 * EPS * density.squared_norm()
+
+
+def test_l2_error_of_a_concentrated_wrapped_cauchy():
+    # gamma^(2l) stays above 1e-16 up to l ~ 1.8e5, and the terms past
+    # l = 1e5 add 5.2e-7 (2e-9 relative) to the risk
+    d = WrappedCauchy(0.9999, 0.4)
+    s = sample_mixture(THETA0, d, 1000, np.random.default_rng(11))
+    coeffs = empirical_coeffs(s, THETA0, 30)
+    ref = [float(r) for r in risk_profile_mp(coeffs.f_hat[coeffs.l_max:], d)]
+    for level in (0, 7, 30):
+        est = DensityEstimate(coeffs=coeffs, level=level, penalty=1.0, contrast_path=[])
+        assert_allclose(l2_error(est, d), ref[level], rtol=1e-11)
+    best, risk = oracle_risk(coeffs, d)
+    assert best == int(np.argmin(ref))
+    assert_allclose(risk, ref[best], rtol=1e-11)
 
 
 def test_oracle_risk_is_lower_bound():
