@@ -190,11 +190,14 @@ def _map_reps(config: ExperimentConfig, worker, tasks):
     # a forked pool starts all its workers at once: start no more than there are tasks
     workers = min(config.jobs, len(tasks))
     if workers > 1:
-        # The fits load scipy.optimize lazily; load it here, before the fork, so
-        # the workers inherit it and _one_blas_thread finds its OpenBLAS to pin.
-        # The process pool, and with it multiprocessing, loads only here too.
+        # The fits load no scipy, but a von Mises pdf or coefficient loads
+        # scipy.special, and with it scipy's OpenBLAS, at its first call.  Load
+        # it here, before the fork, so every worker inherits the library and
+        # _one_blas_thread pins it: one loaded after the initializer ran would
+        # keep its thread per core.  The process pool, and with it
+        # multiprocessing, loads only here too.
         from concurrent.futures import ProcessPoolExecutor
-        import scipy.optimize  # noqa: F401
+        import scipy.special  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             return list(pool.map(worker, tasks, chunksize=1))
     return [worker(t) for t in tasks]

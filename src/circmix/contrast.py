@@ -131,8 +131,9 @@ class ContrastMoments:
         g = 2.0 * (t * eb - r * np.conj(eb))
         x = e[:rows].view(float) @ np.conj(g).view(float).T
         c0 = s[rows:]
-        c1 = -2.0 * c0 - x
-        c2 = s[:rows, None] + c0 + x
+        c2 = np.add(s[:rows, None], c0)
+        c2 += x
+        c1 = np.subtract(-2.0 * c0, x, out=x)
         same = np.equal.outer(alphas, betas)
         c2[same] = 0.0
         c1[same] = 0.0
@@ -156,11 +157,24 @@ class ContrastMoments:
         else:
             raise DomainError("profile_p takes two scalars or a (k, 1) column and a (1, m) row")
         c2, c1, c0 = self._p_quadratic(alpha.ravel(), beta.ravel())
+        # in place, in the operation order of -0.5 c1 / c2 and
+        # 2 ((c2 p + c1) p + c0) / (n (n - 1)), so the results keep their bits
         with np.errstate(divide="ignore", invalid="ignore"):
-            vertex = np.clip(-0.5 * c1 / c2, p_min, p_max)
-        end = np.where(c2 * (p_min + p_max) + c1 < 0.0, p_max, p_min)
-        p = np.where(c2 > 0.0, vertex, end)
-        value = 2.0 * ((c2 * p + c1) * p + c0) / (self.n * (self.n - 1))
+            p = np.multiply(c1, -0.5)
+            p /= c2
+        np.clip(p, p_min, p_max, out=p)
+        # the end points where there is no vertex (c2 <= 0 or NaN): few cells,
+        # so they are picked by index rather than computed everywhere
+        bent = np.flatnonzero(~(c2 > 0.0))
+        c2_flat, c1_flat, p_flat = c2.ravel(), c1.ravel(), p.ravel()
+        p_flat[bent] = np.where(c2_flat[bent] * (p_min + p_max) + c1_flat[bent] < 0.0,
+                                p_max, p_min)
+        value = np.multiply(c2, p, out=c2)
+        value += c1
+        value *= p
+        value += c0
+        value *= 2.0
+        value /= self.n * (self.n - 1)
         return p.reshape(shape), value.reshape(shape)
 
     def _scan(self, theta, hessian: bool = False):
@@ -252,14 +266,30 @@ def population_contrast(theta, theta0, f_coeffs) -> float:
 #: Points per angle axis of the profiled-contrast grid scan.
 GRID_SIZE = 96
 
-#: Lowest grid local minima that may start an L-BFGS-B polish.  The lowest
-#: is always polished; each later one is polished unless the screen of
-#: estimate_theta rules it out.
+#: Lowest grid local minima that may start a projected-Newton polish (see
+#: _polish).  The lowest is always polished; each later one is polished unless
+#: the screen of estimate_theta rules it out.
 N_POLISH = 3
 
 #: A start is skipped when its basin's predicted floor of n S_n lies more than
 #: this above the lowest converged polish.
 SCREEN_MARGIN = 0.1
+
+#: A polish has converged when the Newton decrement lambda^2 of n S_n is at
+#: most this; lambda^2 / 2 estimates the decrease of n S_n still available.
+#: Polishes told to reach lambda^2 = 0 stalled, at the rounding of n S_n, at
+#: lambda^2 <= 3e-17 on seeded samples of up to n = 2e5.
+DECREMENT_TOL = 1e-14
+
+#: Where H_FF is not positive definite, the Newton step uses the absolute
+#: values of its eigenvalues, none below this fraction of the largest.
+EIG_FLOOR = 1e-8
+
+#: Sufficient-decrease fraction of the line search, its halvings and the
+#: iterations of one polish.
+ARMIJO = 1e-4
+MAX_HALVINGS = 30
+MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -302,7 +332,9 @@ class FitResult:
 
     ``n_starts`` counts the polishes run, at most N_POLISH since the screen
     skips the starts it rules out, and ``converged_starts`` those of them that
-    converged.  ``options`` holds the box searched.
+    converged: that ended where the Newton decrement of n S_n over the free
+    coordinates is at most DECREMENT_TOL.  ``theta_hat`` is the lowest polish's
+    end, converged or not.  ``options`` holds the box searched.
 
     ``sigma_hat`` is the asymptotic covariance of sqrt(n) (theta_hat - theta0)
     and ``std_errors`` the standard errors of theta_hat; both are None when
@@ -374,66 +406,53 @@ def degeneracy_gap(theta) -> float:
 
 
 def estimate_theta(sample, options: FitOptions | None = None) -> FitResult:
-    """Minimize S_n over the box: profiled grid scan, then L-BFGS-B polish.
+    """Minimize S_n over the box: profiled grid scan, then projected-Newton polish.
 
     For each point of a GRID_SIZE x GRID_SIZE (alpha, beta) grid, p is
     profiled out in closed form (S_n is quadratic in p).  The N_POLISH
     lowest local minima of that grid, against their 8 neighbours, are the
-    starts, lowest first.  The first start is always polished by L-BFGS-B.
+    starts, lowest first.  The first start is always polished (see _polish).
     Once a polish has converged, a later start is skipped when the Newton
-    model of S_n there (see _newton_floor) is convex and predicts a basin
-    floor more than SCREEN_MARGIN above the lowest converged n S_n.  The model
-    is not a lower bound, so the screen is a heuristic.  The lowest polish
-    wins, and EstimationError is raised if no polish converged.  Label
+    model of n S_n there (see _newton_model), which is also its polish's
+    first step, is convex and predicts a basin floor more than SCREEN_MARGIN
+    above the lowest converged n S_n.  The model is not a lower bound, so the
+    screen is a heuristic.  The lowest polish wins, and EstimationError is
+    raised, with the first polish's reason, if no polish converged.  Label
     switching is resolved by p < 1/2; fits with beta - alpha within
     DEGENERACY_WARN_RADIUS of a multiple of 2*pi/3 are flagged.  ``sample``
     is an array of angles or its ContrastMoments.
     """
-    # scipy.optimize loads at the first fit, not with the package: its import
-    # is most of the start-up of every command that does not fit
-    from scipy.optimize import Bounds, minimize
-
     opts = options or FitOptions()
     moments = _as_moments(sample)
     box = opts.box()
     alphas = np.linspace(box[1, 0], box[1, 1], GRID_SIZE)
     betas = np.linspace(box[2, 0], box[2, 1], GRID_SIZE)
     ps, values = moments.profile_p(alphas[:, None], betas[None, :], opts.p_min, opts.p_max)
-    bounds = Bounds(box[:, 0], box[:, 1])
     n = moments.n
-
-    def n_contrast(theta):
-        # S_n is O(1/n) near its minimum while the L-BFGS-B stopping tests
-        # are absolute below |f| = 1, so the polish works on n S_n
-        value, grad = moments.value_grad(theta)
-        return n * value, n * grad
 
     runs = []
     incumbent = math.inf  # the lowest n S_n of a converged polish
     for i, j in _lowest_local_minima(values, N_POLISH):
-        start = np.array([ps[i, j], alphas[i], betas[j]])
+        model = _newton_model(moments, np.array([ps[i, j], alphas[i], betas[j]]), box)
         # only a converged incumbent screens: an unconverged one may sit above
         # the minimum that a skipped start would have reached
-        if (incumbent < math.inf
-                and n * _newton_floor(moments, start, box) > incumbent + SCREEN_MARGIN):
+        if model.floor > incumbent + SCREEN_MARGIN:
             continue
-        run = minimize(n_contrast, start, jac=True, method="L-BFGS-B", bounds=bounds,
-                       options={"ftol": 1e-13, "gtol": 1e-9, "maxiter": 500})
+        run = _polish(moments, model, box)
         runs.append(run)
-        if run.success:
+        if run.converged:
             incumbent = min(incumbent, run.fun)
-    converged = sum(bool(r.success) for r in runs)
+    converged = sum(r.converged for r in runs)
     if not converged:
         raise EstimationError(
             f"no polish converged (best contrast {min(r.fun for r in runs) / n!r}: "
-            f"{runs[0].message})")
-    # a line search that stalls at the precision floor ends "abnormally" at a
-    # minimum, so every finite polish competes; each is no higher than its start
-    best = min((r for r in runs if np.isfinite(r.fun)), key=lambda r: r.fun)
+            f"{runs[0].failure})")
+    # an unconverged polish competes too: it ends no higher than its start
+    best = min(runs, key=lambda r: r.fun)
     theta_hat = canonicalize(MixtureParams(*best.x))
     result = FitResult(
         theta_hat=theta_hat,
-        contrast_at_min=float(best.fun) / n,
+        contrast_at_min=best.fun / n,
         n_starts=len(runs),
         n=n,
         converged_starts=converged,
@@ -448,23 +467,106 @@ def estimate_theta(sample, options: FitOptions | None = None) -> FitResult:
     return result
 
 
-def _newton_floor(moments: ContrastMoments, theta: np.ndarray, box: np.ndarray) -> float:
-    """Floor of the second-order model of S_n at ``theta`` within the box faces
-    that hold it: S_n - 1/2 g_F^T H_FF^-1 g_F over the coordinates F that no
-    active face holds, or -inf unless H_FF is positive definite.
+@dataclass(frozen=True)
+class _Model:
+    """Second-order model of n S_n at ``theta``: its value and gradient, the
+    Newton step ``step`` (zero on the held coordinates), the Newton decrement
+    lambda^2 = g . step, and whether H_FF is positive definite."""
 
-    A coordinate is held when it sits on its lower bound with g > 0 or on
-    its upper bound with g < 0.
+    theta: np.ndarray
+    value: float
+    grad: np.ndarray
+    step: np.ndarray
+    decrement: float
+    convex: bool
+
+    @property
+    def floor(self) -> float:
+        """The model's minimum over the free coordinates, value - lambda^2 / 2,
+        or -inf unless H_FF is positive definite."""
+        return self.value - 0.5 * self.decrement if self.convex else -math.inf
+
+
+def _newton_model(moments: ContrastMoments, theta: np.ndarray, box: np.ndarray) -> _Model:
+    """The Newton model of n S_n at ``theta``, from one value_grad_hess call.
+
+    A coordinate is held when it sits on its lower bound with g > 0 or on its
+    upper bound with g < 0; F is the set of the others.  A Cholesky
+    factorization tests that H_FF is positive definite, and the step then
+    solves H_FF s = g_F.  Otherwise H_FF is replaced by V |Lambda| V^T from its
+    eigendecomposition, with each |eigenvalue| raised to at least EIG_FLOOR
+    times the largest: the step is then still a descent direction, scaled by
+    the curvature.
     """
-    value, grad, hess = moments.value_grad_hess(theta)
-    held = ((theta <= box[:, 0]) & (grad > 0.0)) | ((theta >= box[:, 1]) & (grad < 0.0))
-    free = ~held
+    value, grad, hess = (moments.n * v for v in moments.value_grad_hess(theta))
+    free = ~(((theta <= box[:, 0]) & (grad > 0.0)) | ((theta >= box[:, 1]) & (grad < 0.0)))
+    g, h = grad[free], hess[free][:, free]
+    step = np.zeros(3)
+    convex = True
     try:
-        chol = np.linalg.cholesky(hess[np.ix_(free, free)])
+        np.linalg.cholesky(h)  # raises unless H_FF is positive definite
+        step[free] = np.linalg.solve(h, g)
+        decrement = float(g @ step[free])
     except np.linalg.LinAlgError:
-        return -math.inf
-    step = np.linalg.solve(chol, grad[free])
-    return value - 0.5 * float(step @ step)
+        convex = False
+        eig, vec = np.linalg.eigh(h)
+        scale = np.abs(eig)
+        scale = np.maximum(scale, EIG_FLOOR * scale.max())
+        if not scale.all():  # H_FF = 0: stationary, and converged, only where g_F = 0
+            return _Model(theta, value, grad, step, math.inf if g.any() else 0.0, False)
+        coords = (vec.T @ g) / scale
+        step[free] = vec @ coords
+        decrement = float(coords @ (scale * coords))
+    return _Model(theta, value, grad, step, decrement, convex)
+
+
+@dataclass(frozen=True)
+class _Polish:
+    """End of one polish: the point ``x``, its n S_n and Newton decrement, and
+    why the polish stopped unconverged (None when it converged)."""
+
+    x: np.ndarray
+    fun: float
+    decrement: float
+    failure: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.failure is None
+
+
+def _polish(moments: ContrastMoments, model: _Model, box: np.ndarray) -> _Polish:
+    """Projected Newton (Bertsekas 1982) on n S_n from ``model``'s point.
+
+    Each iteration stops, converged, when the Newton decrement lambda^2 of
+    _newton_model is at most DECREMENT_TOL: lambda^2 / 2 estimates the
+    decrease of n S_n still available, a test that does not depend on n or on
+    the scale of the coordinates.  Otherwise it backtracks along the
+    projection arc x(t) = clip(x - t step), t = 1, 1/2, ..., to the first
+    point with n S_n(x(t)) <= n S_n(x) + ARMIJO g . (x(t) - x), and computes
+    the next model there.  Trial points cost one value call, accepted points
+    one value_grad_hess call.  The polish stops unconverged when MAX_HALVINGS
+    halvings find no such point or MAX_ITER iterations pass.
+    """
+    n = moments.n
+    for _ in range(MAX_ITER):
+        if model.decrement <= DECREMENT_TOL:
+            break
+        x = model.theta
+        for halving in range(MAX_HALVINGS):
+            trial = np.minimum(np.maximum(x - 0.5 ** halving * model.step, box[:, 0]), box[:, 1])
+            move = trial - x
+            if (n * moments.value(trial) <= model.value + ARMIJO * float(model.grad @ move)
+                    and move.any()):
+                break
+        else:
+            return _Polish(x, model.value, model.decrement,
+                           f"line search stalled at lambda^2 = {model.decrement:.3g}")
+        model = _newton_model(moments, trial, box)
+    failure = None
+    if not model.decrement <= DECREMENT_TOL:
+        failure = f"{MAX_ITER} iterations ended at lambda^2 = {model.decrement:.3g}"
+    return _Polish(model.theta, model.value, model.decrement, failure)
 
 
 def _lowest_local_minima(values: np.ndarray, count: int) -> list:

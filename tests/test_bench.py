@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-# The fits load scipy.optimize at their first call; loading it here maps its
-# OpenBLAS before the skipif below looks for it, whatever the collection order
-import scipy.optimize  # noqa: F401
+# A von Mises pdf loads scipy.special at its first call; loading it here maps
+# scipy's OpenBLAS before the skipif below looks for it, whatever the
+# collection order
+import scipy.special  # noqa: F401
 
 from circmix import (ExperimentError, estimate_density, estimate_theta, parse_density,
                      sample_mixture)
@@ -140,8 +141,8 @@ def test_pool_has_no_more_workers_than_replications(tmp_path, monkeypatch, jobs,
     assert (serial_dir / "mse.csv").read_bytes() == (pool_dir / "mse.csv").read_bytes()
 
 
-# Run as a script by a fresh interpreter: the parent imports only circmix.bench,
-# so scipy is first loaded by _map_reps or, without its preload, by the workers.
+# Run as a script by a fresh interpreter: the parent imports only circmix.bench
+# and the fits load no scipy, so scipy's OpenBLAS is loaded by _map_reps's preload.
 _POOL_PROBE = """\
 import ctypes, json, sys
 

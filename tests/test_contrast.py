@@ -1,5 +1,7 @@
 """Contrast S_n, its derivatives, the estimator, and the sandwich covariance."""
 
+import dataclasses
+import importlib
 import math
 import warnings
 
@@ -23,6 +25,9 @@ from circmix.contrast import (DEGENERACY_WARN_RADIUS, GRID_SIZE, N_POLISH, POWER
 
 from _oracles import (brute_contrast, fd_gradient, fd_jacobian, mixture_weight_hess,
                       p_quadratic_by_cell, z_grads, z_hessians, z_values)
+
+# the module, by name: estimate_theta looks _polish up there at each call
+contrast = importlib.import_module("circmix.contrast")
 
 THETA0 = MixtureParams(0.25, np.pi / 8, 2 * np.pi / 3)
 TWO_PI = 2.0 * np.pi
@@ -398,14 +403,19 @@ def test_profiled_p_matches_scalar_minimization():
         assert value <= ref.fun + 1e-13 * max(1.0, abs(ref.fun))
 
 
-def profile_by_cell(moments, alpha, beta, p_min, p_max):
-    """profile_p's clipped vertex applied to the per-cell quadratic."""
-    c2, c1, c0 = p_quadratic_by_cell(moments.power_sums, moments.n, alpha, beta)
+def profile_quadratic(c2, c1, c0, n, p_min, p_max):
+    """(p, S_n) of profile_p from the quadratic's coefficients, out of place."""
     with np.errstate(divide="ignore", invalid="ignore"):
         vertex = np.clip(-0.5 * c1 / c2, p_min, p_max)
     end = np.where(c2 * (p_min + p_max) + c1 < 0.0, p_max, p_min)
     p = np.where(c2 > 0.0, vertex, end)
-    return p, 2.0 * ((c2 * p + c1) * p + c0) / (moments.n * (moments.n - 1))
+    return p, 2.0 * ((c2 * p + c1) * p + c0) / (n * (n - 1))
+
+
+def profile_by_cell(moments, alpha, beta, p_min, p_max):
+    """profile_p's clipped vertex applied to the per-cell quadratic."""
+    return profile_quadratic(*p_quadratic_by_cell(moments.power_sums, moments.n, alpha, beta),
+                             moments.n, p_min, p_max)
 
 
 GRID_SAMPLES = {
@@ -436,6 +446,22 @@ def test_profile_p_grid_matches_the_per_cell_quadratic(kind, n):
     diagonal = np.arange(GRID_SIZE)
     assert np.all(c2[diagonal, diagonal] == 0.0) and np.all(c1[diagonal, diagonal] == 0.0)
     assert np.all(p[diagonal, diagonal] == opts.p_min)
+
+
+@pytest.mark.parametrize("kind", sorted(GRID_SAMPLES))
+def test_profile_p_keeps_the_bits_of_the_out_of_place_formula(kind):
+    # profile_p works in place, in the operation order of the plain formula
+    density, theta0 = GRID_SAMPLES[kind]
+    box = FitOptions().box()
+    alphas = np.linspace(box[1, 0], box[1, 1], GRID_SIZE)
+    betas = np.random.default_rng(26).uniform(0, np.pi, 40)
+    for seed, n in ((27, 50), (28, 1000), (29, 20000)):
+        moments = ContrastMoments(sample_mixture(theta0, density, n, np.random.default_rng(seed)))
+        for p_min, p_max in ((0.01, 0.49), (0.01, 0.99), (0.3, 0.3)):
+            for a, b in ((alphas, alphas), (alphas, betas)):
+                p, value = moments.profile_p(a[:, None], b[None, :], p_min, p_max)
+                p_ref, value_ref = profile_quadratic(*moments._p_quadratic(a, b), n, p_min, p_max)
+                assert np.array_equal(p, p_ref) and np.array_equal(value, value_ref)
 
 
 def test_profile_p_shapes():
@@ -524,23 +550,65 @@ def test_screen_keeps_the_minimum_of_every_polish():
     assert screened > 0
 
 
+#: Samples, as (density, theta0, n, seed key), on which an L-BFGS-B polish
+#: with ftol 1e-13 and gtol 1e-9 stopped "ABNORMAL" at the sample's minimum.
+POLISH_SAMPLE_THETA = MixtureParams(0.25, 0.3927, 2.0944)
+ABNORMAL_AT_MINIMUM = [
+    (VonMises(5.0), POLISH_SAMPLE_THETA, 300, [101, 0, 300, 12]),
+    (WrappedCauchy(0.8), POLISH_SAMPLE_THETA, 1000, [101, 1, 1000, 35]),
+    (WrappedCauchy(0.8), POLISH_SAMPLE_THETA, 200_000, [101, 1, 200_000, 11]),
+    (WrappedCauchy(0.8), POLISH_SAMPLE_THETA, 200_000, [101, 1, 200_000, 41]),
+    (VonMises(5.0), MixtureParams(0.0, 0.3, 2.1), 20_000, [101, 3, 20_000, 14]),
+    (VonMises(5.0), MixtureParams(0.0, 0.3, 2.1), 200_000, [101, 3, 200_000, 23]),
+    (VonMises(5.0), MixtureParams(0.45, 0.3927, 2.0944), 200_000, [101, 5, 200_000, 15]),
+]
+
+
+def test_every_polish_that_reaches_the_minimum_converges(monkeypatch):
+    # the Newton decrement judges a polish by the point where it ends: every
+    # polish within 1e-12 of its sample's lowest n S_n reports converged, also
+    # where L-BFGS-B stopped "ABNORMAL" there, at n = 2e5 and on collapsed
+    # data, where H_FF is often indefinite
+    polish, runs = contrast._polish, []
+
+    def recorded(*args):
+        runs.append(polish(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(contrast, "_polish", recorded)
+    samples = ABNORMAL_AT_MINIMUM + [
+        (density, theta0, n, [30, k, n, rep])
+        for k, (density, theta0) in enumerate(SCREEN_DENSITIES)
+        for n in (1000, 200_000) for rep in range(2)]
+    opts = FitOptions(compute_covariance=False)
+    for density, theta0, n, key in samples:
+        rng = np.random.default_rng(np.random.SeedSequence(key))
+        runs.clear()
+        fit = estimate_theta(sample_mixture(theta0, density, n, rng), opts)
+        best = min(r.fun for r in runs)
+        assert fit.contrast_at_min == best / n
+        for r in runs:
+            assert r.converged or r.fun > best + 1e-12, (key, r.failure)
+            assert r.converged == (r.decrement <= contrast.DECREMENT_TOL)
+        assert fit.converged_starts == sum(r.converged for r in runs)
+
+
 def test_unconverged_first_polish_screens_nothing(monkeypatch):
     # only a converged polish may rule out a later start, so a first polish
     # that reports failure leaves the next start to be polished
     angles = sample_mixture(THETA0, VonMises(5.0), 1000, np.random.default_rng(0))
     opts = FitOptions(compute_covariance=False)
     assert estimate_theta(angles, opts).n_starts == 1
-    import scipy.optimize
-    minimize, calls = scipy.optimize.minimize, []
+    polish, calls = contrast._polish, []
 
-    def first_unconverged(*args, **kwargs):
-        result = minimize(*args, **kwargs)
+    def first_unconverged(*args):
+        result = polish(*args)
         if not calls:
-            result.success = False
+            result = dataclasses.replace(result, failure="line search stalled")
         calls.append(result)
         return result
 
-    monkeypatch.setattr(scipy.optimize, "minimize", first_unconverged)
+    monkeypatch.setattr(contrast, "_polish", first_unconverged)
     fit = estimate_theta(angles, opts)
     assert fit.n_starts >= 2
     assert fit.converged_starts == fit.n_starts - 1
@@ -629,22 +697,22 @@ def test_mse_risk_decay():
 
 def test_no_converged_polish_is_an_estimation_error(tmp_path, monkeypatch, capsys):
     # every polish reports failure: the fit, a bench replication and `circmix fit` fail
-    import scipy.optimize
-    minimize, runs = scipy.optimize.minimize, []
+    polish, runs = contrast._polish, []
 
-    def unconverged(*args, **kwargs):
-        result = minimize(*args, **kwargs)
-        result.success, result.message = False, "ABNORMAL: no convergence"
+    def unconverged(*args):
+        result = polish(*args)
+        result = dataclasses.replace(
+            result, failure=f"line search stalled at lambda^2 = {result.decrement:.3g}")
         runs.append(result)
         return result
 
-    monkeypatch.setattr(scipy.optimize, "minimize", unconverged)
+    monkeypatch.setattr(contrast, "_polish", unconverged)
     angles = sample_mixture(THETA0, VonMises(5.0), 300, np.random.default_rng(4))
     with pytest.raises(EstimationError) as info:
         estimate_theta(angles, FitOptions(compute_covariance=False))
     best = min(r.fun for r in runs) / len(angles)
     assert str(info.value) == (f"no polish converged (best contrast {best!r}: "
-                               "ABNORMAL: no convergence)")
+                               f"line search stalled at lambda^2 = {runs[0].decrement:.3g})")
     config = bench.ExperimentConfig.from_dict(dict(
         density="vonmises kappa=5", theta0="0.25,0.4,2.1", n="200", reps="1", seed="3"))
     assert bench._fit_rep((config, "mse", 200, 0)) is None
