@@ -171,34 +171,13 @@ def _rep_rng(config: ExperimentConfig, kind: str, n: int, rep: int) -> np.random
         np.random.SeedSequence([config.seed, _STREAM_TAG[kind], n, rep]))
 
 
-def _one_blas_thread():
-    """Pool initializer: one thread for scipy's OpenBLAS, whose per-core threads
-    in each of 2 workers on 2 cores made the fits 4-9x slower than serially."""
-    try:
-        with open("/proc/self/maps") as fh:  # the loaded libraries, on Linux
-            paths = {line[line.index("/"):].strip() for line in fh if "/libscipy_openblas" in line}
-    except OSError:
-        return
-    import ctypes
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        if hasattr(lib, "scipy_openblas_set_num_threads"):
-            lib.scipy_openblas_set_num_threads(1)
-
-
 def _map_reps(config: ExperimentConfig, worker, tasks):
     # a forked pool starts all its workers at once: start no more than there are tasks
     workers = min(config.jobs, len(tasks))
     if workers > 1:
-        # The fits load no scipy, but a von Mises pdf or coefficient loads
-        # scipy.special, and with it scipy's OpenBLAS, at its first call.  Load
-        # it here, before the fork, so every worker inherits the library and
-        # _one_blas_thread pins it: one loaded after the initializer ran would
-        # keep its thread per core.  The process pool, and with it
-        # multiprocessing, loads only here too.
+        # the process pool, and with it multiprocessing, loads only here
         from concurrent.futures import ProcessPoolExecutor
-        import scipy.special  # noqa: F401
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, tasks, chunksize=1))
     return [worker(t) for t in tasks]
 

@@ -139,24 +139,15 @@ class ContrastMoments:
         c1[same] = 0.0
         return c2, c1, c0
 
-    def profile_p(self, alpha, beta, p_min: float, p_max: float):
-        """(p, S_n) with p minimizing S_n over [p_min, p_max] at fixed angles.
+    def profile_p(self, alphas, betas, p_min: float, p_max: float):
+        """(p, S_n), two len(alphas) x len(betas) arrays, with p minimizing
+        S_n over [p_min, p_max] at every (alphas[i], betas[j]).
 
-        ``alpha`` and ``beta`` are scalars or a column and a row, of shapes
-        (k, 1) and (1, m): the result is then k x m.  The quadratic's
-        minimum on the interval is its clipped vertex when c2 > 0, and
-        otherwise the end point with the lower value; the two end values
-        differ by (p_max - p_min) (c2 (p_min + p_max) + c1).
+        The quadratic's minimum on the interval is its clipped vertex when
+        c2 > 0, and otherwise the end point with the lower value; the two end
+        values differ by (p_max - p_min) (c2 (p_min + p_max) + c1).
         """
-        alpha = np.asarray(alpha, dtype=float)
-        beta = np.asarray(beta, dtype=float)
-        if alpha.ndim == beta.ndim == 0:
-            shape = ()
-        elif alpha.ndim == beta.ndim == 2 and alpha.shape[1] == beta.shape[0] == 1:
-            shape = (alpha.shape[0], beta.shape[1])
-        else:
-            raise DomainError("profile_p takes two scalars or a (k, 1) column and a (1, m) row")
-        c2, c1, c0 = self._p_quadratic(alpha.ravel(), beta.ravel())
+        c2, c1, c0 = self._p_quadratic(alphas, betas)
         # in place, in the operation order of -0.5 c1 / c2 and
         # 2 ((c2 p + c1) p + c0) / (n (n - 1)), so the results keep their bits
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -175,7 +166,7 @@ class ContrastMoments:
         value += c0
         value *= 2.0
         value /= self.n * (self.n - 1)
-        return p.reshape(shape), value.reshape(shape)
+        return p, value
 
     def _scan(self, theta, hessian: bool = False):
         """S_n, its gradient and, if asked, its Hessian (else None), all
@@ -427,7 +418,7 @@ def estimate_theta(sample, options: FitOptions | None = None) -> FitResult:
     box = opts.box()
     alphas = np.linspace(box[1, 0], box[1, 1], GRID_SIZE)
     betas = np.linspace(box[2, 0], box[2, 1], GRID_SIZE)
-    ps, values = moments.profile_p(alphas[:, None], betas[None, :], opts.p_min, opts.p_max)
+    ps, values = moments.profile_p(alphas, betas, opts.p_min, opts.p_max)
     n = moments.n
 
     runs = []

@@ -31,10 +31,17 @@ def _weight_floor(p_cap: float) -> float:
     return 1.0 - 2.0 * p_cap
 
 
+# The largest resolution level accepted: `circmix density` at n = 1000 and a
+# million levels already takes ~4.5 s and 0.46 GB (2 cores), and memory and
+# time grow linearly in l_max.
+L_MAX_LIMIT = 10 ** 6
+
+
 def _check_settings(l_max: int | None = None, penalty: float | None = None) -> None:
-    """Raise DomainError unless l_max >= 0 and the penalty is finite and positive."""
-    if l_max is not None and l_max < 0:
-        raise DomainError(f"l_max must be nonnegative, got {l_max}")
+    """Raise DomainError unless 0 <= l_max <= L_MAX_LIMIT and the penalty is
+    finite and positive."""
+    if l_max is not None and not 0 <= l_max <= L_MAX_LIMIT:
+        raise DomainError(f"l_max must be in 0..{L_MAX_LIMIT}, got {l_max}")
     if penalty is not None and not (math.isfinite(penalty) and penalty > 0):
         raise DomainError(f"penalty must be finite and positive, got {penalty}")
 
@@ -89,7 +96,8 @@ def empirical_coeffs(sample, theta: MixtureParams, l_max: int,
     Raises
     ------
     DomainError
-        If l_max < 0 or beyond the moments' sums, or p_cap lies outside (0, 1/2).
+        If l_max lies outside 0..L_MAX_LIMIT or beyond the moments' sums, or
+        p_cap lies outside (0, 1/2).
     DegeneracyError
         If some |M^l(theta)| falls below the floor 1 - 2*p_cap.
     """

@@ -1,24 +1,21 @@
 """Monte Carlo harness: determinism, schemas, failure accounting."""
 
-import ctypes
 import importlib
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
-# A von Mises pdf loads scipy.special at its first call; loading it here maps
-# scipy's OpenBLAS before the skipif below looks for it, whatever the
-# collection order
-import scipy.special  # noqa: F401
 
 from circmix import (ExperimentError, estimate_density, estimate_theta, parse_density,
                      sample_mixture)
-from circmix.bench import (ExperimentConfig, MseRow, _map_reps, _rep_rng, run_density_recon,
-                           run_experiments, run_mse, run_normality, run_slope)
+from circmix.bench import (ExperimentConfig, MseRow, _fit_rep, _map_reps, _rep_rng,
+                           run_density_recon, run_experiments, run_mse, run_normality,
+                           run_slope)
 
 THETA = "0.25,0.39269908,2.0943951"
 # the package re-exports a function named contrast, so the modules are fetched by name
@@ -93,25 +90,6 @@ def test_run_mse_parallel_matches_serial(tmp_path):
     assert (serial_dir / "mse.csv").read_bytes() == (par_dir / "mse.csv").read_bytes()
 
 
-def _blas_threads(_=None):
-    """Thread count of each scipy OpenBLAS loaded in this process."""
-    with open("/proc/self/maps") as fh:
-        paths = sorted({line[line.index("/"):].strip() for line in fh
-                        if "/libscipy_openblas" in line})
-    libs = [ctypes.CDLL(path) for path in paths]
-    return [lib.scipy_openblas_get_num_threads() for lib in libs
-            if hasattr(lib, "scipy_openblas_get_num_threads")]
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/maps") or not _blas_threads(),
-                    reason="no scipy OpenBLAS library is loaded")
-def test_pool_workers_use_one_blas_thread(tmp_path):
-    before = _blas_threads()
-    workers = _map_reps(config(tmp_path, jobs=2), _blas_threads, [0, 1])
-    assert workers == [[1] * len(before)] * 2
-    assert _blas_threads() == before
-
-
 @pytest.mark.parametrize("jobs, reps, pool_sizes", [(64, 2, [2]), (8, 1, []), (2, 3, [2])])
 def test_pool_has_no_more_workers_than_replications(tmp_path, monkeypatch, jobs, reps,
                                                      pool_sizes):
@@ -120,7 +98,7 @@ def test_pool_has_no_more_workers_than_replications(tmp_path, monkeypatch, jobs,
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers, initializer=None):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -141,53 +119,77 @@ def test_pool_has_no_more_workers_than_replications(tmp_path, monkeypatch, jobs,
     assert (serial_dir / "mse.csv").read_bytes() == (pool_dir / "mse.csv").read_bytes()
 
 
-# Run as a script by a fresh interpreter: the parent imports only circmix.bench
-# and the fits load no scipy, so scipy's OpenBLAS is loaded by _map_reps's preload.
-_POOL_PROBE = """\
-import ctypes, json, sys
-
-import numpy as np
-
-from circmix import bench
-
-
-def scipy_openblas_threads():
-    with open("/proc/self/maps") as fh:
-        paths = sorted({line[line.index("/"):].strip() for line in fh
-                        if "/libscipy_openblas" in line})
-    libs = [ctypes.CDLL(path) for path in paths]
-    return [lib.scipy_openblas_get_num_threads() for lib in libs
-            if hasattr(lib, "scipy_openblas_get_num_threads")]
+# The configs whose _fit_rep tasks the workers run, for their last experiment.
+# The last config's parent runs the density experiment first, whose von Mises
+# pdf loads scipy.special before the fork.
+_WORKER_CONFIGS = [dict(density=spec, experiment=kind)
+                   for spec in ("vonmises kappa=5", "wrappedcauchy gamma=0.8",
+                                "wrappednormal rho=0.7", "uniform")
+                   for kind in ("mse", "normality")]
+_WORKER_CONFIGS.append(dict(density="vonmises kappa=5", experiment="density,normality"))
 
 
-def fit_then_count(seed):
-    angles = bench.sample_mixture(bench.MixtureParams(0.25, 0.4, 2.1),
-                                  bench.parse_density("vonmises kappa=5"), 200,
-                                  np.random.default_rng(seed))
-    bench.estimate_theta(angles)
-    return scipy_openblas_threads()
+def _worker_threads(task):
+    """_fit_rep of ``task`` in a pool worker, then the worker's thread count
+    (None where /proc is absent)."""
+    fit = _fit_rep(task)
+    threads = "/proc/self/task"
+    return fit, len(os.listdir(threads)) if os.path.isdir(threads) else None
 
 
-if __name__ == "__main__":
-    scipy_before = sorted(m for m in sys.modules if m.startswith("scipy"))
-    config = bench.ExperimentConfig.from_dict(dict(
-        density="uniform", theta0="0.25,0.4,2.1", n="200", reps="2", seed="1", jobs="2"))
-    print(json.dumps([scipy_before, bench._map_reps(config, fit_then_count, [0, 1])]))
-"""
+def test_pool_workers_use_one_blas_thread(tmp_path):
+    # this process has loaded scipy's OpenBLAS and started numpy's BLAS
+    # threads; a forked worker inherits neither pool and its fits start none
+    import scipy.special  # noqa: F401
+    a = np.random.default_rng(0).standard_normal((512, 512))
+    a @ a
+    cfg = config(tmp_path, jobs=2, reps=50, experiment="normality")
+    tasks = [(cfg, "normality", 200, r) for r in (0, 1)]
+    workers = _map_reps(cfg, _worker_threads, tasks)
+    for (fit, threads), task in zip(workers, tasks):
+        serial = _fit_rep(task)
+        assert fit.theta_hat == serial.theta_hat
+        assert np.array_equal(fit.sigma_hat, serial.sigma_hat)
+        if os.path.isdir("/proc/self/task"):
+            assert threads == 1
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
 def test_pool_workers_from_fresh_interpreter_use_one_blas_thread(tmp_path):
-    script = tmp_path / "pool_probe.py"
-    script.write_text(_POOL_PROBE)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], env=dict(os.environ, PYTHONPATH=path),
+    # the fits load no scipy, so a plain forked worker runs one thread: no
+    # scipy OpenBLAS starts its threads there, whatever the parent loaded
+    script = textwrap.dedent(f"""\
+        import json, os, sys
+        from circmix import bench
+
+        def probe(task):
+            bench._fit_rep(task)
+            scipy = sorted(m for m in sys.modules if m.startswith("scipy") and m not in inherited)
+            threads = "/proc/self/task"
+            return [scipy, len(os.listdir(threads)) if os.path.isdir(threads) else None]
+
+        reports = []
+        for values in {_WORKER_CONFIGS!r}:
+            config = bench.ExperimentConfig.from_dict(dict(
+                values, theta0="0.25,0.4,2.1", n="200", reps="50", seed="1", jobs="2",
+                out={str(tmp_path)!r}))
+            if "density" in config.experiments:
+                bench.run_density_recon(config)
+            inherited = {{m for m in sys.modules if m.startswith("scipy")}}
+            kind = config.experiments[-1]
+            reports.append(bench._map_reps(config, probe, [(config, kind, 200, r) for r in (0, 1)]))
+        print(json.dumps(reports))
+        """)
+    path = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=300, check=True)
-    scipy_before, workers = json.loads(proc.stdout)
-    assert scipy_before == []
-    assert len(workers) == 2 and all(workers)
-    assert all(threads == [1] * len(threads) for threads in workers)
+    reports = json.loads(proc.stdout)
+    assert len(reports) == len(_WORKER_CONFIGS)
+    for values, workers in zip(_WORKER_CONFIGS, reports):
+        for scipy, threads in workers:
+            assert scipy == [], values
+            if os.path.isdir("/proc/self/task"):
+                assert threads == 1, values
 
 
 def test_mse_csv_schema(tmp_path):

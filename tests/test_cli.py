@@ -325,6 +325,7 @@ def test_fit_output_ignores_seed(tmp_path, capsys):
     ("slope", "--pmax", "0.5"),
     ("fit", "--pmax", "0"),
     ("density", "--lmax", "-1"),
+    ("slope", "--lmax", "1000000000000"),
     ("fit", "--pmax", "inf"),
     ("fit", "--pmax", "2"),
     ("fit", "--box", "0.01,0.49,0,inf,0,inf"),
@@ -609,7 +610,8 @@ def test_bench_theta0_out_of_range_names_key_and_file(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("p_max", "0.7"), ("p_max", "nan"), ("l_max", "-1"), ("lambda", "-1"), ("lambda", "nan"),
+    ("p_max", "0.7"), ("p_max", "nan"), ("l_max", "-1"), ("l_max", "1000000000000"),
+    ("lambda", "-1"), ("lambda", "nan"),
 ])
 def test_bench_setting_out_of_range_names_key_and_file(tmp_path, capsys, key, value):
     # checked with the config, before any experiment runs or writes its file

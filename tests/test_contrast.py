@@ -294,9 +294,9 @@ def test_contrast_kernel_properties(angles, theta):
         assert moments.value(image) == pytest.approx(value, rel=1e-12, abs=1e-15)
         assert moments.value_grad(image)[0] == pytest.approx(value, rel=1e-12, abs=1e-15)
     # the profiling quadratic, read at p by a one-point interval, gives S_n too
-    p_one, value_q = moments.profile_p(alpha, beta, p, p)
-    assert p_one == p
-    assert value_q == pytest.approx(value, rel=1e-12, abs=1e-15)
+    p_one, value_q = moments.profile_p([alpha], [beta], p, p)
+    assert p_one[0, 0] == p
+    assert value_q[0, 0] == pytest.approx(value, rel=1e-12, abs=1e-15)
 
 
 def test_contrast_unbiased():
@@ -382,7 +382,7 @@ def test_estimate_theta_single_component_collapses():
     moments = ContrastMoments(s)
     assert fit.contrast_at_min <= moments.value((options.p_min, beta0, beta0))
     grid = np.linspace(options.angle_min, options.angle_max, 600)
-    _, values = moments.profile_p(grid[:, None], grid[None, :], options.p_min, options.p_max)
+    _, values = moments.profile_p(grid, grid, options.p_min, options.p_max)
     assert fit.contrast_at_min <= values.min() + 1e-12
 
 
@@ -394,7 +394,7 @@ def test_profiled_p_matches_scalar_minimization():
     moments = ContrastMoments(angles)
     for _ in range(20):
         alpha, beta = rng.uniform(0, np.pi, 2)
-        p, value = moments.profile_p(alpha, beta, 0.01, 0.49)
+        p, value = (v[0, 0] for v in moments.profile_p([alpha], [beta], 0.01, 0.49))
         ref = minimize_scalar(lambda q: brute_contrast(angles, (q, alpha, beta)),
                               bounds=(0.01, 0.49), method="bounded",
                               options={"xatol": 1e-10})
@@ -434,15 +434,16 @@ def test_profile_p_grid_matches_the_per_cell_quadratic(kind, n):
     moments = ContrastMoments(sample_mixture(theta0, density, n, rng))
     opts = FitOptions()
     box = opts.box()
-    alphas = np.linspace(box[1, 0], box[1, 1], GRID_SIZE)[:, None]
-    betas = np.linspace(box[2, 0], box[2, 1], GRID_SIZE)[None, :]
+    alphas = np.linspace(box[1, 0], box[1, 1], GRID_SIZE)
+    betas = np.linspace(box[2, 0], box[2, 1], GRID_SIZE)
     p, value = moments.profile_p(alphas, betas, opts.p_min, opts.p_max)
-    p_ref, value_ref = profile_by_cell(moments, alphas, betas, opts.p_min, opts.p_max)
+    p_ref, value_ref = profile_by_cell(moments, alphas[:, None], betas[None, :], opts.p_min,
+                                       opts.p_max)
     # both round terms of the grid's scale, so the value is compared on that scale
     assert np.max(np.abs(value - value_ref)) <= 1e-12 * np.max(np.abs(value_ref))
     assert np.max(np.abs(p - p_ref)) <= 1e-9
     # at alpha == beta S_n does not depend on p: no rounding may pick a vertex there
-    c2, c1, _ = moments._p_quadratic(alphas.ravel(), betas.ravel())
+    c2, c1, _ = moments._p_quadratic(alphas, betas)
     diagonal = np.arange(GRID_SIZE)
     assert np.all(c2[diagonal, diagonal] == 0.0) and np.all(c1[diagonal, diagonal] == 0.0)
     assert np.all(p[diagonal, diagonal] == opts.p_min)
@@ -459,7 +460,7 @@ def test_profile_p_keeps_the_bits_of_the_out_of_place_formula(kind):
         moments = ContrastMoments(sample_mixture(theta0, density, n, np.random.default_rng(seed)))
         for p_min, p_max in ((0.01, 0.49), (0.01, 0.99), (0.3, 0.3)):
             for a, b in ((alphas, alphas), (alphas, betas)):
-                p, value = moments.profile_p(a[:, None], b[None, :], p_min, p_max)
+                p, value = moments.profile_p(a, b, p_min, p_max)
                 p_ref, value_ref = profile_quadratic(*moments._p_quadratic(a, b), n, p_min, p_max)
                 assert np.array_equal(p, p_ref) and np.array_equal(value, value_ref)
 
@@ -467,19 +468,14 @@ def test_profile_p_keeps_the_bits_of_the_out_of_place_formula(kind):
 def test_profile_p_shapes():
     rng = np.random.default_rng(25)
     moments = ContrastMoments(sample_mixture(THETA0, VonMises(5.0), 100, rng))
-    p, value = moments.profile_p(0.3, 1.2, 0.01, 0.49)
-    assert np.shape(p) == np.shape(value) == ()
-    alphas, betas = rng.uniform(0, np.pi, (5, 1)), rng.uniform(0, np.pi, (1, 7))
+    alphas, betas = rng.uniform(0, np.pi, 5), rng.uniform(0, np.pi, 7)
     p, value = moments.profile_p(alphas, betas, 0.01, 0.49)
     assert p.shape == value.shape == (5, 7)
-    assert value[2, 3] == pytest.approx(moments.profile_p(alphas[2, 0], betas[0, 3], 0.01, 0.49)[1],
-                                        rel=1e-12)
-    p_ref, value_ref = profile_by_cell(moments, alphas, betas, 0.01, 0.49)
+    _, cell = moments.profile_p([alphas[2]], [betas[3]], 0.01, 0.49)
+    assert value[2, 3] == pytest.approx(cell[0, 0], rel=1e-12)
+    p_ref, value_ref = profile_by_cell(moments, alphas[:, None], betas[None, :], 0.01, 0.49)
     assert_allclose(p, p_ref, rtol=0, atol=1e-9)
     assert_allclose(value, value_ref, rtol=1e-12)
-    for bad in ((np.zeros(3), np.zeros(3)), (betas, alphas), (alphas, 0.5)):
-        with pytest.raises(DomainError):
-            moments.profile_p(*bad, 0.01, 0.49)
 
 
 FITTER_SAMPLES = [
@@ -515,7 +511,7 @@ def polish_every_start(moments, opts):
     box, n = opts.box(), moments.n
     alphas = np.linspace(box[1, 0], box[1, 1], GRID_SIZE)
     betas = np.linspace(box[2, 0], box[2, 1], GRID_SIZE)
-    ps, values = moments.profile_p(alphas[:, None], betas[None, :], opts.p_min, opts.p_max)
+    ps, values = moments.profile_p(alphas, betas, opts.p_min, opts.p_max)
 
     def n_contrast(theta):
         value, grad = moments.value_grad(theta)
