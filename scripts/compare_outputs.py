@@ -40,6 +40,11 @@ DENSITIES = {
     "wn": "wrappednormal rho=0.7",
     "uniform": "uniform",
     "tab": "tabulated path=grid.txt",
+    # a location mu != 0, which ComponentDensity applies for every family
+    "wcmu": "wrappedcauchy gamma=0.8 mu=2.2",
+    "wnmu": "wrappednormal rho=0.7 mu=-0.4",
+    "vmmu": "vonmises kappa=5 mu=1.3",
+    "tabmu": "tabulated path=grid.txt mu=0.25",
 }
 BENCH_CONFIGS = {
     "mse": "experiment = mse,normality\nn = 500,1000\nreps = 50\nseed = 7\n",

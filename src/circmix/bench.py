@@ -81,7 +81,7 @@ class ExperimentConfig:
             (the config file), the key and the value.
         ExperimentError
             If a key is missing or unknown, or a value is out of range; for
-            ``theta0``, ``p_max``, ``l_max`` and ``lambda`` the message names
+            ``theta0``, ``n``, ``p_max``, ``l_max`` and ``lambda`` the message names
             ``source``, the key and the value.  ``p_max`` must lie below 1/2
             only when a density or slope experiment is listed, as the fit
             alone accepts a larger one.
@@ -113,9 +113,10 @@ class ExperimentConfig:
         theta0 = check("theta0", theta0_raw, MixtureParams,
                        *parse("theta0", theta0_raw, _three_floats,
                               "three comma-separated numbers 'p,alpha,beta'"))
-        n_list = parse("n", str(pop("n", required=True)),
-                       lambda text: tuple(int(v) for v in text.split(",")),
+        n_raw = str(pop("n", required=True))
+        n_list = parse("n", n_raw, lambda text: tuple(int(v) for v in text.split(",")),
                        "a comma-separated list of integers")
+        check("n", n_raw, _check_settings, n=max(n_list))
         seed_raw = pop("seed")
         if seed_raw is None:
             raise ExperimentError("bench experiments refuse to run unseeded; set seed")

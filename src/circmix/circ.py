@@ -110,9 +110,13 @@ def mixture_weight(theta, l):
 
 
 class ComponentDensity:
-    """Base class for circular component densities.
+    """Base class for circular component densities f(. - mu).
 
-    Subclasses implement ``pdf``, ``fourier_coeffs``, ``squared_norm`` and
+    A family is written centred at 0 and supplies three methods: ``_pdf(d)``
+    at offsets d = x - mu, ``_coeffs(ls)``, the coefficients of the centred
+    density, and ``_draw(n, rng)``, n centred angles in a new float array.
+    It also supplies ``squared_norm``, which rotation leaves unchanged.  This
+    class applies the location mu, once, in ``pdf``, ``fourier_coeffs`` and
     ``sample``; all are pure given an explicit ``numpy.random.Generator``.
     """
 
@@ -120,22 +124,30 @@ class ComponentDensity:
     label: str = "density"
 
     def pdf(self, x):
-        raise NotImplementedError
+        """The centred ``_pdf`` at x - mu: an array for an array, a float for a scalar."""
+        out = self._pdf(np.asarray(x, dtype=float) - self.mu)
+        return out if out.ndim else float(out)
 
     def fourier_coeff(self, l: int) -> complex:
         """Exact Fourier coefficient c_l = (1/2pi) E[exp(-i l X)]."""
         return complex(self.fourier_coeffs([l])[0])
 
     def fourier_coeffs(self, ls) -> np.ndarray:
-        """c_l for each level of ``ls``, a complex array."""
-        raise NotImplementedError
+        """c_l = (centred c_l) e^{-i l mu} for each level of ``ls``, a complex array."""
+        ls = np.atleast_1d(ls)
+        return self._coeffs(ls) * np.exp(-1j * ls * self.mu)
 
     def squared_norm(self) -> float:
         """(1/2pi) integral f^2 = sum_l |c_l|^2, exactly (Parseval)."""
         raise NotImplementedError
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
+        """n angles drawn from f, rotated by mu and normalized in place."""
+        if n < 1:
+            raise DomainError("sample size must be >= 1")
+        angles = self._draw(n, rng)
+        angles += self.mu
+        return normalize_into(angles, angles)
 
     def __repr__(self):
         return self.label
@@ -149,8 +161,7 @@ class VonMises(ComponentDensity):
     e^{-kappa}, so neither the density nor the coefficients overflow at
     large kappa.  Samples come from numpy's ``Generator.vonmises``, the
     Best-Fisher (1979) rejection sampler with a wrapped-normal path above
-    kappa = 1e6, except that kappa < 1e-12 draws uniform angles on
-    [0, 2*pi).
+    kappa = 1e6, except that kappa < 1e-12 draws uniform angles.
     """
 
     kappa: float
@@ -164,28 +175,21 @@ class VonMises(ComponentDensity):
     def label(self):
         return f"vonmises kappa={self.kappa:g} mu={self.mu:g}"
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.exp(self.kappa * (np.cos(x - self.mu) - 1.0)) / (TWO_PI * _ive(0, self.kappa))
-        return out if out.ndim else float(out)
+    def _pdf(self, d):
+        return np.exp(self.kappa * (np.cos(d) - 1.0)) / (TWO_PI * _ive(0, self.kappa))
 
-    def fourier_coeffs(self, ls) -> np.ndarray:
-        ls = np.atleast_1d(ls)
-        mag = _ive(np.abs(ls), self.kappa) / (TWO_PI * _ive(0, self.kappa))
-        return mag * np.exp(-1j * ls * self.mu)
+    def _coeffs(self, ls):
+        return _ive(np.abs(ls), self.kappa) / (TWO_PI * _ive(0, self.kappa))
 
     def squared_norm(self) -> float:
         """I_0(2 kappa) / (2 pi I_0(kappa))^2, from sum_l I_l(kappa)^2 = I_0(2 kappa);
         the scalings e^{-2 kappa} of ive cancel."""
         return float(_ive(0, 2.0 * self.kappa) / _ive(0, self.kappa) ** 2 / TWO_PI ** 2)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if n < 1:
-            raise DomainError("sample size must be >= 1")
+    def _draw(self, n, rng):
         if self.kappa < 1e-12:
             return rng.uniform(0.0, TWO_PI, size=n)
-        angles = rng.vonmises(self.mu, self.kappa, size=n)
-        return normalize_into(angles, angles)
+        return rng.vonmises(0.0, self.kappa, size=n)
 
 
 def _ive(order, kappa):
@@ -211,15 +215,12 @@ class WrappedCauchy(ComponentDensity):
     def label(self):
         return f"wrappedcauchy gamma={self.gamma:g} mu={self.mu:g}"
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _pdf(self, d):
         g = self.gamma
-        out = (1.0 - g * g) / (TWO_PI * (1.0 + g * g - 2.0 * g * np.cos(x - self.mu)))
-        return out if out.ndim else float(out)
+        return (1.0 - g * g) / (TWO_PI * (1.0 + g * g - 2.0 * g * np.cos(d)))
 
-    def fourier_coeffs(self, ls) -> np.ndarray:
-        ls = np.atleast_1d(ls)
-        return self.gamma ** np.abs(ls) / TWO_PI * np.exp(-1j * ls * self.mu)
+    def _coeffs(self, ls):
+        return self.gamma ** np.abs(ls) / TWO_PI
 
     def squared_norm(self) -> float:
         """(1 + gamma^2) / ((1 - gamma^2) (2 pi)^2), the geometric series of
@@ -228,13 +229,10 @@ class WrappedCauchy(ComponentDensity):
         g = self.gamma
         return (1.0 + g * g) / ((1.0 - g) * (1.0 + g)) / TWO_PI ** 2
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if n < 1:
-            raise DomainError("sample size must be >= 1")
+    def _draw(self, n, rng):
         if self.gamma == 0.0:
             return rng.uniform(0.0, TWO_PI, size=n)
-        scale = -math.log(self.gamma)
-        return normalize(self.mu + scale * rng.standard_cauchy(n))
+        return -math.log(self.gamma) * rng.standard_cauchy(n)
 
 
 @dataclass(frozen=True, repr=False)
@@ -256,13 +254,11 @@ class WrappedNormal(ComponentDensity):
     def _sigma(self):
         return math.sqrt(-2.0 * math.log(self.rho)) if self.rho > 0.0 else math.inf
 
-    def pdf(self, x):
-        out = _wrapped_normal(np.asarray(x, dtype=float) - self.mu, self.rho, self._sigma())
-        return out if out.ndim else float(out)
+    def _pdf(self, d):
+        return _wrapped_normal(d, self.rho, self._sigma())
 
-    def fourier_coeffs(self, ls) -> np.ndarray:
-        ls = np.atleast_1d(ls)
-        return self.rho ** (ls * ls) / TWO_PI * np.exp(-1j * ls * self.mu)
+    def _coeffs(self, ls):
+        return self.rho ** (ls * ls) / TWO_PI
 
     def squared_norm(self) -> float:
         """sum_l rho^(2 l^2) / (2 pi)^2: the series of the rho^2 density, whose
@@ -270,12 +266,10 @@ class WrappedNormal(ComponentDensity):
         return float(_wrapped_normal(0.0, self.rho * self.rho,
                                      math.sqrt(2.0) * self._sigma())) / TWO_PI
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if n < 1:
-            raise DomainError("sample size must be >= 1")
+    def _draw(self, n, rng):
         if self.rho == 0.0:
             return rng.uniform(0.0, TWO_PI, size=n)
-        return normalize(rng.normal(self.mu, self._sigma(), size=n))
+        return rng.normal(0.0, self._sigma(), size=n)
 
 
 def _wrapped_normal(d, rho, sigma):
@@ -342,31 +336,23 @@ class Tabulated(ComponentDensity):
             raise DomainError("tabulated grid must be uniform with >= 16 points")
         return cls(values, mu=mu)
 
-    def _fine(self, n):
-        if len(self.values) >= n:
-            return self.grid, self.values
-        fine = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        return fine, self.pdf(fine)
-
-    def pdf(self, x):
-        x = normalize(np.asarray(x, dtype=float) - self.mu)
+    def _pdf(self, d):
+        x = normalize(d)
         size = len(self.values)
         pos = x / (TWO_PI / size)
         # x just below 2*pi can round to pos = size: clamped, it interpolates to values[0]
         idx = np.minimum(np.floor(pos).astype(int), size - 1)
         frac = pos - idx
         nxt = (idx + 1) % size
-        out = (1.0 - frac) * self.values[idx] + frac * self.values[nxt]
-        return out if out.ndim else float(out)
+        return (1.0 - frac) * self.values[idx] + frac * self.values[nxt]
 
-    def fourier_coeffs(self, ls) -> np.ndarray:
+    def _coeffs(self, ls):
         """c_l of the interpolant: with N values v_j, the hat function of each
-        grid point has the transform sinc^2(pi l / N), so
-        c_l = (1/N) sum_j v_j e^{-2 pi i j l / N} sinc^2(pi l / N) e^{-i l mu}."""
-        ls = np.atleast_1d(ls)
+        grid point has the transform sinc^2(pi l / N), so the centred
+        c_l = (1/N) sum_j v_j e^{-2 pi i j l / N} sinc^2(pi l / N)."""
         size = len(self.values)
         dft = np.fft.fft(self.values)[ls % size] / size
-        return dft * np.sinc(ls / size) ** 2 * np.exp(-1j * ls * self.mu)
+        return dft * np.sinc(ls / size) ** 2
 
     def squared_norm(self) -> float:
         """(1/2pi) integral f^2 = sum_l |c_l|^2 of the interpolant, exactly:
@@ -374,17 +360,18 @@ class Tabulated(ComponentDensity):
         v, nxt = self.values, np.roll(self.values, -1)
         return float(np.mean(v * v + v * nxt + nxt * nxt) / 3.0)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if n < 1:
-            raise DomainError("sample size must be >= 1")
-        grid, values = self._fine(2048)
+    def _draw(self, n, rng):
+        grid, values = self.grid, self.values
+        if len(values) < 2048:
+            grid = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
+            values = self._pdf(grid)  # centred: sample applies mu to the draws
         step = TWO_PI / len(grid)
         cdf = np.concatenate([[0.0], np.cumsum((values[:-1] + values[1:]) * 0.5 * step)])
         cdf = np.append(cdf, cdf[-1] + (values[-1] + values[0]) * 0.5 * step)
         cdf /= cdf[-1]
         knots = np.append(grid, TWO_PI)
         u = rng.random(n)
-        return normalize(np.interp(u, cdf, knots) + self.mu)
+        return np.interp(u, cdf, knots)
 
 
 def _periodic_trapezoid(values):
@@ -408,8 +395,7 @@ def sample_mixture(theta: MixtureParams, density: ComponentDensity, n: int,
 def mixture_density(theta: MixtureParams, density: ComponentDensity, x):
     """Evaluate g(x) = p*f(x-alpha) + (1-p)*f(x-beta)."""
     x = np.asarray(x, dtype=float)
-    out = theta.p * density.pdf(x - theta.alpha) + (1.0 - theta.p) * density.pdf(x - theta.beta)
-    return out if np.ndim(out) else float(out)
+    return theta.p * density.pdf(x - theta.alpha) + (1.0 - theta.p) * density.pdf(x - theta.beta)
 
 
 def mixture_fourier(theta: MixtureParams, density: ComponentDensity, l: int) -> complex:

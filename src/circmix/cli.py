@@ -23,9 +23,9 @@ from . import bench
 from .circ import MixtureParams, normalize, normalize_into, parse_density, sample_mixture
 from .contrast import POWER_SUM_CHUNK, ContrastMoments, FitOptions, estimate_theta
 from .errors import (CalibrationError, CircmixError, DomainError, EstimationError,
-                     ExperimentError, InferenceError)
+                     ExperimentError)
 from .ident import classify, mixture_residual
-from .npdens import _check_settings, _weight_floor, default_l_max, estimate_density
+from .npdens import GRID_LIMIT, _check_settings, _weight_floor, default_l_max, estimate_density
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -152,6 +152,7 @@ def cmd_simulate(args) -> int:
     theta = _parse_theta(args.theta, args.degrees)
     if args.n < 1:
         raise _CliUsage("--n must be >= 1")
+    _check_settings(n=args.n)
     rng = np.random.default_rng(args.seed)
     angles = sample_mixture(theta, density, args.n, rng)
     # a block of lines at a time, so the text never holds the whole sample
@@ -186,8 +187,8 @@ def cmd_density(args) -> int:
             penalty = float(args.penalty)
         except ValueError as exc:
             raise _CliUsage(f"--lambda must be a number or 'slope': {args.penalty!r}") from exc
-    if args.grid <= 0:
-        raise _CliUsage(f"--grid must be a positive number of points, got {args.grid}")
+    if not 0 < args.grid <= GRID_LIMIT:
+        raise _CliUsage(f"--grid must be in 1..{GRID_LIMIT} points, got {args.grid}")
     # a bad --true is a usage error whatever the sample holds, so it is parsed before the fit
     true = parse_density(args.true_density) if args.true_density else None
     estimate = _fit_and_density(args, penalty)
@@ -197,8 +198,9 @@ def cmd_density(args) -> int:
     if true is not None:
         header.append("f")
         cols.append(true.pdf(x))
-    # Python floats format faster than numpy scalars, to the same text
-    rows = [[bench.FLOAT_FMT.format(v) for v in row] for row in zip(*(c.tolist() for c in cols))]
+    # Python floats format faster than numpy scalars, to the same text; the
+    # rows are formatted as they are written, so the text is never all in memory
+    rows = ([bench.FLOAT_FMT.format(v) for v in row] for row in zip(*(c.tolist() for c in cols)))
     bench.write_csv(args.out, header, rows)
     if args.coeffs_out:
         lm, f_hat = estimate.coeffs.l_max, estimate.coeffs.f_hat
@@ -369,9 +371,6 @@ def main(argv=None) -> int:
     except EstimationError as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
-    except InferenceError as exc:
-        print(f"inference error: {exc}", file=sys.stderr)
-        return EXIT_INFERENCE
     except (CalibrationError, ExperimentError) as exc:
         print(f"experiment error: {exc}", file=sys.stderr)
         return EXIT_EXPERIMENT

@@ -1,5 +1,6 @@
 """Angles, component densities, exact Fourier coefficients, and samplers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from circmix import (DomainError, MixtureParams, Tabulated, VonMises,
-                     WrappedCauchy, WrappedNormal, mixture_density,
+                     WrappedCauchy, WrappedNormal, angular_distance, mixture_density,
                      mixture_fourier, normalize, parse_density,
                      sample_mixture)
 
@@ -102,9 +103,12 @@ def test_exact_fourier_matches_quadrature():
 
 
 def test_exact_fourier_with_location():
-    d = VonMises(2.0, mu=0.9)
-    for l in range(-4, 5):
-        assert abs(d.fourier_coeff(l) - quad_fourier(d.pdf, l)) < 1e-10
+    # the rotation by mu has one home, so each family shows it; 2^17 points
+    # keep the aliasing of the tabulated interpolant's 1/l^2 tail below 1e-10
+    for d in (VonMises(2.0, mu=0.9), WrappedCauchy(0.8, mu=2.2), WrappedNormal(0.8, mu=-0.4),
+              Tabulated(np.random.default_rng(3).uniform(0.5, 1.5, 64), mu=1.1)):
+        for l in range(-4, 5):
+            assert abs(d.fourier_coeff(l) - quad_fourier(d.pdf, l, num=2 ** 17)) < 1e-10, (d, l)
 
 
 def test_vonmises_matches_mpmath_bessel_ratio():
@@ -144,12 +148,26 @@ def test_parseval_partial_sums():
 
 @pytest.mark.parametrize("density", [
     VonMises(0.0), VonMises(300.0), WrappedCauchy(0.0), WrappedCauchy(0.9999),
-    WrappedNormal(0.0), WrappedNormal(0.8, 2.2), WrappedNormal(0.9999),
-    Tabulated(np.random.default_rng(3).uniform(0.5, 1.5, 64), mu=1.1),
-], ids=["vm0", "vm300", "wc0", "wc0.9999", "wn0", "wn0.8", "wn0.9999", "tab"])
+    WrappedNormal(0.0), WrappedNormal(0.1), WrappedNormal(0.3), WrappedNormal(0.8, 2.2),
+    WrappedNormal(0.9999), Tabulated(np.random.default_rng(3).uniform(0.5, 1.5, 64), mu=1.1),
+], ids=["vm0", "vm300", "wc0", "wc0.9999", "wn0", "wn0.1", "wn0.3", "wn0.8", "wn0.9999", "tab"])
 def test_squared_norm_matches_mpmath(density):
+    # the wrapped normal's norm is its rho^2 series at the mode: below rho ~ 0.48
+    # that is the Fourier series, above it the image sum
     assert_allclose(density.squared_norm(), float(squared_norm_mp(density)),
                     rtol=8 * np.finfo(float).eps, atol=0)
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.22, 0.24])
+def test_wrapped_normal_pdf_matches_mpmath_theta(rho):
+    # f(x) = theta_3(x/2, rho) / 2pi; the pdf sums the Fourier series below
+    # rho ~ 0.23 and the images above it
+    mp = pytest.importorskip("mpmath")
+    x = np.linspace(-7.0, 7.0, 57)
+    got = WrappedNormal(rho).pdf(x)
+    with mp.workdps(40):
+        ref = [float(mp.jtheta(3, mp.mpf(float(v)) / 2, mp.mpf(rho)) / (2 * mp.pi)) for v in x]
+    assert_allclose(got, ref, rtol=4 * np.finfo(float).eps, atol=0)
 
 
 def test_tabulated_roundtrip(tmp_path):
@@ -198,6 +216,39 @@ def test_sampling_deterministic():
         a = d.sample(100, np.random.default_rng(42))
         b = d.sample(100, np.random.default_rng(42))
         assert np.array_equal(a, b)
+
+
+LOCATED = [VonMises(5.0, mu=1.3), WrappedCauchy(0.8, mu=2.2), WrappedNormal(0.7, mu=-0.4),
+           Tabulated(np.exp(1.5 * np.cos(np.linspace(0.0, TWO_PI, 64, endpoint=False))), mu=1.1),
+           Tabulated(np.exp(np.sin(np.linspace(0.0, TWO_PI, 2048, endpoint=False))), mu=4.0)]
+
+
+@pytest.mark.parametrize("density", LOCATED, ids=["vm", "wc", "wn", "tab64", "tab2048"])
+def test_sampler_mean_direction_with_location(density):
+    # the mean direction of the draws is arg E[e^{iX}] = arg conj(2 pi c_1), within
+    # 4 sd of the delta method: Var = (1 - Re(m_2 e^{-2i mean})) / (2 n |m_1|^2)
+    n = 100000
+    x = density.sample(n, np.random.default_rng(21))
+    m1, m2 = (TWO_PI * np.conj(density.fourier_coeff(l)) for l in (1, 2))
+    mean = np.angle(m1)
+    sd = math.sqrt((1.0 - (m2 * np.exp(-2j * mean)).real) / (2 * n)) / abs(m1)
+    got = np.angle(np.mean(np.exp(1j * x)))
+    assert abs(math.remainder(got - mean, TWO_PI)) < 4 * sd
+
+
+@pytest.mark.parametrize("density", [VonMises(5.0), VonMises(0.0), WrappedCauchy(0.8),
+                                     WrappedCauchy(0.0), WrappedNormal(0.7), WrappedNormal(0.0),
+                                     Tabulated(np.linspace(1.0, 2.0, 64))],
+                         ids=["vm", "vm0", "wc", "wc0", "wn", "wn0", "tab"])
+def test_sample_at_mu_is_the_centred_sample_rotated(density):
+    # from the same generator, the degenerate uniform draws included
+    centred = density.sample(1000, np.random.default_rng(22))
+    for mu in (0.7, -2.5):
+        located = (dataclasses.replace(density, mu=mu) if dataclasses.is_dataclass(density)
+                   else Tabulated(density.values, mu=mu))
+        rotated = located.sample(1000, np.random.default_rng(22))
+        assert np.all((rotated >= 0.0) & (rotated < TWO_PI))
+        assert angular_distance(rotated, centred + mu).max() < 1e-12
 
 
 def test_uniform_sampler_first_coefficient():

@@ -117,6 +117,17 @@ def test_read_angles_normalizes_like_normalize(tmp_path, extra):
         assert cli._read_angles(str(path)).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n", ["0", "-3", "10000001", "1000000000000"])
+def test_simulate_bad_n_is_a_usage_error(tmp_path, capsys, n):
+    # checked with the other flags, before the sampler allocates
+    out = tmp_path / "s.txt"
+    code, stdout, err = run(capsys, "simulate", "--density", "uniform", "--theta", THETA,
+                            "--n", n, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
 def test_simulate_rejects_large_p(capsys):
     code, _, err = run(capsys, "simulate", "--density", "uniform",
                        "--theta", "0.6,0.1,0.2", "--n", "10", "--seed", "1")
@@ -330,6 +341,8 @@ def test_fit_output_ignores_seed(tmp_path, capsys):
     ("fit", "--pmax", "2"),
     ("fit", "--box", "0.01,0.49,0,inf,0,inf"),
     ("fit", "--box", "0.01,0.49,-inf,1,-inf,1"),
+    ("density", "--grid", "1000001"),
+    ("density", "--grid", "1000000000000"),
 ])
 def test_bad_fit_flags_are_usage_errors(tmp_path, capsys, flags):
     # flags are checked before the file is read, so a one-angle file, which
@@ -611,7 +624,7 @@ def test_bench_theta0_out_of_range_names_key_and_file(tmp_path, capsys, value):
 
 @pytest.mark.parametrize("key, value", [
     ("p_max", "0.7"), ("p_max", "nan"), ("l_max", "-1"), ("l_max", "1000000000000"),
-    ("lambda", "-1"), ("lambda", "nan"),
+    ("lambda", "-1"), ("lambda", "nan"), ("n", "1000000000000"), ("n", "100,10000001"),
 ])
 def test_bench_setting_out_of_range_names_key_and_file(tmp_path, capsys, key, value):
     # checked with the config, before any experiment runs or writes its file

@@ -716,3 +716,36 @@ def test_no_converged_polish_is_an_estimation_error(tmp_path, monkeypatch, capsy
     path.write_text("\n".join(map(repr, angles.tolist())))
     assert cli.main(["fit", "--in", str(path)]) == 4
     assert capsys.readouterr().err.startswith("estimation error: no polish converged ")
+
+
+@pytest.mark.parametrize("limit, value, reason", [
+    ("MAX_HALVINGS", 0, "line search stalled at lambda^2 = "),
+    ("MAX_ITER", 1, "1 iterations ended at lambda^2 = "),
+])
+def test_unconverged_polish_exits_of_the_real_polish(tmp_path, monkeypatch, capsys,
+                                                     limit, value, reason):
+    # no halving lets any line search end, and one iteration ends no polish
+    # converged on these samples: each exit of _polish itself, not of a mock,
+    # fails the fit, a bench replication and `circmix fit`
+    polish, runs = contrast._polish, []
+
+    def recorded(*args):
+        runs.append(polish(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(contrast, limit, value)
+    monkeypatch.setattr(contrast, "_polish", recorded)
+    angles = sample_mixture(THETA0, VonMises(5.0), 300, np.random.default_rng(4))
+    with pytest.raises(EstimationError) as info:
+        estimate_theta(angles, FitOptions(compute_covariance=False))
+    assert runs and all(r.failure.startswith(reason) for r in runs)
+    best = min(r.fun for r in runs) / len(angles)
+    assert str(info.value) == (f"no polish converged (best contrast {best!r}: "
+                               f"{reason}{runs[0].decrement:.3g})")
+    config = bench.ExperimentConfig.from_dict(dict(
+        density="vonmises kappa=5", theta0="0.25,0.4,2.1", n="200", reps="1", seed="3"))
+    assert bench._fit_rep((config, "mse", 200, 0)) is None
+    path = tmp_path / "s.txt"
+    path.write_text("\n".join(map(repr, angles.tolist())))
+    assert cli.main(["fit", "--in", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("estimation error: no polish converged ")
