@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -150,6 +151,12 @@ class ExperimentConfig:
             raise ExperimentError(f"unknown config keys: {sorted(values)}")
         return cfg
 
+    @cached_property
+    def density(self):
+        """The component density of ``density_spec``, parsed once per config;
+        a config sent to a pool worker carries it once it has been read."""
+        return parse_density(self.density_spec)
+
     def fit_options(self, covariance: bool) -> FitOptions:
         return FitOptions(p_max=self.p_max, compute_covariance=covariance)
 
@@ -211,7 +218,7 @@ def _fit_rep(task):
     covariance is estimated only for the normality experiment."""
     config, kind, n, rep = task
     rng = _rep_rng(config, kind, n, rep)
-    sample = sample_mixture(config.theta0, parse_density(config.density_spec), n, rng)
+    sample = sample_mixture(config.theta0, config.density, n, rng)
     try:
         return estimate_theta(sample, config.fit_options(covariance=kind == "normality"))
     except EstimationError:
@@ -220,6 +227,7 @@ def _fit_rep(task):
 
 def _fit_reps(config: ExperimentConfig, kind: str, n: int) -> list:
     """_fit_rep of every replication at sample size n, in replication order."""
+    config.density  # parsed before the tasks are made, so that each carries it
     return _map_reps(config, _fit_rep, [(config, kind, n, r) for r in range(config.reps)])
 
 
@@ -231,7 +239,7 @@ def run_mse(config: ExperimentConfig) -> list:
     counted, and more than 10% failures abort the experiment.
     """
     rows = []
-    label = parse_density(config.density_spec).label
+    label = config.density.label
     for n in config.n_list:
         good = [squared_error(fit.theta_hat, config.theta0)
                 for fit in _fit_reps(config, "mse", n) if fit is not None]
@@ -299,7 +307,7 @@ def _fit_and_density(config: ExperimentConfig, kind: str, penalty=None):
     pass over the sample, as ``circmix density`` does."""
     _check_experiment(config, kind)
     n = config.n_list[0]
-    density = parse_density(config.density_spec)
+    density = config.density
     angles = sample_mixture(config.theta0, density, n, _rep_rng(config, kind, n, 0))
     l_max = default_l_max(n) if config.l_max is None else config.l_max
     moments = ContrastMoments(angles, l_max)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -360,7 +361,9 @@ class Tabulated(ComponentDensity):
         v, nxt = self.values, np.roll(self.values, -1)
         return float(np.mean(v * v + v * nxt + nxt * nxt) / 3.0)
 
-    def _draw(self, n, rng):
+    @cached_property
+    def _inverse_cdf(self):
+        """(cdf, knots) of the centred interpolant, built once per density."""
         grid, values = self.grid, self.values
         if len(values) < 2048:
             grid = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
@@ -369,9 +372,11 @@ class Tabulated(ComponentDensity):
         cdf = np.concatenate([[0.0], np.cumsum((values[:-1] + values[1:]) * 0.5 * step)])
         cdf = np.append(cdf, cdf[-1] + (values[-1] + values[0]) * 0.5 * step)
         cdf /= cdf[-1]
-        knots = np.append(grid, TWO_PI)
-        u = rng.random(n)
-        return np.interp(u, cdf, knots)
+        return cdf, np.append(grid, TWO_PI)
+
+    def _draw(self, n, rng):
+        cdf, knots = self._inverse_cdf
+        return np.interp(rng.random(n), cdf, knots)
 
 
 def _periodic_trapezoid(values):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,9 +35,6 @@ L_MAX_CONTRAST = 4
 
 #: K = 8 pi^2, the divisor of the pair sums R_l and T_l.
 K_PAIR = 8.0 * math.pi ** 2
-
-#: The (i, j) entries, i <= j, of a symmetric 3 x 3 matrix.
-_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 #: Reciprocal-condition floor below which the curvature matrix is treated
 #: as singular.
@@ -99,10 +97,13 @@ class ContrastMoments:
         if n < 2:
             raise DomainError("the contrast needs at least two observations")
         # Python scalars: _scan's scalar arithmetic is slow on numpy scalars
-        self._sums = sums = self.power_sums[:2 * L_MAX_CONTRAST + 1].tolist()
+        sums = self.power_sums[:2 * L_MAX_CONTRAST + 1].tolist()
         self._pairs = [((sums[l].real ** 2 + sums[l].imag ** 2 - n) / K_PAIR,
                         (sums[l] * sums[l] - sums[2 * l]) / K_PAIR)
                        for l in range(1, L_MAX_CONTRAST + 1)]
+        # what _scan reads per level: l, R_l, T_l, P_l and P_2l
+        self._levels = [(l, r, t, sums[l], sums[2 * l])
+                        for l, (r, t) in enumerate(self._pairs, 1)]
 
     def _p_quadratic(self, alphas, betas):
         """(c2, c1, c0) with S_n = 2/(n(n-1)) (c2 p^2 + c1 p + c0) at every
@@ -168,66 +169,75 @@ class ContrastMoments:
         value /= self.n * (self.n - 1)
         return p, value
 
-    def _scan(self, theta, hessian: bool = False):
-        """S_n, its gradient and, if asked, its Hessian (else None), all
+    def _scan(self, p, alpha, beta, hessian: bool = False):
+        """S_n, its gradient and its curvature at (p, alpha, beta), all
         without the factor 2/(n(n-1)), from one pass of Python-scalar
-        arithmetic over l = 1..4.
+        arithmetic over l = 1..4: (value, (g_p, g_a, g_b), curvature).
+
+        The curvature is (H_pp,) alone, or with ``hessian`` the upper triangle
+        (H_pp, H_pa, H_pb, H_aa, H_ab, H_bb).  S_n is an exact quadratic in
+        p, so the value, g_p and H_pp give S_n at every p of the same angles.
 
         With W_l = R_l conj(M^l) - T_l M^l, each level adds Re(M W) to the
         value, 2 Re(d_i M W) to the gradient and
         2 [Re(d_ij M W) + R_l Re(d_i M conj(d_j M)) - Re(T_l d_i M d_j M)]
-        to the Hessian, whose upper triangle is mirrored.
+        to the Hessian, where d_pp M = d_ab M = 0.
 
         Near the minimum Im(P_l M) is O(sqrt n) while R_l and T_l are
         O(n^2), so W is evaluated in the equal form
         (P_2l M - n conj(M) - 2i Im(P_l M) P_l) / K: the value's rounding
         then stays O(n^1.5), where R_l and T_l would leave O(n^2).
         """
-        p, alpha, beta = _theta_array(theta).tolist()
         q = 1.0 - p
         n = self.n
         ea_step = cmath.exp(-1j * alpha)
         eb_step = cmath.exp(-1j * beta)
         ea = eb = 1.0 + 0.0j
         value = g_p = g_a = g_b = 0.0
-        upper = [0.0] * 6
-        for l, (r, t) in enumerate(self._pairs, 1):
+        h_pp = h_pa = h_pb = h_aa = h_ab = h_bb = 0.0
+        for l, r, t, pl, p2l in self._levels:
             ea *= ea_step
             eb *= eb_step
             m = p * ea + q * eb
-            pl, p2l = self._sums[l], self._sums[2 * l]
             w = (p2l * m - n * m.conjugate() - 2j * (pl * m).imag * pl) / K_PAIR
             il = 1j * l
-            dm = (ea - eb, -il * p * ea, -il * q * eb)
+            d_p, d_a, d_b = ea - eb, -il * p * ea, -il * q * eb
             value += (m * w).real
-            g_p += 2.0 * (dm[0] * w).real
-            g_a += 2.0 * (dm[1] * w).real
-            g_b += 2.0 * (dm[2] * w).real
+            g_p += 2.0 * (d_p * w).real
+            g_a += 2.0 * (d_a * w).real
+            g_b += 2.0 * (d_b * w).real
+            td_p = t * d_p
+            h_pp += 2.0 * (r * (d_p * d_p.conjugate()).real - (td_p * d_p).real)
             if hessian:
-                # d_ij M in the order of _UPPER; d_pp M = d_ab M = 0
-                d2m = (0.0, -il * ea, il * eb, -l * l * p * ea, 0.0, -l * l * q * eb)
-                for k, (i, j) in enumerate(_UPPER):
-                    upper[k] += 2.0 * ((d2m[k] * w).real + r * (dm[i] * dm[j].conjugate()).real
-                                       - (t * dm[i] * dm[j]).real)
-        hess = None
+                td_a = t * d_a
+                h_pa += 2.0 * ((-il * ea * w).real + r * (d_p * d_a.conjugate()).real
+                               - (td_p * d_a).real)
+                h_pb += 2.0 * ((il * eb * w).real + r * (d_p * d_b.conjugate()).real
+                               - (td_p * d_b).real)
+                h_aa += 2.0 * ((-l * l * p * ea * w).real + r * (d_a * d_a.conjugate()).real
+                               - (td_a * d_a).real)
+                h_ab += 2.0 * (r * (d_a * d_b.conjugate()).real - (td_a * d_b).real)
+                h_bb += 2.0 * ((-l * l * q * eb * w).real + r * (d_b * d_b.conjugate()).real
+                               - (t * d_b * d_b).real)
         if hessian:
-            hpp, hpa, hpb, haa, hab, hbb = upper
-            hess = [[hpp, hpa, hpb], [hpa, haa, hab], [hpb, hab, hbb]]
-        return value, (g_p, g_a, g_b), hess
+            return value, (g_p, g_a, g_b), (h_pp, h_pa, h_pb, h_aa, h_ab, h_bb)
+        return value, (g_p, g_a, g_b), (h_pp,)
 
     def value(self, theta) -> float:
         """S_n(theta)."""
-        return self._scan(theta)[0] * (2.0 / (self.n * (self.n - 1)))
+        return self._scan(*_theta_array(theta).tolist())[0] * (2.0 / (self.n * (self.n - 1)))
 
     def value_grad(self, theta):
         """(S_n, gradient)."""
-        value, grad, _ = self._scan(theta)
+        value, grad, _ = self._scan(*_theta_array(theta).tolist())
         scale = 2.0 / (self.n * (self.n - 1))
         return value * scale, np.array(grad) * scale
 
     def value_grad_hess(self, theta):
         """(S_n, gradient, Hessian); the Hessian is exactly symmetric."""
-        value, grad, hess = self._scan(theta, hessian=True)
+        value, grad, upper = self._scan(*_theta_array(theta).tolist(), hessian=True)
+        hpp, hpa, hpb, haa, hab, hbb = upper
+        hess = [[hpp, hpa, hpb], [hpa, haa, hab], [hpb, hab, hbb]]
         scale = 2.0 / (self.n * (self.n - 1))
         return value * scale, np.array(grad) * scale, np.array(hess) * scale
 
@@ -262,18 +272,20 @@ GRID_SIZE = 96
 #: the screen of estimate_theta rules it out.
 N_POLISH = 3
 
-#: A start is skipped when its basin's predicted floor of n S_n lies more than
+#: A start is skipped when its basin's predicted floor of n Phi lies more than
 #: this above the lowest converged polish.
 SCREEN_MARGIN = 0.1
 
-#: A polish has converged when the Newton decrement lambda^2 of n S_n is at
-#: most this; lambda^2 / 2 estimates the decrease of n S_n still available.
-#: Polishes told to reach lambda^2 = 0 stalled, at the rounding of n S_n, at
-#: lambda^2 <= 3e-17 on seeded samples of up to n = 2e5.
+#: A polish has converged when the Newton decrement lambda^2 of n Phi, n S_n
+#: with p profiled out, is at most this; lambda^2 / 2 estimates the decrease
+#: of n S_n still available.
+#: Polishes told to reach lambda^2 = 0 ended, at the rounding of n S_n, at
+#: lambda^2 <= 2e-16 on seeded samples of up to n = 2e5.
 DECREMENT_TOL = 1e-14
 
-#: Where H_FF is not positive definite, the Newton step uses the absolute
-#: values of its eigenvalues, none below this fraction of the largest.
+#: Where the curvature of Phi over the free angles is not positive definite,
+#: the Newton step uses the absolute values of its eigenvalues, none below
+#: this fraction of the largest.
 EIG_FLOOR = 1e-8
 
 #: Sufficient-decrease fraction of the line search, its halvings and the
@@ -323,8 +335,8 @@ class FitResult:
 
     ``n_starts`` counts the polishes run, at most N_POLISH since the screen
     skips the starts it rules out, and ``converged_starts`` those of them that
-    converged: that ended where the Newton decrement of n S_n over the free
-    coordinates is at most DECREMENT_TOL.  ``theta_hat`` is the lowest polish's
+    converged: that ended where the Newton decrement of n Phi, n S_n with p
+    profiled out, over the free angles is at most DECREMENT_TOL.  ``theta_hat`` is the lowest polish's
     end, converged or not.  ``options`` holds the box searched.
 
     ``sigma_hat`` is the asymptotic covariance of sqrt(n) (theta_hat - theta0)
@@ -402,29 +414,31 @@ def estimate_theta(sample, options: FitOptions | None = None) -> FitResult:
     For each point of a GRID_SIZE x GRID_SIZE (alpha, beta) grid, p is
     profiled out in closed form (S_n is quadratic in p).  The N_POLISH
     lowest local minima of that grid, against their 8 neighbours, are the
-    starts, lowest first.  The first start is always polished (see _polish).
-    Once a polish has converged, a later start is skipped when the Newton
-    model of n S_n there (see _newton_model), which is also its polish's
-    first step, is convex and predicts a basin floor more than SCREEN_MARGIN
-    above the lowest converged n S_n.  The model is not a lower bound, so the
-    screen is a heuristic.  The lowest polish wins, and EstimationError is
-    raised, with the first polish's reason, if no polish converged.  Label
-    switching is resolved by p < 1/2; fits with beta - alpha within
-    DEGENERACY_WARN_RADIUS of a multiple of 2*pi/3 are flagged.  ``sample``
-    is an array of angles or its ContrastMoments.
+    starts, lowest first.  The first start is always polished (see _polish),
+    on n Phi(alpha, beta), the contrast with p profiled out.  Once a polish
+    has converged, a later start is skipped when the Newton model of n Phi
+    there (see _newton_model), which is also its polish's first step, is
+    convex and predicts a basin floor, n Phi - lambda^2 / 2, more than
+    SCREEN_MARGIN above the lowest converged n S_n.  The model is not a lower
+    bound, so the screen is a heuristic.  The lowest polish wins, and
+    EstimationError is raised, with the first polish's reason, if no polish
+    converged.  Label switching is resolved by p < 1/2; fits with
+    beta - alpha within DEGENERACY_WARN_RADIUS of a multiple of 2*pi/3 are
+    flagged.  ``sample`` is an array of angles or its ContrastMoments.  No
+    numpy.linalg call is made unless the covariance is computed.
     """
     opts = options or FitOptions()
     moments = _as_moments(sample)
-    box = opts.box()
-    alphas = np.linspace(box[1, 0], box[1, 1], GRID_SIZE)
-    betas = np.linspace(box[2, 0], box[2, 1], GRID_SIZE)
+    box = opts.box().tolist()
+    alphas = np.linspace(*box[1], GRID_SIZE)
+    betas = np.linspace(*box[2], GRID_SIZE)
     ps, values = moments.profile_p(alphas, betas, opts.p_min, opts.p_max)
     n = moments.n
 
     runs = []
     incumbent = math.inf  # the lowest n S_n of a converged polish
     for i, j in _lowest_local_minima(values, N_POLISH):
-        model = _newton_model(moments, np.array([ps[i, j], alphas[i], betas[j]]), box)
+        model = _newton_model(moments, (float(ps[i, j]), float(alphas[i]), float(betas[j])), box)
         # only a converged incumbent screens: an unconverged one may sit above
         # the minimum that a skipped start would have reached
         if model.floor > incumbent + SCREEN_MARGIN:
@@ -458,65 +472,118 @@ def estimate_theta(sample, options: FitOptions | None = None) -> FitResult:
     return result
 
 
-@dataclass(frozen=True)
-class _Model:
-    """Second-order model of n S_n at ``theta``: its value and gradient, the
-    Newton step ``step`` (zero on the held coordinates), the Newton decrement
-    lambda^2 = g . step, and whether H_FF is positive definite."""
+class _Model(NamedTuple):
+    """Second-order model of n Phi, the contrast with p profiled out, at the
+    point ``x`` = (p*, alpha, beta): n Phi there, its gradient and Newton
+    step over (alpha, beta) (the step is zero on a held angle), the Newton
+    decrement lambda^2 = g . step, and whether the curvature over the free
+    angles is positive definite."""
 
-    theta: np.ndarray
+    x: tuple
     value: float
-    grad: np.ndarray
-    step: np.ndarray
+    grad: tuple
+    step: tuple
     decrement: float
     convex: bool
 
     @property
     def floor(self) -> float:
-        """The model's minimum over the free coordinates, value - lambda^2 / 2,
-        or -inf unless H_FF is positive definite."""
+        """The model's minimum over the free angles, value - lambda^2 / 2,
+        or -inf unless its curvature is positive definite."""
         return self.value - 0.5 * self.decrement if self.convex else -math.inf
 
 
-def _newton_model(moments: ContrastMoments, theta: np.ndarray, box: np.ndarray) -> _Model:
-    """The Newton model of n S_n at ``theta``, from one value_grad_hess call.
+def _vertex(p: float, g_p: float, h_pp: float, p_min: float, p_max: float) -> float:
+    """The p* in [p_min, p_max] minimizing the quadratic in p whose slope and
+    curvature at p are g_p and h_pp: its clipped vertex when h_pp > 0, else
+    the end point with the lower value.  This is profile_p's rule, with
+    c2 = h_pp / 2 and c1 = g_p - h_pp p."""
+    if h_pp > 0.0:
+        return min(max(p - g_p / h_pp, p_min), p_max)
+    return p_max if g_p + 0.5 * h_pp * (p_min + p_max - 2.0 * p) < 0.0 else p_min
 
-    A coordinate is held when it sits on its lower bound with g > 0 or on its
-    upper bound with g < 0; F is the set of the others.  A Cholesky
-    factorization tests that H_FF is positive definite, and the step then
-    solves H_FF s = g_F.  Otherwise H_FF is replaced by V |Lambda| V^T from its
-    eigendecomposition, with each |eigenvalue| raised to at least EIG_FLOOR
-    times the largest: the step is then still a descent direction, scaled by
-    the curvature.
+
+def _newton_step(g_a: float, g_b: float, h_aa: float, h_ab: float, h_bb: float,
+                 free_a: bool, free_b: bool) -> tuple:
+    """(step_a, step_b, lambda^2, convex): the Newton step of the gradient
+    (g_a, g_b) on the symmetric curvature H = [[h_aa, h_ab], [h_ab, h_bb]]
+    over the free coordinates, in closed form; a held coordinate gets no step.
+
+    When H over the free coordinates is positive definite (the pivots of its
+    Cholesky factorization are positive), the step solves H s = g and
+    lambda^2 = g . s.  Otherwise H is replaced by V |Lambda| V^T, with each
+    |eigenvalue| raised to at least EIG_FLOOR times the largest: the step is
+    then still a descent direction, scaled by the curvature.  The eigenvalues
+    of the 2 x 2 H are (h_aa + h_bb) / 2 +- hypot((h_aa - h_bb) / 2, h_ab),
+    the larger with the eigenvector at angle atan2(2 h_ab, h_aa - h_bb) / 2.
+    A zero H gives no step; lambda^2 is then 0 where the free gradient is 0
+    and inf elsewhere.
     """
-    value, grad, hess = (moments.n * v for v in moments.value_grad_hess(theta))
-    free = ~(((theta <= box[:, 0]) & (grad > 0.0)) | ((theta >= box[:, 1]) & (grad < 0.0)))
-    g, h = grad[free], hess[free][:, free]
-    step = np.zeros(3)
-    convex = True
-    try:
-        np.linalg.cholesky(h)  # raises unless H_FF is positive definite
-        step[free] = np.linalg.solve(h, g)
-        decrement = float(g @ step[free])
-    except np.linalg.LinAlgError:
-        convex = False
-        eig, vec = np.linalg.eigh(h)
-        scale = np.abs(eig)
-        scale = np.maximum(scale, EIG_FLOOR * scale.max())
-        if not scale.all():  # H_FF = 0: stationary, and converged, only where g_F = 0
-            return _Model(theta, value, grad, step, math.inf if g.any() else 0.0, False)
-        coords = (vec.T @ g) / scale
-        step[free] = vec @ coords
-        decrement = float(coords @ (scale * coords))
-    return _Model(theta, value, grad, step, decrement, convex)
+    if not (free_a and free_b):
+        if not (free_a or free_b):
+            return 0.0, 0.0, 0.0, True
+        g, h = (g_a, h_aa) if free_a else (g_b, h_bb)
+        convex, h = h > 0.0, abs(h)
+        if h == 0.0:
+            return 0.0, 0.0, (math.inf if g else 0.0), False
+        s = g / h
+        return (s, 0.0, g * s, convex) if free_a else (0.0, s, g * s, convex)
+    if h_aa > 0.0:
+        pivot = h_bb - h_ab * h_ab / h_aa
+        if pivot > 0.0:
+            s_b = (g_b - h_ab * g_a / h_aa) / pivot
+            s_a = (g_a - h_ab * s_b) / h_aa
+            return s_a, s_b, g_a * s_a + g_b * s_b, True
+    mean, radius = 0.5 * (h_aa + h_bb), math.hypot(0.5 * (h_aa - h_bb), h_ab)
+    top = abs(mean) + radius  # the largest |eigenvalue|
+    if top == 0.0:
+        return 0.0, 0.0, (math.inf if g_a or g_b else 0.0), False
+    e_hi = max(abs(mean + radius), EIG_FLOOR * top)
+    e_lo = max(abs(mean - radius), EIG_FLOOR * top)
+    angle = 0.5 * math.atan2(2.0 * h_ab, h_aa - h_bb)
+    c, s = math.cos(angle), math.sin(angle)  # (c, s) for mean + radius, (-s, c) for mean - radius
+    u_hi = (c * g_a + s * g_b) / e_hi
+    u_lo = (c * g_b - s * g_a) / e_lo
+    return (c * u_hi - s * u_lo, s * u_hi + c * u_lo,
+            u_hi * u_hi * e_hi + u_lo * u_lo * e_lo, False)
+
+
+def _newton_model(moments: ContrastMoments, x: tuple, box) -> _Model:
+    """The Newton model of n Phi at x = (p*, alpha, beta), from one Hessian scan.
+
+    Phi(alpha, beta) is the minimum of S_n over p in [p_min, p_max], and p*
+    its minimizer.  At an interior p* the gradient of Phi is the (alpha, beta)
+    part of the gradient of S_n (envelope theorem) and its Hessian is the
+    Schur complement H_ab,ab - H_ab,p H_p,ab / H_pp; at a clipped p* both are
+    those of S_n over (alpha, beta).  An angle is held when it sits on its
+    lower bound with g > 0 or on its upper bound with g < 0, and
+    _newton_step gives the step over the others.  ``box`` holds the
+    (lower, upper) bounds of p, alpha and beta.
+    """
+    p, alpha, beta = x
+    value, (_, g_a, g_b), (h_pp, h_pa, h_pb, h_aa, h_ab, h_bb) = moments._scan(
+        p, alpha, beta, hessian=True)
+    (p_min, p_max), (a_min, a_max), (b_min, b_max) = box
+    if p_min < p < p_max and h_pp > 0.0:
+        h_aa -= h_pa * h_pa / h_pp
+        h_ab -= h_pa * h_pb / h_pp
+        h_bb -= h_pb * h_pb / h_pp
+    free_a = not ((alpha <= a_min and g_a > 0.0) or (alpha >= a_max and g_a < 0.0))
+    free_b = not ((beta <= b_min and g_b > 0.0) or (beta >= b_max and g_b < 0.0))
+    s_a, s_b, decrement, convex = _newton_step(g_a, g_b, h_aa, h_ab, h_bb, free_a, free_b)
+    # the step does not depend on the scale; the rest is given as n S_n
+    scale = 2.0 / (moments.n - 1)
+    return _Model(x, value * scale, (g_a * scale, g_b * scale), (s_a, s_b),
+                  decrement * scale, convex)
 
 
 @dataclass(frozen=True)
 class _Polish:
-    """End of one polish: the point ``x``, its n S_n and Newton decrement, and
-    why the polish stopped unconverged (None when it converged)."""
+    """End of one polish: the point ``x`` = (p*, alpha, beta), its n S_n and
+    Newton decrement, and why the polish stopped unconverged (None when it
+    converged)."""
 
-    x: np.ndarray
+    x: tuple
     fun: float
     decrement: float
     failure: str | None = None
@@ -526,51 +593,70 @@ class _Polish:
         return self.failure is None
 
 
-def _polish(moments: ContrastMoments, model: _Model, box: np.ndarray) -> _Polish:
-    """Projected Newton (Bertsekas 1982) on n S_n from ``model``'s point.
+def _polish(moments: ContrastMoments, model: _Model, box) -> _Polish:
+    """Projected Newton (Bertsekas 1982) on n Phi(alpha, beta) from
+    ``model``'s point, where Phi is S_n with p profiled out (variable
+    projection, Golub & Pereyra 1973).
 
     Each iteration stops, converged, when the Newton decrement lambda^2 of
     _newton_model is at most DECREMENT_TOL: lambda^2 / 2 estimates the
     decrease of n S_n still available, a test that does not depend on n or on
     the scale of the coordinates.  Otherwise it backtracks along the
-    projection arc x(t) = clip(x - t step), t = 1, 1/2, ..., to the first
-    point with n S_n(x(t)) <= n S_n(x) + ARMIJO g . (x(t) - x), and computes
-    the next model there.  Trial points cost one value call, accepted points
-    one value_grad_hess call.  The polish stops unconverged when MAX_HALVINGS
-    halvings find no such point or MAX_ITER iterations pass.
+    projection arc (alpha, beta)(t) = clip((alpha, beta) - t step),
+    t = 1, 1/2, ..., to the first angles with
+    n Phi(t) <= n Phi + ARMIJO g . ((alpha, beta)(t) - (alpha, beta)), and
+    computes the next model there.  A trial costs one _scan at the current p:
+    S_n is quadratic in p, so its value, g_p and H_pp give p* (_vertex) and
+    Phi, all in _scan's W-form.  An accepted point costs one Hessian scan.
+    The polish stops unconverged when MAX_HALVINGS halvings find no such
+    angles or MAX_ITER iterations pass.
     """
-    n = moments.n
+    scale = 2.0 / (moments.n - 1)
+    (p_min, p_max), (a_min, a_max), (b_min, b_max) = box
     for _ in range(MAX_ITER):
         if model.decrement <= DECREMENT_TOL:
             break
-        x = model.theta
+        p, alpha, beta = model.x
+        (g_a, g_b), (s_a, s_b) = model.grad, model.step
         for halving in range(MAX_HALVINGS):
-            trial = np.minimum(np.maximum(x - 0.5 ** halving * model.step, box[:, 0]), box[:, 1])
-            move = trial - x
-            if (n * moments.value(trial) <= model.value + ARMIJO * float(model.grad @ move)
-                    and move.any()):
+            t = 0.5 ** halving
+            trial_a = min(max(alpha - t * s_a, a_min), a_max)
+            trial_b = min(max(beta - t * s_b, b_min), b_max)
+            move_a, move_b = trial_a - alpha, trial_b - beta
+            if not (move_a or move_b):
+                continue
+            value, (g_p, _, _), (h_pp,) = moments._scan(p, trial_a, trial_b)
+            trial_p = _vertex(p, g_p, h_pp, p_min, p_max)
+            d = trial_p - p
+            if ((value + d * (g_p + 0.5 * h_pp * d)) * scale
+                    <= model.value + ARMIJO * (g_a * move_a + g_b * move_b)):
                 break
         else:
-            return _Polish(x, model.value, model.decrement,
+            return _Polish(model.x, model.value, model.decrement,
                            f"line search stalled at lambda^2 = {model.decrement:.3g}")
-        model = _newton_model(moments, trial, box)
+        model = _newton_model(moments, (trial_p, trial_a, trial_b), box)
     failure = None
     if not model.decrement <= DECREMENT_TOL:
         failure = f"{MAX_ITER} iterations ended at lambda^2 = {model.decrement:.3g}"
-    return _Polish(model.theta, model.value, model.decrement, failure)
+    return _Polish(model.x, model.value, model.decrement, failure)
 
 
 def _lowest_local_minima(values: np.ndarray, count: int) -> list:
     """Indices of the ``count`` lowest cells no higher than any of their 8
-    neighbours, lowest first; ties keep row-major order."""
-    rows, cols = values.shape
+    neighbours, lowest first; ties keep row-major order.
+
+    The 3 x 3 window minimum is separable: a minimum over each row's shifted
+    slices of an inf-padded copy, then over the columns' of that.  The window
+    holds the cell itself, so a cell is kept where it is <= its window's
+    minimum; a NaN anywhere in the window propagates and keeps no cell.
+    """
+    cols = values.shape[1]
     padded = np.pad(values, 1, constant_values=np.inf)
-    is_min = np.ones(values.shape, dtype=bool)
-    for di in (0, 1, 2):
-        for dj in (0, 1, 2):
-            if (di, dj) != (1, 1):
-                is_min &= values <= padded[di:di + rows, dj:dj + cols]
-    cells = np.flatnonzero(is_min)
+    across = np.minimum(padded[:, :-2], padded[:, 1:-1])
+    np.minimum(across, padded[:, 2:], out=across)
+    window = np.minimum(across[:-2], across[1:-1])
+    np.minimum(window, across[2:], out=window)
+    cells = np.flatnonzero(values <= window)
     cells = cells[np.argsort(values.ravel()[cells], kind="stable")[:count]]
     return [divmod(int(c), cols) for c in cells]
 

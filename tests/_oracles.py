@@ -243,3 +243,44 @@ def risk_profile_mp(f_hat_pos, density):
             mass += weight * abs(f) ** 2
             out.append(err + norm - mass)
         return out
+
+
+def newton_step_by_linalg(grad, hess, free, eig_floor):
+    """(step, lambda^2, convex) of the gradient ``grad`` on the symmetric
+    ``hess`` over the coordinates where ``free`` is True, by numpy.linalg:
+    a Cholesky test of positive definiteness and a solve, else the
+    eigendecomposition with each |eigenvalue| raised to at least
+    ``eig_floor`` times the largest.  A zero curvature gives no step and
+    lambda^2 = 0 where the free gradient is 0, inf elsewhere."""
+    grad, hess, free = np.asarray(grad, float), np.asarray(hess, float), np.asarray(free)
+    g, h = grad[free], hess[free][:, free]
+    step = np.zeros(len(grad))
+    try:
+        np.linalg.cholesky(h)
+        step[free] = np.linalg.solve(h, g)
+        return step, float(g @ step[free]), True
+    except np.linalg.LinAlgError:
+        eig, vec = np.linalg.eigh(h)
+        scale = np.abs(eig)
+        scale = np.maximum(scale, eig_floor * scale.max())
+        if not scale.all():
+            return step, (np.inf if g.any() else 0.0), False
+        coords = (vec.T @ g) / scale
+        step[free] = vec @ coords
+        return step, float(coords @ (scale * coords)), False
+
+
+def local_minima_by_cell(values, count):
+    """The ``count`` lowest cells of a 2-d array no higher than any of their
+    (up to 8) neighbours inside the array, lowest first, ties in row-major
+    order; a NaN cell, or one next to a NaN, is no minimum."""
+    rows, cols = values.shape
+    cells = []
+    for i in range(rows):
+        for j in range(cols):
+            neighbours = [values[a, b]
+                          for a in range(max(i - 1, 0), min(i + 2, rows))
+                          for b in range(max(j - 1, 0), min(j + 2, cols)) if (a, b) != (i, j)]
+            if all(values[i, j] <= v for v in neighbours) and not np.isnan(values[i, j]):
+                cells.append((i, j))
+    return sorted(cells, key=lambda c: values[c])[:count]

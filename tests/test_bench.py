@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circmix import (ExperimentError, estimate_density, estimate_theta, parse_density,
-                     sample_mixture)
+from circmix import (ExperimentError, Tabulated, estimate_density, estimate_theta,
+                     parse_density, sample_mixture)
 from circmix.bench import (ExperimentConfig, MseRow, _fit_rep, _map_reps, _rep_rng,
                            run_density_recon, run_experiments, run_mse, run_normality,
                            run_slope)
@@ -285,6 +285,28 @@ def test_density_and_slope_read_one_power_sum_pass(tmp_path, monkeypatch, kind):
     separate = estimate_density(sample, fit, l_max=30)
     assert theta_hat.as_array().tolist() == fit.theta_hat.as_array().tolist()
     assert (level, penalty) == (separate.level, separate.penalty)
+
+
+@pytest.mark.parametrize("kinds, n, reps", [
+    ("mse", "200,300", 4), ("normality", "1000", 50), ("mse,normality,density,slope", "1000", 50),
+])
+def test_tabulated_density_is_read_once_per_experiment(tmp_path, monkeypatch, kinds, n, reps):
+    # the config parses its density once, however many sizes, replications
+    # and experiments read it, rather than once per replication
+    grid = tmp_path / "grid.txt"
+    grid.write_text("".join(f"{x:.17g} {np.exp(1.5 * np.cos(x)) + 0.3:.17g}\n"
+                            for x in np.linspace(0, 2 * np.pi, 64, endpoint=False)))
+    from_text, calls = Tabulated.from_text.__func__, []
+
+    def counted(cls, path, mu=0.0):
+        calls.append(path)
+        return from_text(cls, path, mu)
+
+    monkeypatch.setattr(Tabulated, "from_text", classmethod(counted))
+    cfg = config(tmp_path, density=f"tabulated path={grid}", n=n, reps=reps, experiment=kinds,
+                 l_max=20)
+    run_experiments(cfg)
+    assert calls == [str(grid)]
 
 
 def test_run_experiments_dispatch(tmp_path):

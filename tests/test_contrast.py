@@ -20,11 +20,12 @@ from circmix import (ContrastMoments, DomainError, EstimationError, FitOptions,
                      population_contrast, power_sums, sample_mixture,
                      squared_error)
 from circmix import bench, cli
-from circmix.contrast import (DEGENERACY_WARN_RADIUS, GRID_SIZE, N_POLISH, POWER_SUM_CHUNK,
-                              _lowest_local_minima)
+from circmix.contrast import (DEGENERACY_WARN_RADIUS, EIG_FLOOR, GRID_SIZE, N_POLISH,
+                              POWER_SUM_CHUNK, _lowest_local_minima, _newton_step, _vertex)
 
-from _oracles import (brute_contrast, fd_gradient, fd_jacobian, mixture_weight_hess,
-                      p_quadratic_by_cell, z_grads, z_hessians, z_values)
+from _oracles import (brute_contrast, fd_gradient, fd_jacobian, local_minima_by_cell,
+                      mixture_weight_hess, newton_step_by_linalg, p_quadratic_by_cell, z_grads,
+                      z_hessians, z_values)
 
 # the module, by name: estimate_theta looks _polish up there at each call
 contrast = importlib.import_module("circmix.contrast")
@@ -478,6 +479,94 @@ def test_profile_p_shapes():
     assert_allclose(value, value_ref, rtol=1e-12)
 
 
+@pytest.mark.parametrize("kind", sorted(GRID_SAMPLES))
+def test_vertex_is_the_p_of_profile_p(kind):
+    # the polish profiles p from one scan's g_p and H_pp at any p: the same
+    # p* and S_n as profile_p's quadratic, on and off the alpha == beta diagonal
+    density, theta0 = GRID_SAMPLES[kind]
+    rng = np.random.default_rng(np.random.SeedSequence([31, len(kind)]))
+    for n in (30, 1000, 200_000):
+        moments = ContrastMoments(sample_mixture(theta0, density, n, rng))
+        angles = np.append(rng.uniform(0, np.pi, 12), [0.7, 0.7])
+        for p_min, p_max in ((0.01, 0.49), (0.01, 0.99), (0.3, 0.3)):
+            for alpha, beta in zip(angles[::2], angles[1::2]):
+                p_ref, value_ref = (v[0, 0] for v in moments.profile_p([alpha], [beta],
+                                                                       p_min, p_max))
+                # profile_p rounds on the scale of the quadratic's terms
+                terms = sum(abs(c).flat[0] for c in moments._p_quadratic([alpha], [beta]))
+                for p in (p_min, 0.5 * (p_min + p_max), rng.uniform(p_min, p_max)):
+                    value, (g_p, _, _), (h_pp,) = moments._scan(p, alpha, beta)
+                    vertex = _vertex(p, g_p, h_pp, p_min, p_max)
+                    d = vertex - p
+                    profiled = value + d * (g_p + 0.5 * h_pp * d)
+                    assert abs(vertex - p_ref) <= 1e-9
+                    assert abs(profiled * 2.0 / (n * (n - 1)) - value_ref) <= (
+                        1e-12 * terms * 2.0 / (n * (n - 1)))
+
+
+def newton_cases():
+    """Seeded symmetric 2 x 2 curvatures and gradients of each kind, and
+    their free sets."""
+    rng = np.random.default_rng(32)
+    cases = []
+    for kind in ("definite", "indefinite", "negative", "singular", "zero"):
+        for _ in range(40):
+            if kind == "singular":
+                # +-u u^T with u of quarter-integers: exact, so det = 0 exactly
+                u = rng.integers(-8, 9, size=2) / 4.0
+                hess = rng.choice([-1.0, 1.0]) * np.outer(u, u)
+            else:
+                top, ratio = rng.uniform(0.1, 10.0), rng.uniform(1e-3, 1.0)
+                eig = {"definite": [top, top * ratio], "indefinite": [top, -top * ratio],
+                       "negative": [-top, -top * ratio], "zero": [0.0, 0.0]}[kind]
+                vec = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+                hess = vec @ np.diag(eig) @ vec.T
+                hess = 0.5 * (hess + hess.T)
+            grad = rng.normal(size=2) * (rng.random() < 0.9)
+            for free in ((True, True), (True, False), (False, True), (False, False)):
+                cases.append((kind, grad, hess, free))
+    return cases
+
+
+def test_newton_step_matches_linalg():
+    # the closed-form 2 x 2 step, decrement and convexity test agree with a
+    # Cholesky test, a solve and a floored eigendecomposition by numpy.linalg
+    kinds = set()
+    for kind, grad, hess, free in newton_cases():
+        step_a, step_b, decrement, convex = _newton_step(*grad, hess[0, 0], hess[0, 1],
+                                                         hess[1, 1], *free)
+        ref_step, ref_decrement, ref_convex = newton_step_by_linalg(grad, hess, free, EIG_FLOOR)
+        assert convex == ref_convex, (kind, hess, free)
+        assert_allclose([step_a, step_b], ref_step, rtol=1e-12,
+                        atol=1e-12 * np.max(np.abs(ref_step)), err_msg=f"{kind} {free}")
+        if math.isinf(ref_decrement):
+            assert decrement == ref_decrement
+        else:
+            assert_allclose(decrement, ref_decrement, rtol=1e-12, atol=0, err_msg=f"{kind} {free}")
+        kinds.add((kind, sum(free), convex))
+    assert {("definite", 2, True), ("indefinite", 2, False), ("negative", 1, False),
+            ("singular", 2, False), ("zero", 2, False), ("definite", 1, True),
+            ("zero", 0, True)} <= kinds
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 2), (96, 96)])
+@pytest.mark.parametrize("fill", ["ties", "nan", "inf"])
+def test_lowest_local_minima_is_the_eight_neighbour_definition(shape, fill):
+    # seeded grids rounded to a few distinct values, so ties are common, with
+    # NaN and +-inf cells: the separable window minimum picks the same cells,
+    # in the same order, as the cell-by-cell comparison with each neighbour
+    rng = np.random.default_rng(np.random.SeedSequence([33, *shape, len(fill)]))
+    for _ in range(5 if shape == (96, 96) else 40):
+        values = np.round(rng.uniform(0, 4, shape))
+        special = rng.random(shape) < 0.1
+        if fill == "nan":
+            values[special] = np.nan
+        elif fill == "inf":
+            values[special] = rng.choice([-np.inf, np.inf], size=special.sum())
+        for count in (1, N_POLISH, values.size):
+            assert _lowest_local_minima(values, count) == local_minima_by_cell(values, count)
+
+
 FITTER_SAMPLES = [
     (VonMises(5.0), THETA0, 100), (VonMises(5.0), THETA0, 1000),
     (WrappedCauchy(0.8), THETA0, 100), (WrappedCauchy(0.8), THETA0, 1000),
@@ -502,6 +591,27 @@ def test_fit_not_above_differential_evolution(case):
     fit = estimate_theta(moments, opts)
     ref = differential_evolution(moments.value, opts.box(), seed=case, tol=1e-10)
     assert fit.contrast_at_min <= ref.fun + 1e-12 * max(1.0, abs(ref.fun))
+
+
+def test_fit_makes_no_linalg_call_without_the_covariance(monkeypatch):
+    # the polish's 2 x 2 algebra is closed-form: with every numpy.linalg
+    # routine it could reach made to raise, each sample still fits, and only
+    # the covariance reaches numpy.linalg
+    class Called(Exception):
+        pass
+
+    def raises(*args, **kwargs):
+        raise Called
+
+    for name in ("cholesky", "solve", "eigh", "svd", "inv"):
+        monkeypatch.setattr(np.linalg, name, raises)
+    for case, (density, theta0, n) in enumerate(FITTER_SAMPLES):
+        rng = np.random.default_rng(np.random.SeedSequence([22, case]))
+        moments = ContrastMoments(sample_mixture(theta0, density, n, rng))
+        fit = estimate_theta(moments, FitOptions(compute_covariance=False))
+        assert fit.converged_starts >= 1
+    with pytest.raises(Called):
+        estimate_theta(moments, FitOptions())
 
 
 def polish_every_start(moments, opts):
