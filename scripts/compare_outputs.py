@@ -9,7 +9,8 @@ package: say the ``src`` of a second checkout at the parent commit, and
 file, and to stdout in one and in four 16384-line blocks), ``fit``,
 ``density`` (with the weight cap also set by ``--pmax`` and by ``--box``),
 ``slope``, ``ident``, and two ``bench`` configs at
-``--jobs 1`` and ``--jobs 2``.  Each command runs as its own
+``--jobs 1`` and ``--jobs 2``.  Then ``EXTRA_COMMANDS`` run once each: bad
+density specs, a bench config with one, and ``--out -``.  Each command runs as its own
 ``python -m circmix.cli`` process in a work directory of its tree, with
 relative paths, so the two trees see the same command lines.
 
@@ -52,6 +53,17 @@ BENCH_CONFIGS = {
 }
 
 
+# Run once, after the commands of every density: they read vm.txt.
+EXTRA_COMMANDS = [
+    ["density", "--in", "vm.txt", "--true", "vonmises kappa=5 mu=nan",
+     "--out", "nan-density.csv"],
+    ["simulate", "--density", "vonmises kappa=5 kappa=50", "--theta", THETA, "--n", "10"],
+    ["density", "--in", "vm.txt", "--out", "-"],
+    ["slope", "--in", "vm.txt", "--out", "-"],
+    ["bench", "--config", "bad-density.cfg", "--out", "bad-density"],
+]
+
+
 def _tabulated_text() -> str:
     """A 64-point two-column (angle, value) file for the tabulated density."""
     angles = [2 * math.pi * j / 64 for j in range(64)]
@@ -92,6 +104,8 @@ def _commands(tag: str, spec: str) -> list:
 
 def _prepare(workdir: Path) -> None:
     (workdir / "grid.txt").write_text(_tabulated_text())
+    (workdir / "bad-density.cfg").write_text(
+        f"density = vonmises kappa=-1\ntheta0 = {THETA}\n{BENCH_CONFIGS['mse']}")
     for tag, spec in DENSITIES.items():
         for name, body in BENCH_CONFIGS.items():
             (workdir / f"{tag}-{name}.cfg").write_text(
@@ -149,15 +163,15 @@ def main(argv=None) -> int:
         for workdir in workdirs:
             workdir.mkdir()
             _prepare(workdir)
-        for tag, spec in DENSITIES.items():
-            for cmd in _commands(tag, spec):
-                old, new = (_run(src, workdir, cmd) for src, workdir in zip(srcs, workdirs))
-                parts = _differences(old, new)
-                differ += bool(parts)
-                status = f"differs ({', '.join(parts)})" if parts else "same"
-                codes = sorted({old["exit code"], new["exit code"]})
-                print(f"{status}, exit {'/'.join(map(str, codes))}: circmix {shlex.join(cmd)}",
-                      flush=True)
+        commands = [cmd for tag, spec in DENSITIES.items() for cmd in _commands(tag, spec)]
+        for cmd in commands + EXTRA_COMMANDS:
+            old, new = (_run(src, workdir, cmd) for src, workdir in zip(srcs, workdirs))
+            parts = _differences(old, new)
+            differ += bool(parts)
+            status = f"differs ({', '.join(parts)})" if parts else "same"
+            codes = sorted({old["exit code"], new["exit code"]})
+            print(f"{status}, exit {'/'.join(map(str, codes))}: circmix {shlex.join(cmd)}",
+                  flush=True)
         for label, workdir in zip(("old", "new"), workdirs):
             bad = _jobs_mismatches(workdir)
             differ += len(bad)

@@ -8,10 +8,12 @@ are aggregated in replication order.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,10 +84,12 @@ class ExperimentConfig:
             (the config file), the key and the value.
         ExperimentError
             If a key is missing or unknown, or a value is out of range; for
-            ``theta0``, ``n``, ``p_max``, ``l_max`` and ``lambda`` the message names
-            ``source``, the key and the value.  ``p_max`` must lie below 1/2
-            only when a density or slope experiment is listed, as the fit
-            alone accepts a larger one.
+            ``theta0``, ``n``, ``p_max``, ``l_max``, ``lambda`` and ``density``
+            the message names ``source``, the key and the value.  ``p_max``
+            must lie below 1/2 only when a density or slope experiment is
+            listed, as the fit alone accepts a larger one.
+        OSError, ValueError
+            If a tabulated density's file cannot be read.
         """
         values = dict(values)
 
@@ -149,16 +153,24 @@ class ExperimentConfig:
         )
         if values:
             raise ExperimentError(f"unknown config keys: {sorted(values)}")
+        check("density", density, _parsed_density, density)
         return cfg
 
-    @cached_property
+    @property
     def density(self):
-        """The component density of ``density_spec``, parsed once per config;
-        a config sent to a pool worker carries it once it has been read."""
-        return parse_density(self.density_spec)
+        """The component density of ``density_spec``."""
+        return _parsed_density(self.density_spec)
 
     def fit_options(self, covariance: bool) -> FitOptions:
         return FitOptions(p_max=self.p_max, compute_covariance=covariance)
+
+
+@lru_cache(maxsize=1)
+def _parsed_density(spec: str):
+    """The last spec's density: ``from_dict`` parses it to check it, and the
+    experiments, a config rebuilt by ``dataclasses.replace`` (``bench --out``,
+    ``--jobs``) and forked pool workers read it again, not the file."""
+    return parse_density(spec)
 
 
 def _check_experiment(config: ExperimentConfig, kind: str) -> None:
@@ -194,12 +206,21 @@ def _fmt(x) -> str:
     return FLOAT_FMT.format(float(x))
 
 
-def write_csv(path: str, header, rows) -> str:
-    with open(path, "w", newline="\n") as fh:
+@contextlib.contextmanager
+def open_output(path: str):
+    """The text stream of an output path: stdout for '-', else the file."""
+    if path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="\n") as fh:
+            yield fh
+
+
+def write_csv(path: str, header, rows) -> None:
+    with open_output(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(c) for c in row) + "\n")
-    return path
 
 
 @dataclass
@@ -227,7 +248,7 @@ def _fit_rep(task):
 
 def _fit_reps(config: ExperimentConfig, kind: str, n: int) -> list:
     """_fit_rep of every replication at sample size n, in replication order."""
-    config.density  # parsed before the tasks are made, so that each carries it
+    config.density  # parsed before a pool forks, so that its workers read no file
     return _map_reps(config, _fit_rep, [(config, kind, n, r) for r in range(config.reps)])
 
 
@@ -352,15 +373,14 @@ def run_slope(config: ExperimentConfig):
     return estimate.slope_fit, estimate
 
 
-def write_slope_csv(path: str, slope_fit) -> str:
+def write_slope_csv(path: str, slope_fit) -> None:
     """One row per level L: its couple, whether it is in the slope window,
     and the fitted slope and lambda_hat."""
     window = set(slope_fit.window)
-    return write_csv(path, ["L", "penalty_shape", "coeff_mass", "in_window",
-                            "slope", "lambda_hat"],
-                     [[L, _fmt(x), _fmt(y), int(L in window),
-                       _fmt(slope_fit.slope), _fmt(slope_fit.lambda_hat)]
-                      for L, x, y in slope_fit.couples])
+    write_csv(path, ["L", "penalty_shape", "coeff_mass", "in_window", "slope", "lambda_hat"],
+              [[L, _fmt(x), _fmt(y), int(L in window),
+                _fmt(slope_fit.slope), _fmt(slope_fit.lambda_hat)]
+               for L, x, y in slope_fit.couples])
 
 
 _RUNNERS = {"mse": run_mse, "normality": run_normality,

@@ -119,10 +119,26 @@ class ComponentDensity:
     It also supplies ``squared_norm``, which rotation leaves unchanged.  This
     class applies the location mu, once, in ``pdf``, ``fourier_coeffs`` and
     ``sample``; all are pure given an explicit ``numpy.random.Generator``.
+
+    A parametric family, a frozen dataclass of its one shape parameter and
+    mu, declares its spec ``kind``, the ``param`` name of that parameter and
+    the parameter's half-open ``bounds`` [low, high).  From them this class
+    checks the parameter and mu when a density is built and renders ``label``,
+    and ``parse_density`` builds the family.
     """
 
     mu: float = 0.0
-    label: str = "density"
+
+    def __post_init__(self):
+        low, high = self.bounds
+        value = getattr(self, self.param)
+        if not low <= value < high:  # nan fails, as does inf against a high of inf
+            raise DomainError(f"{self.param} must lie in [{low:g}, {high:g}), got {value}")
+        _check_mu(self.mu)
+
+    @property
+    def label(self):
+        return f"{self.kind} {self.param}={getattr(self, self.param):g} mu={self.mu:g}"
 
     def pdf(self, x):
         """The centred ``_pdf`` at x - mu: an array for an array, a float for a scalar."""
@@ -154,6 +170,12 @@ class ComponentDensity:
         return self.label
 
 
+def _check_mu(mu) -> float:
+    if not math.isfinite(mu):
+        raise DomainError(f"mu must be finite, got {mu}")
+    return float(mu)
+
+
 @dataclass(frozen=True, repr=False)
 class VonMises(ComponentDensity):
     """Von Mises density exp(kappa*cos(x-mu)) / (2*pi*I_0(kappa)).
@@ -165,16 +187,9 @@ class VonMises(ComponentDensity):
     kappa = 1e6, except that kappa < 1e-12 draws uniform angles.
     """
 
+    kind, param, bounds = "vonmises", "kappa", (0.0, math.inf)
     kappa: float
     mu: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.kappa) or self.kappa < 0:
-            raise DomainError("kappa must be finite and >= 0")
-
-    @property
-    def label(self):
-        return f"vonmises kappa={self.kappa:g} mu={self.mu:g}"
 
     def _pdf(self, d):
         return np.exp(self.kappa * (np.cos(d) - 1.0)) / (TWO_PI * _ive(0, self.kappa))
@@ -205,16 +220,9 @@ def _ive(order, kappa):
 class WrappedCauchy(ComponentDensity):
     """Wrapped Cauchy density with concentration gamma in [0, 1)."""
 
+    kind, param, bounds = "wrappedcauchy", "gamma", (0.0, 1.0)
     gamma: float
     mu: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.gamma) or not 0.0 <= self.gamma < 1.0:
-            raise DomainError("gamma must lie in [0, 1)")
-
-    @property
-    def label(self):
-        return f"wrappedcauchy gamma={self.gamma:g} mu={self.mu:g}"
 
     def _pdf(self, d):
         g = self.gamma
@@ -241,16 +249,9 @@ class WrappedNormal(ComponentDensity):
     """Wrapped normal density, parameterized by rho in [0, 1) with
     sigma^2 = -2*log(rho)."""
 
+    kind, param, bounds = "wrappednormal", "rho", (0.0, 1.0)
     rho: float
     mu: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.rho) or not 0.0 <= self.rho < 1.0:
-            raise DomainError("rho must lie in [0, 1)")
-
-    @property
-    def label(self):
-        return f"wrappednormal rho={self.rho:g} mu={self.mu:g}"
 
     def _sigma(self):
         return math.sqrt(-2.0 * math.log(self.rho)) if self.rho > 0.0 else math.inf
@@ -321,8 +322,11 @@ class Tabulated(ComponentDensity):
             raise DomainError("tabulated density is not normalizable")
         self.grid = grid
         self.values = values / mass
-        self.mu = float(mu)
-        self.label = f"tabulated n={len(values)} mu={mu:g}"
+        self.mu = _check_mu(mu)
+
+    @property
+    def label(self):
+        return f"tabulated n={len(self.values)} mu={self.mu:g}"
 
     @classmethod
     def from_text(cls, path, mu: float = 0.0) -> "Tabulated":
@@ -408,34 +412,33 @@ def mixture_fourier(theta: MixtureParams, density: ComponentDensity, l: int) -> 
     return complex(mixture_weight(theta, l) * density.fourier_coeff(l))
 
 
-_DENSITY_ALIASES = {
-    "vonmises": "vonmises", "vm": "vonmises",
-    "wrappedcauchy": "wrappedcauchy", "wc": "wrappedcauchy",
-    "wrappednormal": "wrappednormal", "wn": "wrappednormal",
-    "uniform": "uniform",
-    "tabulated": "tabulated",
-}
+_FAMILIES = {family.kind: family for family in (VonMises, WrappedCauchy, WrappedNormal)}
+_DENSITY_ALIASES = {"vm": "vonmises", "wc": "wrappedcauchy", "wn": "wrappednormal"}
 
 
 def parse_density(spec: str) -> ComponentDensity:
     """Build a density from a config string.
 
-    Accepted forms: ``vonmises kappa=5 mu=0``, ``vonmises:kappa=5``,
-    ``wrappedcauchy gamma=0.8``, ``wrappednormal rho=0.8``, ``uniform``,
-    ``tabulated path=values.txt``.
+    Accepted forms: ``<kind> <param>=<value> mu=<value>`` for each family of
+    ``_FAMILIES`` or its alias (``vonmises kappa=5 mu=0``, ``wc gamma=0.8``),
+    ``uniform`` (von Mises, kappa = 0) and ``tabulated path=values.txt``.  A
+    colon may stand for a space, mu defaults to 0, and a key may appear once.
     """
-    tokens = [t for t in spec.replace(":", " ").split() if t]
+    tokens = spec.replace(":", " ").split()
     if not tokens:
         raise DomainError("empty density specification")
-    kind = _DENSITY_ALIASES.get(tokens[0].lower())
-    if kind is None:
+    kind = _DENSITY_ALIASES.get(tokens[0].lower(), tokens[0].lower())
+    if kind not in _FAMILIES and kind not in ("uniform", "tabulated"):
         raise DomainError(f"unknown density kind {tokens[0]!r}")
     kwargs = {}
     for tok in tokens[1:]:
         if "=" not in tok:
             raise DomainError(f"malformed density parameter {tok!r}, expected key=value")
         key, _, value = tok.partition("=")
-        kwargs[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in kwargs:
+            raise DomainError(f"repeated density parameter {key!r}")
+        kwargs[key] = value.strip()
 
     def _num(key, default=None):
         if key not in kwargs:
@@ -448,19 +451,16 @@ def parse_density(spec: str) -> ComponentDensity:
             raise DomainError(f"invalid numeric value for {key!r}") from exc
 
     mu = _num("mu", 0.0)
-    if kind == "vonmises":
-        density = VonMises(kappa=_num("kappa"), mu=mu)
-    elif kind == "wrappedcauchy":
-        density = WrappedCauchy(gamma=_num("gamma"), mu=mu)
-    elif kind == "wrappednormal":
-        density = WrappedNormal(rho=_num("rho"), mu=mu)
-    elif kind == "uniform":
+    if kind == "uniform":
         density = VonMises(kappa=0.0, mu=mu)
-    else:
+    elif kind == "tabulated":
         path = kwargs.pop("path", None)
         if path is None:
             raise DomainError("tabulated density requires path=<file>")
         density = Tabulated.from_text(path, mu=mu)
+    else:
+        family = _FAMILIES[kind]
+        density = family(_num(family.param), mu=mu)
     if kwargs:
         raise DomainError(f"unknown density parameters: {sorted(kwargs)}")
     return density

@@ -11,7 +11,6 @@ read or written, or a malformed input file; 4 estimation failure; 5 inference
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import sys
 import warnings
@@ -132,21 +131,6 @@ def _fit_and_density(args, penalty=None):
     return estimate_density(moments, fit, l_max=l_max, penalty=penalty)
 
 
-@contextlib.contextmanager
-def _output(out: str | None):
-    """The text stream an --out value names: stdout for '-', else the file."""
-    if out in (None, "-"):
-        yield sys.stdout
-    else:
-        with open(out, "w", newline="\n") as fh:
-            yield fh
-
-
-def _write_or_print(text: str, out: str | None):
-    with _output(out) as fh:
-        fh.write(text + "\n")
-
-
 def cmd_simulate(args) -> int:
     density = parse_density(args.density)
     theta = _parse_theta(args.theta, args.degrees)
@@ -156,7 +140,7 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     angles = sample_mixture(theta, density, args.n, rng)
     # a block of lines at a time, so the text never holds the whole sample
-    with _output(args.out) as fh:
+    with bench.open_output(args.out) as fh:
         for start in range(0, len(angles), POWER_SUM_CHUNK):
             block = angles[start:start + POWER_SUM_CHUNK].tolist()
             # one %-format per block: the text of an f"{x:.12g}\n" per angle, in less time
@@ -170,10 +154,9 @@ def cmd_fit(args) -> int:
     if fit.near_degenerate:
         print("warning: near-degenerate fit, beta - alpha close to a multiple of 2*pi/3",
               file=sys.stderr)
-    if args.format == "csv":
-        _write_or_print(fit.CSV_HEADER + "\n" + fit.to_csv_row(), args.out)
-    else:
-        _write_or_print(fit.to_kv_record(), args.out)
+    record = fit.to_kv_record() if args.format == "kv" else fit.CSV_HEADER + "\n" + fit.to_csv_row()
+    with bench.open_output(args.out) as fh:
+        fh.write(record + "\n")
     if not args.no_cov and fit.std_errors is None:
         print(f"warning: covariance unavailable: {fit.inference_warning}", file=sys.stderr)
         return EXIT_INFERENCE
@@ -303,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fit_flags(fit)
     fit.add_argument("--no-cov", action="store_true", help="skip covariance estimation")
     fit.add_argument("--format", choices=("kv", "csv"), default="kv")
-    fit.add_argument("--out", default="-")
+    fit.add_argument("--out", default="-", help="output file, '-' for stdout")
     fit.set_defaults(func=cmd_fit)
 
     dens = sub.add_parser("density", help="adaptive component-density estimate")
@@ -314,14 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     dens.add_argument("--grid", type=int, default=512)
     dens.add_argument("--true", dest="true_density", default=None,
                       help="optional true density spec to tabulate alongside")
-    dens.add_argument("--coeffs-out", default=None)
-    dens.add_argument("--out", required=True)
+    dens.add_argument("--coeffs-out", default=None, help="coefficient CSV, '-' for stdout")
+    dens.add_argument("--out", required=True, help="curve CSV, '-' for stdout")
     dens.set_defaults(func=cmd_density)
 
     slo = sub.add_parser("slope", help="slope-heuristic couples and lambda_hat")
     _add_fit_flags(slo)
     slo.add_argument("--lmax", type=int, default=None)
-    slo.add_argument("--out", required=True)
+    slo.add_argument("--out", required=True, help="couples CSV, '-' for stdout")
     slo.set_defaults(func=cmd_slope)
 
     ben = sub.add_parser("bench", help="run Monte Carlo experiments from a config file")
@@ -337,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     ide.add_argument("--degrees", action="store_true")
     ide.add_argument("--density", default=None,
                      help="optional density spec for residual and positivity checks")
-    ide.add_argument("--out", default=None, help="optional CSV of witnesses")
+    ide.add_argument("--out", default=None, help="optional CSV of witnesses, '-' for stdout")
     ide.set_defaults(func=cmd_ident)
     return parser
 

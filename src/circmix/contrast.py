@@ -329,7 +329,7 @@ class FitOptions:
         ])
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitResult:
     """Outcome of estimate_theta.
 
@@ -341,7 +341,7 @@ class FitResult:
 
     ``sigma_hat`` is the asymptotic covariance of sqrt(n) (theta_hat - theta0)
     and ``std_errors`` the standard errors of theta_hat; both are None when
-    inference failed.
+    they were not asked for or inference failed, as ``inference_warning`` says.
     """
 
     theta_hat: MixtureParams
@@ -351,9 +351,9 @@ class FitResult:
     converged_starts: int
     near_degenerate: bool
     options: FitOptions
-    sigma_hat: np.ndarray | None = None
-    std_errors: np.ndarray | None = None
-    inference_warning: str | None = None
+    sigma_hat: np.ndarray | None
+    std_errors: np.ndarray | None
+    inference_warning: str | None
 
     def to_kv_record(self) -> str:
         lines = [
@@ -455,21 +455,17 @@ def estimate_theta(sample, options: FitOptions | None = None) -> FitResult:
     # an unconverged polish competes too: it ends no higher than its start
     best = min(runs, key=lambda r: r.fun)
     theta_hat = canonicalize(MixtureParams(*best.x))
-    result = FitResult(
-        theta_hat=theta_hat,
-        contrast_at_min=best.fun / n,
-        n_starts=len(runs),
-        n=n,
-        converged_starts=converged,
-        near_degenerate=degeneracy_gap(theta_hat) < DEGENERACY_WARN_RADIUS,
-        options=opts,
-    )
+    sigma_hat = std_errors = inference_warning = None
     if opts.compute_covariance:
         try:
-            result.sigma_hat, result.std_errors = asymptotic_cov(moments, theta_hat)
+            sigma_hat, std_errors = asymptotic_cov(moments, theta_hat)
         except InferenceError as exc:
-            result.inference_warning = str(exc)
-    return result
+            inference_warning = str(exc)
+    return FitResult(theta_hat=theta_hat, contrast_at_min=best.fun / n, n_starts=len(runs),
+                     n=n, converged_starts=converged,
+                     near_degenerate=degeneracy_gap(theta_hat) < DEGENERACY_WARN_RADIUS,
+                     options=opts, sigma_hat=sigma_hat, std_errors=std_errors,
+                     inference_warning=inference_warning)
 
 
 class _Model(NamedTuple):

@@ -11,15 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circmix import (ExperimentError, Tabulated, estimate_density, estimate_theta,
-                     parse_density, sample_mixture)
+from circmix import (EstimationError, ExperimentError, Tabulated, estimate_density,
+                     estimate_theta, parse_density, sample_mixture)
 from circmix.bench import (ExperimentConfig, MseRow, _fit_rep, _map_reps, _rep_rng,
                            run_density_recon, run_experiments, run_mse, run_normality,
                            run_slope)
 
 THETA = "0.25,0.39269908,2.0943951"
 # the package re-exports a function named contrast, so the modules are fetched by name
-contrast, npdens = (importlib.import_module(f"circmix.{m}") for m in ("contrast", "npdens"))
+bench, contrast, npdens = (importlib.import_module(f"circmix.{m}")
+                           for m in ("bench", "contrast", "npdens"))
 
 
 def config(tmp_path, **overrides):
@@ -67,6 +68,56 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict(
             dict(density="uniform", theta0=THETA, n="100", reps="2", seed="1",
                  bogus="1"))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("reps", "0", "reps must be >= 1"), ("n", "1", "all sample sizes must be >= 2"),
+    ("n", "100,1", "all sample sizes must be >= 2"),
+])
+def test_config_rejects_small_sizes(key, value, message):
+    values = dict(density="uniform", theta0=THETA, n="100", reps="2", seed="1")
+    values[key] = value
+    with pytest.raises(ExperimentError, match=f"^{message}$"):
+        ExperimentConfig.from_dict(values)
+
+
+def test_config_file_line_without_equals_is_refused(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"density = uniform\ntheta0 = {THETA}\nn 100\nreps = 2\nseed = 1\n")
+    with pytest.raises(ExperimentError, match="^malformed config line: 'n 100'$"):
+        ExperimentConfig.from_file(path)
+
+
+def _failing_fits(monkeypatch, failures):
+    """Make bench's fit raise EstimationError on the replications of ``failures``,
+    counted in call order."""
+    calls = []
+
+    def fit(sample, options):
+        calls.append(len(sample))
+        if len(calls) - 1 in failures:
+            raise EstimationError("no polish converged")
+        return estimate_theta(sample, options)
+
+    monkeypatch.setattr(bench, "estimate_theta", fit)
+    return calls
+
+
+def test_run_mse_counts_a_failed_replication_in_excluded(tmp_path, monkeypatch):
+    calls = _failing_fits(monkeypatch, {7})
+    rows = run_mse(config(tmp_path, reps=20))
+    assert len(calls) == 20
+    assert (rows[0].reps, rows[0].excluded) == (20, 1)
+    assert (tmp_path / "mse.csv").read_text().splitlines()[1].startswith(
+        "vonmises kappa=5 mu=0,200,20,1,")
+
+
+def test_run_mse_aborts_past_a_tenth_failed(tmp_path, monkeypatch):
+    # 3 of 20 failed replications at the second size: no mse.csv is written
+    _failing_fits(monkeypatch, {20, 25, 39})
+    with pytest.raises(ExperimentError, match=r"^3/20 replications failed at n=300$"):
+        run_mse(config(tmp_path, reps=20, n="200,300"))
+    assert not (tmp_path / "mse.csv").exists()
 
 
 def test_run_mse_deterministic(tmp_path):

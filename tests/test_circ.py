@@ -361,3 +361,80 @@ def test_parse_density_forms():
         parse_density("pareto alpha=2")
     with pytest.raises(DomainError):
         parse_density("vonmises kappa=5 junk=1")
+    for spec, key in [("vonmises kappa=5 kappa=50", "kappa"), ("wc:gamma=0.8 GAMMA=0.5", "gamma"),
+                      ("wn rho=0.5 mu=1 mu=2", "mu"), ("uniform mu=0 mu=0", "mu"),
+                      ("tabulated path=a.txt path=b.txt", "path")]:
+        with pytest.raises(DomainError, match=f"^repeated density parameter '{key}'$"):
+            parse_density(spec)
+
+
+def _tabulated(mu):
+    return Tabulated(1.0 + np.cos(np.linspace(0.0, TWO_PI, 64, endpoint=False)), mu=mu)
+
+
+@pytest.mark.parametrize("family, value, message", [
+    (VonMises, -1.0, "kappa must lie in [0, inf), got -1.0"),
+    (VonMises, math.inf, "kappa must lie in [0, inf), got inf"),
+    (VonMises, math.nan, "kappa must lie in [0, inf), got nan"),
+    (WrappedCauchy, -0.1, "gamma must lie in [0, 1), got -0.1"),
+    (WrappedCauchy, 1.0, "gamma must lie in [0, 1), got 1.0"),
+    (WrappedCauchy, math.nan, "gamma must lie in [0, 1), got nan"),
+    (WrappedNormal, -0.1, "rho must lie in [0, 1), got -0.1"),
+    (WrappedNormal, 1.0, "rho must lie in [0, 1), got 1.0"),
+    (WrappedNormal, math.nan, "rho must lie in [0, 1), got nan"),
+])
+def test_shape_parameter_outside_its_bounds_is_refused(family, value, message):
+    # the family's declared bounds [low, high) are checked when it is built,
+    # directly or from its spec; the low edge itself is accepted
+    for build in (lambda: family(value), lambda: parse_density(f"{family.kind} "
+                                                               f"{family.param}={value}")):
+        with pytest.raises(DomainError) as err:
+            build()
+        assert str(err.value) == message
+    assert getattr(family(family.bounds[0]), family.param) == family.bounds[0]
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [
+    lambda mu: VonMises(5.0, mu=mu), lambda mu: WrappedCauchy(0.8, mu=mu),
+    lambda mu: WrappedNormal(0.8, mu=mu), _tabulated,
+], ids=["vm", "wc", "wn", "tab"])
+def test_non_finite_mu_is_refused(build, mu):
+    with pytest.raises(DomainError) as err:
+        build(mu)
+    assert str(err.value) == f"mu must be finite, got {mu}"
+
+
+@pytest.mark.parametrize("spec", ["vonmises kappa=5 mu={}", "wc gamma=0.8 mu={}",
+                                  "wn rho=0.8 mu={}", "uniform mu={}",
+                                  "tabulated path={path} mu={}"])
+@pytest.mark.parametrize("mu", ["nan", "inf", "-inf"])
+def test_non_finite_mu_in_a_spec_is_refused(tmp_path, spec, mu):
+    path = tmp_path / "grid.txt"
+    grid = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+    np.savetxt(path, np.column_stack([grid, 1.0 + np.cos(grid)]))
+    with pytest.raises(DomainError, match=f"^mu must be finite, got {mu}$"):
+        parse_density(spec.format(mu, path=path))
+
+
+def test_labels(tmp_path):
+    # a label is mse.csv's density column, so its text is fixed
+    path = tmp_path / "grid.txt"
+    grid = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+    np.savetxt(path, np.column_stack([grid, 1.0 + np.cos(grid)]))
+    assert [parse_density(spec).label for spec in (
+        "vonmises kappa=5", "vm:kappa=1e7 mu=1.3", "uniform mu=-2",
+        "wrappedcauchy gamma=0.8 mu=2.2", "wn rho=0.25", f"tabulated path={path} mu=0.25",
+    )] == ["vonmises kappa=5 mu=0", "vonmises kappa=1e+07 mu=1.3", "vonmises kappa=0 mu=-2",
+           "wrappedcauchy gamma=0.8 mu=2.2", "wrappednormal rho=0.25 mu=0",
+           "tabulated n=64 mu=0.25"]
+    assert repr(WrappedNormal(0.5, mu=0.125)) == "wrappednormal rho=0.5 mu=0.125"
+    assert _tabulated(1.5).label == "tabulated n=64 mu=1.5"
+
+
+def test_declarations_are_not_fields():
+    # kind, param and bounds are class attributes: no constructor parameter
+    for family in (VonMises, WrappedCauchy, WrappedNormal):
+        assert [f.name for f in dataclasses.fields(family)] == [family.param, "mu"]
+    with pytest.raises(TypeError):
+        VonMises(5.0, kind="wrappedcauchy")

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,8 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circmix import (MixtureParams, VonMises, cli, estimate_density, estimate_theta,
-                     normalize, parse_density, penalty_floor, sample_mixture)
+from circmix import (EstimationError, MixtureParams, Tabulated, VonMises, cli,
+                     estimate_density, estimate_theta, normalize, parse_density, penalty_floor,
+                     sample_mixture)
 from circmix.cli import main
 from circmix.contrast import POWER_SUM_CHUNK as CHUNK
 
@@ -174,6 +176,20 @@ def test_fit_csv_format(tmp_path, capsys):
     header, row = out.strip().splitlines()
     assert header.startswith("n,p_hat,alpha_hat,beta_hat")
     assert row.split(",")[0] == "500"
+
+
+def test_fit_csv_format_with_standard_errors(tmp_path, capsys):
+    sample = tmp_path / "s.txt"
+    run(capsys, "simulate", "--density", "wrappedcauchy:gamma=0.8", "--theta", THETA,
+        "--n", "500", "--seed", "1", "--out", str(sample))
+    code, out, _ = run(capsys, "fit", "--in", str(sample), "--format", "csv")
+    assert code == 0
+    header, row = out.strip().splitlines()
+    record = dict(zip(header.split(","), row.split(",")))
+    fit = estimate_theta(np.loadtxt(sample))
+    assert [record[f"se_{k}"] for k in ("p", "alpha", "beta")] == [
+        f"{v:.5e}" for v in fit.std_errors]
+    assert all(float(record[f"se_{k}"]) > 0 for k in ("p", "alpha", "beta"))
 
 
 def test_fit_single_angle_fails(tmp_path, capsys):
@@ -532,6 +548,60 @@ def test_slope_command(tmp_path, capsys):
     assert len(out_csv.read_text().splitlines()) == 52
 
 
+@pytest.mark.parametrize("command, header, summary", [
+    (["density", "--grid", "16"], "x,f_hat", "L_hat = "),
+    (["density", "--grid", "16", "--true", "vonmises:kappa=5"], "x,f_hat,f", "L_hat = "),
+    (["slope"], "L,penalty_shape,coeff_mass,in_window,slope,lambda_hat", "slope = "),
+])
+def test_dash_out_writes_the_csv_then_the_summary_to_stdout(tmp_path, monkeypatch, capsys,
+                                                            command, header, summary):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "simulate", "--density", "vonmises:kappa=5", "--theta", THETA,
+        "--n", "500", "--seed", "7", "--out", "s.txt")
+    code, out, _ = run(capsys, *command, "--in", "s.txt", "--out", "-")
+    assert code == 0
+    assert out.splitlines()[0] == header
+    code, summary_only, _ = run(capsys, *command, "--in", "s.txt", "--out", "file.csv")
+    assert code == 0
+    assert out == (tmp_path / "file.csv").read_text() + summary_only
+    assert summary_only.startswith(summary)
+    assert sorted(os.listdir(tmp_path)) == ["file.csv", "s.txt"]
+
+
+def test_dash_coeffs_out_and_ident_out_write_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "simulate", "--density", "vonmises:kappa=5", "--theta", THETA,
+        "--n", "500", "--seed", "7", "--out", "s.txt")
+    code, out, _ = run(capsys, "density", "--in", "s.txt", "--lmax", "10", "--out", "d.csv",
+                       "--coeffs-out", "-")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "l,re_f_hat,im_f_hat"
+    assert [line.split(",")[0] for line in lines[1:22]] == [str(l) for l in range(-10, 11)]
+    code, out, _ = run(capsys, "ident", "--theta", "0.4,0,2.0944", "--out", "-")
+    assert code == 0
+    assert "kind,p_prime,alpha_prime,beta_prime,residual\nLabelSwitchOnly," in out
+    assert sorted(os.listdir(tmp_path)) == ["d.csv", "s.txt"]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("vonmises kappa=5 mu=nan", "mu must be finite, got nan"),
+    ("wc gamma=0.8 mu=-inf", "mu must be finite, got -inf"),
+    ("vonmises kappa=5 kappa=50", "repeated density parameter 'kappa'"),
+    ("wn rho=1", "rho must lie in [0, 1), got 1.0"),
+])
+def test_bad_density_spec_is_a_usage_error(tmp_path, capsys, spec, message):
+    sample = tmp_path / "s.txt"
+    run(capsys, "simulate", "--density", "uniform", "--theta", THETA, "--n", "100",
+        "--out", str(sample))
+    for argv in (["simulate", "--density", spec, "--theta", THETA, "--n", "10"],
+                 ["density", "--in", str(sample), "--true", spec,
+                  "--out", str(tmp_path / "d.csv")],
+                 ["ident", "--theta", THETA, "--density", spec]):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_ident_case4(capsys):
     code, out, _ = run(capsys, "ident", "--theta", "0.4,0,2.0944")
     assert code == 0
@@ -569,6 +639,72 @@ def test_bench_cli_determinism(tmp_path, capsys):
         assert code == 0
         assert "mse:" in out
     assert (d1 / "mse.csv").read_bytes() == (d2 / "mse.csv").read_bytes()
+
+
+def test_bench_prints_a_summary_of_every_experiment(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("experiment = normality,density,slope\ndensity = wrappedcauchy gamma=0.8\n"
+                   f"theta0 = {THETA}\nn = 1000\nreps = 50\nseed = 5\nl_max = 30\n")
+    code, out, _ = run(capsys, "bench", "--config", str(cfg), "--out", str(tmp_path / "r"))
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["normality"] * 3 + ["density", "slope"]
+    assert [line.split()[2] for line in lines[:3]] == ["coord=p", "coord=alpha", "coord=beta"]
+    assert re.fullmatch(r"normality: n=1000 coord=p mean=\S+ var=\S+ skew=\S+ reps=\d+",
+                        lines[0])
+    assert lines[3].startswith("density: L_hat=") and " l2_error_f=" in lines[3]
+    assert lines[4].startswith("slope: a=") and " lambda_hat=" in lines[4]
+    assert sorted(os.listdir(tmp_path / "r")) == ["density.csv", "normality.csv", "slope.csv"]
+
+
+def test_bench_failed_replications_exit_6_and_write_no_mse_csv(tmp_path, capsys, monkeypatch):
+    def fail(sample, options):
+        raise EstimationError("no polish converged")
+
+    monkeypatch.setattr(cli.bench, "estimate_theta", fail)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"experiment = mse\ndensity = uniform\ntheta0 = {THETA}\n"
+                   "n = 100\nreps = 4\nseed = 5\n")
+    out = tmp_path / "r"
+    code, stdout, err = run(capsys, "bench", "--config", str(cfg), "--out", str(out))
+    assert (code, stdout) == (6, "")
+    assert err == "experiment error: 4/4 replications failed at n=100\n"
+    assert not (out / "mse.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_reads_a_tabulated_density_once(tmp_path, capsys, monkeypatch, jobs):
+    # the config checks the density when it is read, and --out and --jobs
+    # rebuild the config: the file is read once all the same
+    grid = tmp_path / "grid.txt"
+    angles = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    np.savetxt(grid, np.column_stack([angles, np.exp(1.5 * np.cos(angles)) + 0.3]))
+    from_text, calls = Tabulated.from_text.__func__, []
+
+    def counted(cls, path, mu=0.0):
+        calls.append(path)
+        return from_text(cls, path, mu)
+
+    monkeypatch.setattr(Tabulated, "from_text", classmethod(counted))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"experiment = mse,slope\ndensity = tabulated path={grid}\n"
+                   f"theta0 = {THETA}\nn = 300\nreps = 4\nseed = 5\nl_max = 20\n")
+    code, out, _ = run(capsys, "bench", "--config", str(cfg), "--out", str(tmp_path / "r"),
+                       "--jobs", jobs)
+    assert code == 0
+    assert out.startswith("mse: density=tabulated n=64 mu=0 n=300 ")
+    assert calls == [str(grid)]
+
+
+def test_bench_missing_tabulated_file_is_an_input_error(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"experiment = mse\ndensity = tabulated path={tmp_path / 'none.txt'}\n"
+                   f"theta0 = {THETA}\nn = 100\nreps = 2\nseed = 5\n")
+    out = tmp_path / "r"
+    code, stdout, err = run(capsys, "bench", "--config", str(cfg), "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert err.startswith("error: ") and "none.txt" in err
+    assert not out.exists()
 
 
 def test_bench_requires_seed(tmp_path, capsys):
@@ -625,6 +761,7 @@ def test_bench_theta0_out_of_range_names_key_and_file(tmp_path, capsys, value):
 @pytest.mark.parametrize("key, value", [
     ("p_max", "0.7"), ("p_max", "nan"), ("l_max", "-1"), ("l_max", "1000000000000"),
     ("lambda", "-1"), ("lambda", "nan"), ("n", "1000000000000"), ("n", "100,10000001"),
+    ("density", "vonmises kappa=-1"), ("density", "vonmises kappa=5 mu=nan"),
 ])
 def test_bench_setting_out_of_range_names_key_and_file(tmp_path, capsys, key, value):
     # checked with the config, before any experiment runs or writes its file

@@ -770,6 +770,21 @@ def test_asymptotic_cov_singular_raises():
         asymptotic_cov(x, MixtureParams(0.5, 0.0, 0.0))
 
 
+def test_fit_result_is_built_once_with_its_inference():
+    # the covariance, or the reason it is unavailable, is part of the frozen record
+    s = sample_mixture(THETA0, VonMises(5.0), 800, np.random.default_rng(20))
+    fit = estimate_theta(s)
+    assert fit.inference_warning is None
+    assert_allclose(fit.std_errors, asymptotic_cov(s, fit.theta_hat)[1], rtol=0, atol=0)
+    unavailable = estimate_theta(np.zeros(50))
+    assert (unavailable.sigma_hat, unavailable.std_errors) == (None, None)
+    assert unavailable.inference_warning.startswith("curvature matrix is numerically singular")
+    skipped = estimate_theta(s, FitOptions(compute_covariance=False))
+    assert (skipped.sigma_hat, skipped.std_errors, skipped.inference_warning) == (None, None, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fit.std_errors = None
+
+
 def test_estimation_failure_propagates():
     with pytest.raises((EstimationError, DomainError)):
         estimate_theta(np.array([1.0]), FitOptions())
