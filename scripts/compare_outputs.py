@@ -10,9 +10,10 @@ file, and to stdout in one and in four 16384-line blocks), ``fit``,
 ``density`` (with the weight cap also set by ``--pmax`` and by ``--box``),
 ``slope``, ``ident``, and two ``bench`` configs at
 ``--jobs 1`` and ``--jobs 2``.  Then ``EXTRA_COMMANDS`` run once each: bad
-density specs, a bench config with one, and ``--out -``.  Each command runs as its own
-``python -m circmix.cli`` process in a work directory of its tree, with
-relative paths, so the two trees see the same command lines.
+density specs, ``--out -``, and the bench configs of ``REFUSED_CONFIGS``.
+Each command runs as its own ``python -m circmix.cli`` process in a work
+directory of its tree, with relative paths, so the two trees see the same
+command lines.
 
 One line is printed per command: ``same``, or ``differs`` and what differs
 (exit code, stdout, stderr, or a file the command wrote or changed), then
@@ -51,6 +52,15 @@ BENCH_CONFIGS = {
     "mse": "experiment = mse,normality\nn = 500,1000\nreps = 50\nseed = 7\n",
     "dens": "experiment = density,slope\nn = 1000\nreps = 1\nseed = 8\nl_max = 30\n",
 }
+# Bench configs that the reader refuses, each run once by EXTRA_COMMANDS.
+_SMALL = f"experiment = mse\ndensity = uniform\ntheta0 = {THETA}\nn = 200\nreps = 4\nseed = 7\n"
+REFUSED_CONFIGS = {
+    "bad-density": f"density = vonmises kappa=-1\ntheta0 = {THETA}\n{BENCH_CONFIGS['mse']}",
+    "repeated-key": _SMALL + "n = 300\n",
+    "negative-seed": _SMALL.replace("seed = 7", "seed = -1"),
+    "p-above-half": _SMALL.replace(THETA, "0.75,2.0944,0.3927").replace("uniform", "vm kappa=5"),
+    "repeated-kind": _SMALL.replace("mse", "mse,mse"),
+}
 
 
 # Run once, after the commands of every density: they read vm.txt.
@@ -60,8 +70,7 @@ EXTRA_COMMANDS = [
     ["simulate", "--density", "vonmises kappa=5 kappa=50", "--theta", THETA, "--n", "10"],
     ["density", "--in", "vm.txt", "--out", "-"],
     ["slope", "--in", "vm.txt", "--out", "-"],
-    ["bench", "--config", "bad-density.cfg", "--out", "bad-density"],
-]
+] + [["bench", "--config", f"{name}.cfg", "--out", name] for name in REFUSED_CONFIGS]
 
 
 def _tabulated_text() -> str:
@@ -104,8 +113,8 @@ def _commands(tag: str, spec: str) -> list:
 
 def _prepare(workdir: Path) -> None:
     (workdir / "grid.txt").write_text(_tabulated_text())
-    (workdir / "bad-density.cfg").write_text(
-        f"density = vonmises kappa=-1\ntheta0 = {THETA}\n{BENCH_CONFIGS['mse']}")
+    for name, body in REFUSED_CONFIGS.items():
+        (workdir / f"{name}.cfg").write_text(body)
     for tag, spec in DENSITIES.items():
         for name, body in BENCH_CONFIGS.items():
             (workdir / f"{tag}-{name}.cfg").write_text(

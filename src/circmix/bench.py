@@ -24,12 +24,20 @@ from .npdens import _check_settings, _weight_floor, default_l_max, estimate_dens
 
 EXPERIMENT_KINDS = ("mse", "normality", "density", "slope")
 _STREAM_TAG = {kind: i for i, kind in enumerate(EXPERIMENT_KINDS)}
+_CONFIG_KEYS = {"density", "theta0", "n", "reps", "seed", "experiment", "p_max", "l_max",
+                "lambda", "jobs", "out"}
 
 FLOAT_FMT = "{:.5e}"  # six significant digits, '.' decimal separator
+
+# every fit of a size is kept, ~0.7 kB each: at n = 100, 10^5 reps peak at 105 MB RSS
+REPS_LIMIT = 10 ** 5
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A bench run.  ``from_file`` and ``from_dict`` check every value; a config
+    built in code is not checked, apart from each runner's experiment rules."""
+
     density_spec: str
     theta0: MixtureParams
     n_list: tuple
@@ -42,25 +50,9 @@ class ExperimentConfig:
     jobs: int = 1
     outdir: str = "."
 
-    def __post_init__(self):
-        if self.reps < 1:
-            raise ExperimentError("reps must be >= 1")
-        if not self.n_list or any(n < 2 for n in self.n_list):
-            raise ExperimentError("all sample sizes must be >= 2")
-        if self.seed is None:
-            raise ExperimentError("bench experiments refuse to run unseeded")
-        if self.jobs < 1:
-            raise ExperimentError(f"jobs must be >= 1, got {self.jobs}")
-        if not self.experiments:
-            raise ExperimentError("no experiments to run")
-        unknown = set(self.experiments) - set(EXPERIMENT_KINDS)
-        if unknown:
-            raise ExperimentError(f"unknown experiments: {sorted(unknown)}")
-        for kind in self.experiments:
-            _check_experiment(self, kind)
-
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
+        """The config of a ``key = value`` file; a key may appear once."""
         values = {}
         with open(path) as fh:
             for raw in fh:
@@ -70,7 +62,10 @@ class ExperimentConfig:
                 if "=" not in line:
                     raise ExperimentError(f"malformed config line: {raw.strip()!r}")
                 key, _, val = line.partition("=")
-                values[key.strip().lower()] = val.strip()
+                key, val = key.strip().lower(), val.strip()
+                if key in values:
+                    _refuse(path, key, val, f"a key may appear once; it is {values[key]!r} above")
+                values[key] = val
         return cls.from_dict(values, source=str(path))
 
     @classmethod
@@ -80,81 +75,75 @@ class ExperimentConfig:
         Raises
         ------
         ValueError
-            If a numeric value does not parse.  The message names ``source``
-            (the config file), the key and the value.
+            If a value does not parse, naming ``source``, the key and the text.
         ExperimentError
-            If a key is missing or unknown, or a value is out of range; for
-            ``theta0``, ``n``, ``p_max``, ``l_max``, ``lambda`` and ``density``
-            the message names ``source``, the key and the value.  ``p_max``
-            must lie below 1/2 only when a density or slope experiment is
-            listed, as the fit alone accepts a larger one.
+            If a key is missing or unknown, or a value breaks its rule or an
+            experiment's: ``<source>: key '<key>' is out of range, got
+            '<text>': <reason>``.
         OSError, ValueError
             If a tabulated density's file cannot be read.
         """
-        values = dict(values)
-
-        def pop(key, default=None, required=False):
-            if key in values:
-                return values.pop(key)
-            if required:
+        texts = {"experiment": "mse", "p_max": FitOptions.p_max, "lambda": "slope", "jobs": 1}
+        texts = {key: str(text) for key, text in {**texts, **values}.items()}
+        unknown = set(texts) - _CONFIG_KEYS
+        if unknown:
+            raise ExperimentError(f"unknown config keys: {sorted(unknown)}")
+        for key in ("density", "theta0", "n", "reps"):
+            if key not in texts:
                 raise ExperimentError(f"config key {key!r} is required")
-            return default
-
-        def parse(key, text, convert, what):
-            try:
-                return convert(text)
-            except ValueError:
-                raise ValueError(f"{source}: key {key!r} must be {what}, got {text!r}") from None
-
-        def check(key, text, accept, *args, **kwargs):
-            try:
-                return accept(*args, **kwargs)
-            except DomainError as exc:
-                raise ExperimentError(f"{source}: key {key!r} is out of range, "
-                                      f"got {text!r}: {exc}") from None
-
-        density = pop("density", required=True)
-        theta0_raw = pop("theta0", required=True)
-        theta0 = check("theta0", theta0_raw, MixtureParams,
-                       *parse("theta0", theta0_raw, _three_floats,
-                              "three comma-separated numbers 'p,alpha,beta'"))
-        n_raw = str(pop("n", required=True))
-        n_list = parse("n", n_raw, lambda text: tuple(int(v) for v in text.split(",")),
-                       "a comma-separated list of integers")
-        check("n", n_raw, _check_settings, n=max(n_list))
-        seed_raw = pop("seed")
-        if seed_raw is None:
+        if "seed" not in texts:
             raise ExperimentError("bench experiments refuse to run unseeded; set seed")
-        experiments = tuple(v.strip() for v in str(pop("experiment", "mse")).split(",") if v.strip())
-        p_max_raw = pop("p_max", FitOptions.p_max)
-        p_max = parse("p_max", p_max_raw, float, "a number")
-        check("p_max", p_max_raw, FitOptions, p_max=p_max)
+
+        def parse(key, convert, what):
+            try:
+                return convert(texts[key])
+            except ValueError:
+                raise ValueError(f"{source}: key {key!r} must be {what}, "
+                                 f"got {texts[key]!r}") from None
+
+        def check(key, ok, reason):
+            if not ok:
+                _refuse(source, key, texts[key], reason)
+
+        def accept(key, build, *args, **kwargs):
+            try:
+                return build(*args, **kwargs)
+            except DomainError as exc:
+                _refuse(source, key, texts[key], exc)
+
+        theta0 = parse("theta0", _three_floats, "three comma-separated numbers 'p,alpha,beta'")
+        theta0 = accept("theta0", MixtureParams, *theta0)
+        check("theta0", theta0.p < 0.5, "p must lie in [0, 0.5): label the lighter component alpha")
+        n_list = parse("n", lambda text: tuple(int(v) for v in text.split(",")),
+                       "a comma-separated list of integers")
+        check("n", min(n_list) >= 2, "all sample sizes must be >= 2")
+        check("n", len(set(n_list)) == len(n_list), "each sample size may appear once")
+        accept("n", _check_settings, n=max(n_list))
+        reps, seed, jobs = (parse(key, int, "an integer") for key in ("reps", "seed", "jobs"))
+        check("reps", reps >= 1, "reps must be >= 1")
+        check("reps", reps <= REPS_LIMIT, f"reps must be at most {REPS_LIMIT}")
+        check("seed", seed >= 0, "seed must be >= 0")
+        check("jobs", jobs >= 1, "jobs must be >= 1")
+        experiments = tuple(v.strip() for v in texts["experiment"].split(",") if v.strip())
+        check("experiment", experiments, "no experiments to run")
+        unknown_kinds = sorted(set(experiments) - set(EXPERIMENT_KINDS))
+        check("experiment", not unknown_kinds, f"unknown experiments: {unknown_kinds}")
+        check("experiment", len(set(experiments)) == len(experiments), "each kind may appear once")
+        for kind in experiments:
+            for key, reason in _experiment_rules(kind, n_list, reps):
+                _refuse(source, key, texts[key], reason)
+        p_max = parse("p_max", float, "a number")
+        accept("p_max", FitOptions, p_max=p_max)
         if {"density", "slope"} & set(experiments):
-            check("p_max", p_max_raw, _weight_floor, p_max)
-        l_max_raw = pop("l_max", None)
-        l_max = None if l_max_raw is None else parse("l_max", l_max_raw, int, "an integer")
-        check("l_max", l_max_raw, _check_settings, l_max=l_max)
-        penalty_raw = pop("lambda", "slope")
-        penalty = (None if str(penalty_raw).lower() == "slope"
-                   else parse("lambda", penalty_raw, float, "a number or 'slope'"))
-        check("lambda", penalty_raw, _check_settings, penalty=penalty)
-        cfg = cls(
-            density_spec=density,
-            theta0=theta0,
-            n_list=n_list,
-            reps=parse("reps", pop("reps", required=True), int, "an integer"),
-            seed=parse("seed", seed_raw, int, "an integer"),
-            experiments=experiments,
-            p_max=p_max,
-            l_max=l_max,
-            penalty=penalty,
-            jobs=parse("jobs", pop("jobs", 1), int, "an integer"),
-            outdir=str(pop("out", ".")),
-        )
-        if values:
-            raise ExperimentError(f"unknown config keys: {sorted(values)}")
-        check("density", density, _parsed_density, density)
-        return cfg
+            accept("p_max", _weight_floor, p_max)
+        l_max = None if "l_max" not in texts else parse("l_max", int, "an integer")
+        accept("l_max", _check_settings, l_max=l_max)
+        penalty = (None if texts["lambda"].lower() == "slope"
+                   else parse("lambda", float, "a number or 'slope'"))
+        accept("lambda", _check_settings, penalty=penalty)
+        accept("density", _parsed_density, texts["density"])
+        return cls(texts["density"], theta0, n_list, reps, seed, experiments, p_max, l_max,
+                   penalty, jobs, texts.get("out", "."))
 
     @property
     def density(self):
@@ -165,20 +154,29 @@ class ExperimentConfig:
         return FitOptions(p_max=self.p_max, compute_covariance=covariance)
 
 
+def _refuse(source, key: str, text: str, reason) -> None:
+    raise ExperimentError(f"{source}: key {key!r} is out of range, got {text!r}: {reason}")
+
+
 @lru_cache(maxsize=1)
 def _parsed_density(spec: str):
     """The last spec's density: ``from_dict`` parses it to check it, and the
-    experiments, a config rebuilt by ``dataclasses.replace`` (``bench --out``,
-    ``--jobs``) and forked pool workers read it again, not the file."""
+    experiments, replaced configs and forked pool workers read it again."""
     return parse_density(spec)
+
+
+def _experiment_rules(kind: str, n_list: tuple, reps: int):
+    """(key, reason) of each rule of experiment ``kind`` that n_list or reps breaks."""
+    if kind in ("density", "slope") and len(n_list) != 1:
+        yield "n", f"{kind} experiments use a single sample size"
+    if kind == "normality" and reps < 50:
+        yield "reps", "normality experiments need reps >= 50"
 
 
 def _check_experiment(config: ExperimentConfig, kind: str) -> None:
     """Raise ExperimentError unless the config can run experiment ``kind``."""
-    if kind in ("density", "slope") and len(config.n_list) != 1:
-        raise ExperimentError(f"{kind} experiments use a single sample size")
-    if kind == "normality" and config.reps < 50:
-        raise ExperimentError("normality experiments need reps >= 50")
+    for _, reason in _experiment_rules(kind, config.n_list, config.reps):
+        raise ExperimentError(reason)
 
 
 def _three_floats(text: str) -> tuple:
@@ -192,13 +190,14 @@ def _rep_rng(config: ExperimentConfig, kind: str, n: int, rep: int) -> np.random
 
 
 def _map_reps(config: ExperimentConfig, worker, tasks):
-    # a forked pool starts all its workers at once: start no more than there are tasks
-    workers = min(config.jobs, len(tasks))
+    # a forked pool starts all its workers at once: start no more than there are
+    # tasks and CPUs, and send one block of tasks per worker
+    workers = 1 if config.jobs == 1 else min(config.jobs, len(tasks), len(os.sched_getaffinity(0)))
     if workers > 1:
         # the process pool, and with it multiprocessing, loads only here
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, tasks, chunksize=1))
+            return list(pool.map(worker, tasks, chunksize=math.ceil(len(tasks) / workers)))
     return [worker(t) for t in tasks]
 
 

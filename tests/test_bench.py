@@ -77,7 +77,8 @@ def test_config_rejects_unknown_keys():
 def test_config_rejects_small_sizes(key, value, message):
     values = dict(density="uniform", theta0=THETA, n="100", reps="2", seed="1")
     values[key] = value
-    with pytest.raises(ExperimentError, match=f"^{message}$"):
+    with pytest.raises(ExperimentError,
+                       match=f"^config: key '{key}' is out of range, got '{value}': {message}$"):
         ExperimentConfig.from_dict(values)
 
 
@@ -144,9 +145,13 @@ def test_run_mse_parallel_matches_serial(tmp_path):
 @pytest.mark.parametrize("jobs, reps, pool_sizes", [(64, 2, [2]), (8, 1, []), (2, 3, [2])])
 def test_pool_has_no_more_workers_than_replications(tmp_path, monkeypatch, jobs, reps,
                                                      pool_sizes):
-    # a forked pool starts all of its workers at once; this one starts none
+    # a forked pool starts all of its workers at once; this one starts none.
+    # pool_sizes holds the size on a host with enough CPUs, and the pool
+    # never has more workers than this process may run on
     import concurrent.futures
-    sizes = []
+    cpus = len(os.sched_getaffinity(0))
+    pool_sizes = [min(size, cpus) for size in pool_sizes if min(size, cpus) > 1]
+    sizes, chunks = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -159,6 +164,7 @@ def test_pool_has_no_more_workers_than_replications(tmp_path, monkeypatch, jobs,
             return False
 
         def map(self, fn, iterable, chunksize=1):
+            chunks.append(chunksize)
             return map(fn, iterable)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool, raising=False)
@@ -167,6 +173,8 @@ def test_pool_has_no_more_workers_than_replications(tmp_path, monkeypatch, jobs,
     run_mse(config(serial_dir, reps=reps))
     run_mse(config(pool_dir, reps=reps, jobs=jobs))
     assert sizes == pool_sizes
+    # one block of replications per worker
+    assert chunks == [-(-reps // size) for size in pool_sizes]
     assert (serial_dir / "mse.csv").read_bytes() == (pool_dir / "mse.csv").read_bytes()
 
 

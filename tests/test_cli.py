@@ -762,12 +762,17 @@ def test_bench_theta0_out_of_range_names_key_and_file(tmp_path, capsys, value):
     ("p_max", "0.7"), ("p_max", "nan"), ("l_max", "-1"), ("l_max", "1000000000000"),
     ("lambda", "-1"), ("lambda", "nan"), ("n", "1000000000000"), ("n", "100,10000001"),
     ("density", "vonmises kappa=-1"), ("density", "vonmises kappa=5 mu=nan"),
+    ("reps", "0"), ("reps", str(cli.bench.REPS_LIMIT + 1)), ("n", "1"), ("n", "100,100"),
+    ("jobs", "0"), ("seed", "-1"), ("experiment", "mse,mse"),
+    ("theta0", "0.75,2.0944,0.3927"),
 ])
 def test_bench_setting_out_of_range_names_key_and_file(tmp_path, capsys, key, value):
     # checked with the config, before any experiment runs or writes its file
+    values = dict(experiment="mse,density", density="uniform", theta0=THETA, n="100",
+                  reps="2", seed="5")
+    values[key] = value
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(f"experiment = mse,density\ndensity = uniform\ntheta0 = {THETA}\n"
-                   f"n = 100\nreps = 2\nseed = 5\n{key} = {value}\n")
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     out = tmp_path / "r"
     code, stdout, err = run(capsys, "bench", "--config", str(cfg), "--out", str(out))
     assert (code, stdout) == (6, "")
@@ -797,14 +802,30 @@ def test_bench_fit_p_max_out_of_range_names_key_and_file(tmp_path, capsys, value
 ])
 def test_bench_experiment_rules_checked_with_the_config(tmp_path, capsys, experiments, sizes,
                                                         reps, message):
-    # refused before any experiment runs, so mse writes no mse.csv
+    # refused before any experiment runs, so mse writes no mse.csv; the
+    # message names the key that the rule constrains
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"experiment = {experiments}\ndensity = uniform\ntheta0 = {THETA}\n"
                    f"n = {sizes}\nreps = {reps}\nseed = 5\n")
     out = tmp_path / "r"
     code, stdout, err = run(capsys, "bench", "--config", str(cfg), "--out", str(out))
     assert (code, stdout) == (6, "")
-    assert err == f"experiment error: {message}\n"
+    key, value = ("reps", reps) if "reps" in message else ("n", sizes)
+    assert err == (f"experiment error: {cfg}: key {key!r} is out of range, got {value!r}: "
+                   f"{message}\n")
+    assert not out.exists()
+
+
+def test_bench_repeated_config_key_names_key_and_file(tmp_path, capsys):
+    # the last of a repeated key is not silently kept
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"experiment = mse\ndensity = uniform\ntheta0 = {THETA}\n"
+                   "n = 100\nreps = 2\nseed = 5\nN = 200\n")
+    out = tmp_path / "r"
+    code, stdout, err = run(capsys, "bench", "--config", str(cfg), "--out", str(out))
+    assert (code, stdout) == (6, "")
+    assert err == (f"experiment error: {cfg}: key 'n' is out of range, got '200': "
+                   "a key may appear once; it is '100' above\n")
     assert not out.exists()
 
 
@@ -905,4 +926,5 @@ def test_only_bench_with_jobs_loads_the_process_pool(tmp_path):
         assert _fresh_interpreter("circmix.cli", argv, _PROCESS_POOL) == expected, argv
     code, modules = _fresh_interpreter("circmix.cli", bench + ["--jobs", "2"], _PROCESS_POOL)
     assert code == 0
-    assert "concurrent.futures.process" in modules
+    # two workers only where this process may run on two CPUs
+    assert ("concurrent.futures.process" in modules) == (len(os.sched_getaffinity(0)) > 1)
