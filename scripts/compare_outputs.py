@@ -10,7 +10,8 @@ file, and to stdout in one and in four 16384-line blocks), ``fit``,
 ``density`` (with the weight cap also set by ``--pmax`` and by ``--box``),
 ``slope``, ``ident``, and two ``bench`` configs at
 ``--jobs 1`` and ``--jobs 2``.  Then ``EXTRA_COMMANDS`` run once each: bad
-density specs, ``--out -``, and the bench configs of ``REFUSED_CONFIGS``.
+density specs, ``--out -``, ``simulate``, ``fit``, ``density`` and ``slope`` on
+an n = 2e5 sample, and the bench configs of ``REFUSED_CONFIGS``.
 Each command runs as its own ``python -m circmix.cli`` process in a work
 directory of its tree, with relative paths, so the two trees see the same
 command lines.
@@ -70,6 +71,13 @@ EXTRA_COMMANDS = [
     ["simulate", "--density", "vonmises kappa=5 kappa=50", "--theta", THETA, "--n", "10"],
     ["density", "--in", "vm.txt", "--out", "-"],
     ["slope", "--in", "vm.txt", "--out", "-"],
+    # the README workflow at the benchmark's large_n_cli size, where density
+    # and slope read P_0..P_58 of n = 2e5 angles
+    ["simulate", "--density", DENSITIES["wc"], "--theta", THETA, "--n", "200000",
+     "--seed", "9", "--out", "wc-2e5.txt"],
+    ["fit", "--in", "wc-2e5.txt"],
+    ["density", "--in", "wc-2e5.txt", "--true", DENSITIES["wc"], "--out", "wc-2e5-density.csv"],
+    ["slope", "--in", "wc-2e5.txt", "--out", "wc-2e5-slope.csv"],
 ] + [["bench", "--config", f"{name}.cfg", "--out", name] for name in REFUSED_CONFIGS]
 
 

@@ -54,41 +54,116 @@ def mixture_weight_grad(theta, l: int) -> np.ndarray:
     return np.array([ea - eb, -il * p * ea, -il * (1.0 - p) * eb])
 
 
-#: Angles per block of the power-sum recurrence: its working memory is a
-#: few arrays of this length, whatever n and m_max are.
+#: Angles per block of the power sums: their working memory is a few arrays
+#: of this length, whatever n is.
 POWER_SUM_CHUNK = 16384
+
+# 2 pi / B = (_TWO_PI_HI + _TWO_PI_LO) / B, where _TWO_PI_HI has 24 bits, so
+# that j _TWO_PI_HI / B is exact for every bin j (Cody & Waite)
+_TWO_PI_HI = float(np.float32(TWO_PI))
+_TWO_PI_LO = (TWO_PI - _TWO_PI_HI) + 2.4492935982947064e-16  # 2 pi - TWO_PI
+
+
+def _binned_plan(n: int, m_max: int):
+    """(B, R) of the cheapest binned power sums, or None where the recurrence
+    runs: at m_max <= 8, where it costs less, or where the bin sums and their
+    transforms, 2 (R+1) B floats, would outgrow its chunk buffers and output,
+    6 min(n, chunk) + 2 (m_max+1) floats."""
+    if m_max <= 2 * L_MAX_CONTRAST:
+        return None
+    chunks = -(-n // POWER_SUM_CHUNK)
+    best, plan = n * (33 + 1.1 * m_max) + 1400 * chunks * m_max, None
+    bins = 1 << (2 * m_max - 1).bit_length()
+    while True:
+        x = m_max * math.pi / bins
+        order, term = 0, x
+        while term > 2.0 ** -53:
+            order += 1
+            term *= x / (order + 1)
+        if (order + 1) * bins > 3 * min(n, POWER_SUM_CHUNK) + m_max + 1:
+            return plan
+        cost = (order + 1) * (1.9 * n + (1.5 * chunks + 0.4 * math.log2(bins)) * bins
+                              + 3500 * chunks)
+        if cost < best:
+            best, plan = cost, (bins, order)
+        bins *= 2
 
 
 def power_sums(angles, m_max: int) -> np.ndarray:
     """P_m = sum_k e^{i m X_k} for m = 0..m_max, a complex array of length m_max + 1.
 
-    Each block of POWER_SUM_CHUNK angles runs the recurrence w <- w e^{iX},
-    so the cost is n (m_max + 1) complex products and no n x m_max array
-    is built.  At n <= POWER_SUM_CHUNK the sums are those of one unchunked
-    recurrence, bit for bit.  Other angles than a nonempty one-dimensional
-    array of finite values raise DomainError.
+    Two methods, each over blocks of POWER_SUM_CHUNK angles, so that no
+    n x m_max array is built.  The recurrence w <- w e^{iX} costs
+    n (m_max + 1) complex products; at n <= POWER_SUM_CHUNK its sums are
+    those of one unchunked recurrence, bit for bit.  The binned Taylor sums
+    (Dutt & Rokhlin 1993; Anderson & Dahleh 1996) round each angle to the
+    nearest of B bin centres 2 pi j / B, with offset |d| <= pi / B, sum
+    mu_r[j] = sum d^r over bin j for r = 0..R, and read
+
+        P_m = sum_r (i m)^r / r! * conj(FFT_B(mu_r))[m],
+
+    at a cost of O(n R + R B log B).  B is a power of two with B/2 >= m_max,
+    and R the least order with (m_max pi / B)^(R+1) / (R+1)! <= 2^-53: the
+    truncation error of every P_m is at most n times that, and rounding adds
+    about an ulp of n per FFT stage and Horner step.  The offsets are taken
+    against 2 pi in two parts, and angles beyond +-2 pi are first reduced
+    through e^{iX}, so that huge finite angles keep the bin index in range.
+
+    Rule (``_binned_plan``; a cost model in ns fitted to timings at n = 1e3,
+    1e4 and 2e5 on 2 cores, c = ceil(n / POWER_SUM_CHUNK)): the binned method
+    runs iff m_max > 8 and some B with (R+1) B <= 3 min(n, POWER_SUM_CHUNK)
+    + m_max + 1 has (R+1) (1.9 n + (1.5 c + 0.4 log2 B) B + 3500 c) below
+    the recurrence's n (33 + 1.1 m_max) + 1400 c m_max; the cheapest B runs.
+
+    Other angles than a nonempty one-dimensional array of finite values
+    raise DomainError.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 1 or not len(angles) or not np.isfinite(angles).all():
         raise DomainError("angles must be a nonempty one-dimensional array of finite values")
-    sums = np.zeros(m_max + 1, dtype=complex)
-    sums[0] = len(angles)
-    for start in range(0, len(angles), POWER_SUM_CHUNK):
-        base = np.exp(1j * angles[start:start + POWER_SUM_CHUNK])
-        power = base.copy()
-        for m in range(1, m_max + 1):
-            sums[m] += power.sum()
-            power = power * base  # in place rounds differently at some lengths
-    return sums
+    n = len(angles)
+    plan = _binned_plan(n, m_max)
+    if plan is None:
+        sums = np.zeros(m_max + 1, dtype=complex)
+        sums[0] = n
+        for start in range(0, n, POWER_SUM_CHUNK):
+            base = np.exp(1j * angles[start:start + POWER_SUM_CHUNK])
+            power = base.copy()
+            for m in range(1, m_max + 1):
+                sums[m] += power.sum()
+                power = power * base  # in place rounds differently at some lengths
+        return sums
+    bins, order = plan
+    mu = np.zeros((order + 1, bins))
+    for start in range(0, n, POWER_SUM_CHUNK):
+        x = angles[start:start + POWER_SUM_CHUNK]
+        if x.min() < -TWO_PI or x.max() > TWO_PI:
+            x = np.where(abs(x) > TWO_PI, np.angle(np.exp(1j * x)), x)
+        j = np.rint(x * (bins / TWO_PI))
+        offset = x - j * (_TWO_PI_HI / bins)
+        offset -= j * (_TWO_PI_LO / bins)
+        j = j.astype(np.intp) & (bins - 1)
+        mu[0] += np.bincount(j, minlength=bins)
+        for r in range(1, order + 1):
+            power = offset if r == 1 else power * offset
+            mu[r] += np.bincount(j, power, minlength=bins)
+    # np.fft is looked up here, not imported: numpy loads it lazily
+    terms = np.fft.rfft(mu)[:, :m_max + 1]
+    step = -1j * np.arange(m_max + 1)
+    acc = terms[order]
+    for r in range(order - 1, -1, -1):  # Horner in r
+        acc = terms[r] + step / (r + 1) * acc
+    return np.conj(acc)
 
 
 class ContrastMoments:
     """Power sums of a sample, from which S_n and its derivatives follow in O(1).
 
     ``power_sums[m]`` holds P_m = sum_k e^{i m X_k} for m = 0..max(m_max, 8);
-    a larger m_max serves ``empirical_coeffs`` from the same pass.  The
-    contrast reads the pair sums (R_l, T_l) of l = 1..4, and P_l and P_2l
-    where R_l and T_l would cancel.
+    a larger m_max serves ``empirical_coeffs`` from the same pass, and its
+    P_1..P_8 may then come from the binned method and differ from those of
+    the default m_max at rounding level.  The contrast reads the pair sums
+    (R_l, T_l) of l = 1..4, and P_l and P_2l where R_l and T_l would cancel.
     """
 
     def __init__(self, angles, m_max: int = 2 * L_MAX_CONTRAST):

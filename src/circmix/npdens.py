@@ -32,8 +32,9 @@ def _weight_floor(p_cap: float) -> float:
 
 
 # The largest resolution level accepted: `circmix density` at n = 1000 and a
-# million levels already takes ~4.5 s and 0.46 GB (2 cores), and memory and
-# time grow linearly in l_max.
+# million levels already takes 3.6-4.6 s and 0.46 GB (2 cores), and memory and
+# time grow linearly in l_max.  The power sums run the recurrence there: the
+# binned method's bins would outgrow its chunk buffers.
 L_MAX_LIMIT = 10 ** 6
 
 # The largest sample size that `circmix simulate` draws and a bench config

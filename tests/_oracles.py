@@ -284,3 +284,31 @@ def local_minima_by_cell(values, count):
             if all(values[i, j] <= v for v in neighbours) and not np.isnan(values[i, j]):
                 cells.append((i, j))
     return sorted(cells, key=lambda c: values[c])[:count]
+
+
+def recurrence_power_sums(angles, m_max, chunk):
+    """P_0..P_m_max by the recurrence w <- w e^{iX} over blocks of ``chunk``
+    angles, in the operation order of the recurrence in contrast.power_sums."""
+    sums = np.zeros(m_max + 1, dtype=complex)
+    sums[0] = len(angles)
+    for start in range(0, len(angles), chunk):
+        base = np.exp(1j * angles[start:start + chunk])
+        power = base.copy()
+        for m in range(1, m_max + 1):
+            sums[m] += power.sum()
+            power = power * base
+    return sums
+
+
+def power_sums_mp(angles, m_max):
+    """P_0..P_m_max in mpmath at 30 digits, from each angle's double value
+    (mpmath reduces even a huge angle exactly), rounded to complex."""
+    from mpmath import expj, mpc, mpf, workdps
+    with workdps(30):
+        sums = [mpc(0)] * (m_max + 1)
+        for x in angles.tolist():
+            step, power = expj(mpf(x)), mpc(1)
+            for m in range(m_max + 1):
+                sums[m] += power
+                power *= step
+        return np.array([complex(s) for s in sums])

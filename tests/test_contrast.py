@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,18 +15,19 @@ from scipy.optimize import differential_evolution, minimize_scalar
 from circmix import (ContrastMoments, DomainError, EstimationError, FitOptions,
                      InferenceError, MixtureParams, VonMises, WrappedCauchy, WrappedNormal,
                      asymptotic_cov, canonicalize,
-                     degeneracy_gap, empirical_coeffs, estimate_density,
+                     default_l_max, degeneracy_gap, empirical_coeffs, estimate_density,
                      estimate_theta, mixture_fourier,
                      mixture_weight, mixture_weight_grad,
                      population_contrast, power_sums, sample_mixture,
                      squared_error)
 from circmix import bench, cli
 from circmix.contrast import (DEGENERACY_WARN_RADIUS, EIG_FLOOR, GRID_SIZE, N_POLISH,
-                              POWER_SUM_CHUNK, _lowest_local_minima, _newton_step, _vertex)
+                              POWER_SUM_CHUNK, _binned_plan, _lowest_local_minima,
+                              _newton_step, _vertex)
 
 from _oracles import (brute_contrast, fd_gradient, fd_jacobian, local_minima_by_cell,
-                      mixture_weight_hess, newton_step_by_linalg, p_quadratic_by_cell, z_grads,
-                      z_hessians, z_values)
+                      mixture_weight_hess, newton_step_by_linalg, p_quadratic_by_cell,
+                      power_sums_mp, recurrence_power_sums, z_grads, z_hessians, z_values)
 
 # the module, by name: estimate_theta looks _polish up there at each call
 contrast = importlib.import_module("circmix.contrast")
@@ -128,6 +130,108 @@ def test_power_sums_one_chunk_is_the_unchunked_recurrence(n):
         for m_max in (0, 8, 9, 50):
             assert (ContrastMoments(x, m_max).power_sums.tolist()
                     == power_sums(x, max(m_max, 8)).tolist())
+
+
+# above the cost rule's crossover: the binned method runs at this size
+BINNED_N, BINNED_M = 2000, 58
+
+
+def binned_samples(n, bins):
+    """Seeded samples for the binned sums: uniform; von Mises kappa = 50, its
+    mass in a few bins; angles on bin edges c_j +- pi/B; and angles at 0,
+    -0.0 and just below 2 pi among uniform ones."""
+    rng = np.random.default_rng(np.random.SeedSequence([28, n, bins]))
+    ends = rng.uniform(0, TWO_PI, n)
+    ends[:n // 4] = 0.0
+    ends[n // 4:n // 2] = -0.0
+    ends[n // 2:3 * n // 4] = np.nextafter(TWO_PI, 0.0)
+    return {
+        "uniform": rng.uniform(0, TWO_PI, n),
+        "von Mises 50": rng.vonmises(1.0, 50.0, n),
+        "bin edges": (rng.integers(0, bins, n) + rng.choice([-0.5, 0.5], n)) * (TWO_PI / bins),
+        "0, -0.0 and below 2 pi": ends,
+    }
+
+
+@pytest.mark.parametrize("sample", ["uniform", "von Mises 50", "bin edges",
+                                    "0, -0.0 and below 2 pi"])
+def test_binned_power_sums_within_bound_of_mpmath(sample):
+    n, m_max = BINNED_N, BINNED_M
+    bins, order = _binned_plan(n, m_max)
+    x = binned_samples(n, bins)[sample]
+    exact = power_sums_mp(x, m_max)
+    error = np.abs(power_sums(x, m_max) - exact)
+    # the docstring's truncation bound at each m, plus a rounding term of
+    # 2^-53 n per FFT stage and per Horner step
+    ms = np.arange(m_max + 1)
+    truncation = n * (ms * math.pi / bins) ** (order + 1) / math.factorial(order + 1)
+    rounding = (math.log2(bins) + order + 1) * n * 2.0 ** -53
+    assert np.all(error <= truncation + rounding)
+    # the recurrence is exact at m = 1 up to the sum's rounding and loses
+    # about an ulp per power, so the errors are compared over all m <= m_max
+    recurrence = recurrence_power_sums(x, m_max, POWER_SUM_CHUNK)
+    assert error.max() <= 4 * np.abs(recurrence - exact).max()
+
+
+def test_binned_power_sums_reduce_huge_angles():
+    # unreduced, the bin index of 1e300 or of the largest double would be
+    # out of range or inf
+    n, m_max = BINNED_N, BINNED_M
+    assert _binned_plan(n, m_max) is not None
+    rng = np.random.default_rng(29)
+    x = rng.uniform(0, TWO_PI, n)
+    top = np.finfo(float).max
+    x[rng.choice(n, 6, replace=False)] = [1e15, -1e15, 1e300, -1e300, top, -top]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        binned = power_sums(x, m_max)
+    exact = power_sums_mp(x, m_max)
+    recurrence = recurrence_power_sums(x, m_max, POWER_SUM_CHUNK)
+    own_error = np.abs(recurrence - exact).max()
+    assert np.isfinite(binned).all()
+    assert np.abs(binned - exact).max() <= own_error
+    assert np.abs(binned - recurrence).max() <= 2 * own_error
+
+
+def test_contrast_moments_keep_the_recurrence_at_large_n():
+    x = sample_mixture(THETA0, WrappedCauchy(0.8), 200_000, np.random.default_rng(30))
+    assert (ContrastMoments(x).power_sums.tolist()
+            == recurrence_power_sums(x, 8, POWER_SUM_CHUNK).tolist())
+
+
+def test_density_one_pass_fit_agrees_with_the_separate_fit(monkeypatch):
+    # circmix density fits from the binned P_0..P_l_max: theta_hat moves at
+    # rounding level against estimate_theta, and no chosen level moves
+    n, options = 200_000, FitOptions(compute_covariance=False)
+    l_max = default_l_max(n)
+    for seed in range(20):
+        density = (WrappedCauchy(0.8), VonMises(5.0))[seed % 2]
+        rng = np.random.default_rng(np.random.SeedSequence([31, seed]))
+        x = sample_mixture(THETA0, density, n, rng)
+        moments = ContrastMoments(x, l_max)
+        fit = estimate_theta(moments, options)
+        separate = estimate_theta(x, options)
+        assert np.max(np.abs(fit.theta_hat.as_array() - separate.theta_hat.as_array())) <= 1e-9
+        with monkeypatch.context() as patch:
+            patch.setattr(contrast, "power_sums",
+                          lambda a, m: recurrence_power_sums(a, m, POWER_SUM_CHUNK))
+            by_recurrence = ContrastMoments(x, l_max)
+        assert (estimate_density(moments, fit, l_max=l_max).level
+                == estimate_density(by_recurrence, separate, l_max=l_max).level)
+
+
+def test_binned_power_sums_memory_does_not_grow_with_n():
+    peaks = []
+    for n in (200_000, 400_000):
+        x = np.random.default_rng(n).uniform(0, TWO_PI, n)
+        power_sums(x, 58)  # numpy.fft's first use is not the sums' memory
+        tracemalloc.start()
+        try:
+            power_sums(x, 58)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 64 * 1024
 
 
 BAD_ANGLES = {
