@@ -15,13 +15,16 @@ at theta = (0.25, pi/8, 2pi/3), and von Mises kappa=5 at the collapsed
 
 The child counts, per fit, the ``ContrastMoments._scan`` calls with and
 without the Hessian and the ``ContrastMoments.profile_p`` calls, whatever
-public method or polish made them.  The report gives the largest rise and
+public method or polish made them.  Each fit is timed without the counters
+and then run again to count; then ``asymptotic_cov`` gives the standard
+errors at theta_hat, or refuses them.  The report gives the largest rise and
 fall of n S_n at the fit (change minus parent), how far theta_hat moved,
-the failed fits, and per cell the polishes, Hessian scans, value scans,
-p-profile passes and the median fit time of each tree.  Each fit is timed
-without the counters and then run again to count.  Exits 1 if any
-n S_n rises by more than 1e-12 or any change-side fit fails, 2 if the two
-trees drew different samples, else 0.
+the failed fits, and per cell the largest relative change in the standard
+errors, the fits whose standard errors only one tree refused, the polishes,
+Hessian scans, value scans, p-profile passes and the median fit time of each
+tree.  Exits 1 if any n S_n rises by more than 1e-12, any standard error
+moves by more than 1e-8 relative, or any change-side fit fails, 2 if the
+two trees drew different samples, else 0.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import sys
 import time
 
 TOLERANCE = 1e-12
+SE_TOLERANCE = 1e-8
 SIZES = (300, 1000, 20_000, 200_000)
 THETA0 = (0.25, math.pi / 8, 2 * math.pi / 3)
 #: name, density constructor and argument, theta0
@@ -103,6 +107,11 @@ def child(src: str, seed: int, reps: int) -> None:
                 except circmix.EstimationError:
                     pass
                 record.update(counts)
+                if "theta" in record:
+                    try:
+                        record["se"] = circmix.asymptotic_cov(moments, fit.theta_hat)[1].tolist()
+                    except circmix.InferenceError:
+                        record["se"] = None
                 print(json.dumps(record))
 
 
@@ -141,15 +150,22 @@ def compare(parent: dict, change: dict) -> int:
               f"rose on {sum(v > 0 for v in rises.values())}, "
               f"fell on {sum(v < 0 for v in rises.values())}, "
               f"equal on {sum(v == 0 for v in rises.values())}")
-    print("theta_hat moved (largest |dp|, |d alpha| and |d beta| modulo pi), and per fit,"
+    print("theta_hat moved (largest |dp|, |d alpha| and |d beta| modulo pi), standard errors"
+          " (largest relative change, fits refused on one tree only), and per fit,"
           " parent -> change: polishes, Hessian scans, value scans, p-profile passes,"
           " median fit time")
+    worst_se, one_sided = 0.0, 0
     for name, *_ in SETTINGS:
         for n in SIZES:
             keys = [k for k in parent if k[:2] == (name, n)]
             moved = [max((abs(change[k]["theta"][0] - parent[k]["theta"][0]) if i == 0 else
                           _angle_moved(change[k]["theta"][i], parent[k]["theta"][i])
                           for k in keys if k in both), default=math.nan) for i in range(3)]
+            se_pairs = [(parent[k]["se"], change[k]["se"]) for k in keys if k in both]
+            se_moved = max((abs(c / p - 1) for ps, cs in se_pairs if ps and cs
+                            for p, c in zip(ps, cs)), default=0.0)
+            refused = sum((ps is None) != (cs is None) for ps, cs in se_pairs)
+            worst_se, one_sided = max(worst_se, se_moved), one_sided + refused
 
             def mean(recs, field):
                 return statistics.fmean(recs[k].get(field, 0) for k in keys)
@@ -160,13 +176,17 @@ def compare(parent: dict, change: dict) -> int:
             times = [1e6 * statistics.median(recs[k]["seconds"] for k in keys)
                      for recs in (parent, change)]
             print(f"  {name:>10} n={n:<6} moved p {moved[0]:.2g} alpha {moved[1]:.2g} "
-                  f"beta {moved[2]:.2g} | polishes {both_sides('polishes')} | "
+                  f"beta {moved[2]:.2g} | se {se_moved:.2g}, refused once {refused} | "
+                  f"polishes {both_sides('polishes')} | "
                   f"hess {both_sides('hess')} | value {both_sides('value')} | "
                   f"profile {both_sides('profile')} | "
                   f"{times[0]:.0f} -> {times[1]:.0f} us")
-    bad = failed["change"] or (worst is not None and rises[worst] > TOLERANCE)
-    print("FAIL" if bad else "OK", f"(n S_n may rise by at most {TOLERANCE:g}; "
-          "no change-side fit may fail)")
+    print(f"standard errors: largest relative change {worst_se:.3g}; "
+          f"refused on one tree only: {one_sided}")
+    bad = (failed["change"] or (worst is not None and rises[worst] > TOLERANCE)
+           or worst_se > SE_TOLERANCE)
+    print("FAIL" if bad else "OK", f"(n S_n may rise by at most {TOLERANCE:g}, standard errors "
+          f"may move by at most {SE_TOLERANCE:g} relative; no change-side fit may fail)")
     return 1 if bad else 0
 
 

@@ -12,8 +12,8 @@ from .circ import (ComponentDensity, MixtureParams, Tabulated, VonMises, Wrapped
                    WrappedNormal, angular_distance, mixture_density, mixture_fourier,
                    mixture_weight, normalize, parse_density, sample_mixture)
 from .contrast import (ContrastMoments, FitOptions, FitResult, asymptotic_cov,
-                       canonicalize, degeneracy_gap, estimate_theta, mixture_weight_grad,
-                       population_contrast, power_sums, squared_error)
+                       canonicalize, degeneracy_gap, estimate_theta, population_contrast,
+                       power_sums, squared_error)
 from .errors import (CalibrationError, CircmixError, DegeneracyError, DomainError,
                      EstimationError, ExperimentError, InferenceError)
 from .ident import (AliasRecipe, IdentClass, IdentTag, alias_bipolar, alias_case4,

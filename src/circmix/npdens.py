@@ -181,8 +181,9 @@ def slope_lambda(coeffs: EmpiricalCoeffs) -> SlopeFit:
     """Calibrate the penalty constant from the contrast-versus-dimension plot.
 
     Fits a least-squares line to the couples ((2L+1)/n, sum_{|l|<=L}|f_hat_l|^2)
-    over the last half of the levels 0..l_max (where the plot is linear) and
-    returns lambda_hat = 2 * slope, twice the minimal penalty.
+    over the last half of the levels 0..l_max (where the plot is linear), in
+    closed form on the centred couples: slope = sum dx dy / sum dx^2, intercept
+    = mean(y) - slope mean(x).  Returns lambda_hat = 2 slope, twice the minimal penalty.
 
     This is a Mallows-type penalty aimed at near-oracle risk, not at
     recovering the true level: on signal-free (uniform) data at l_max = 10
@@ -202,11 +203,13 @@ def slope_lambda(coeffs: EmpiricalCoeffs) -> SlopeFit:
     xs = (2 * ls + 1) / coeffs.n
     ys = coeffs.cumulative_mass()
     in_window = ls >= math.ceil(coeffs.l_max / 2)  # l_max >= 7 leaves >= 4 levels
-    slope, intercept = np.polyfit(xs[in_window], ys[in_window], 1)
+    x, y = xs[in_window], ys[in_window]
+    dx = x - x.mean()
+    slope = float(dx @ (y - y.mean()) / (dx @ dx))
+    intercept = float(y.mean() - slope * x.mean())
     if slope <= 0:
         raise CalibrationError("contrast tail is flat; cannot calibrate the penalty")
-    return SlopeFit(lambda_hat=2.0 * float(slope), slope=float(slope),
-                    intercept=float(intercept),
+    return SlopeFit(lambda_hat=2.0 * slope, slope=slope, intercept=intercept,
                     couples=list(zip(ls.tolist(), xs.tolist(), ys.tolist())),
                     window=ls[in_window].tolist(), theoretical_floor=penalty_floor(coeffs.p_cap))
 

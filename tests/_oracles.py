@@ -4,17 +4,27 @@ These deliberately avoid the production code paths: Fourier coefficients
 come from grid quadrature, the contrast from the literal O(n^2) double sum,
 and derivatives from central finite differences.  The per-observation terms
 Z_k^l and their derivatives, which the program never forms, are built here
-from the library's M^l and its gradient, and from the Hessian of M^l below.
+from the library's M^l and from the gradient and Hessian of M^l below.
 """
 
 import cmath
 
 import numpy as np
 
-from circmix import mixture_weight, mixture_weight_grad
+from circmix import mixture_weight
 from circmix.circ import _theta_array
+from circmix.contrast import K_PAIR, L_MAX_CONTRAST, RCOND_MIN
 
 TWO_PI = 2.0 * np.pi
+
+
+def mixture_weight_grad(theta, l: int) -> np.ndarray:
+    """Gradient of M^l with respect to (p, alpha, beta), complex 3-vector."""
+    p, alpha, beta = _theta_array(theta)
+    ea = cmath.exp(-1j * l * alpha)
+    eb = cmath.exp(-1j * l * beta)
+    il = 1j * l
+    return np.array([ea - eb, -il * p * ea, -il * (1.0 - p) * eb])
 
 
 def mixture_weight_hess(theta, l: int) -> np.ndarray:
@@ -312,3 +322,32 @@ def power_sums_mp(angles, m_max):
                 sums[m] += power
                 power *= step
         return np.array([complex(s) for s in sums])
+
+
+def sandwich_by_linalg(moments, theta):
+    """(standard errors, rcond) of the sandwich A^-1 V A^-1 from the same
+    power-sum formulas as ``contrast.asymptotic_cov``, with the 2-norm
+    reciprocal condition number sigma_min / sigma_max of A from
+    numpy.linalg.svd and A^-1 from numpy.linalg.inv.  The standard errors are
+    None where that rcond is below RCOND_MIN or not finite."""
+    theta = _theta_array(theta)
+    n = moments.n
+    a_hat = moments.value_grad_hess(theta)[2]
+    svals = np.linalg.svd(a_hat, compute_uv=False)
+    rcond = svals[-1] / svals[0] if svals[0] > 0 else 0.0
+    if not np.isfinite(rcond) or rcond < RCOND_MIN:
+        return None, rcond
+    ls = np.arange(1, L_MAX_CONTRAST + 1)
+    sums = moments.power_sums
+    m = mixture_weight(theta, ls)
+    dm = np.array([mixture_weight_grad(theta, l) for l in ls])
+    d = np.imag(dm * sums[ls, None]) / TWO_PI
+    lag = ls[:, None] - ls[None, :]
+    p_lag = np.where(lag >= 0, sums[np.abs(lag)], np.conj(sums[np.abs(lag)]))
+    gram = np.real(m[:, None] * np.conj(m)[None, :] * p_lag
+                   - m[:, None] * m[None, :] * sums[ls[:, None] + ls[None, :]]) / K_PAIR
+    v_hat = 16.0 * (d.T @ gram @ d) / n ** 3
+    a_inv = np.linalg.inv(a_hat)
+    sigma = a_inv @ (0.5 * (v_hat + v_hat.T)) @ a_inv
+    sigma = 0.5 * (sigma + sigma.T)
+    return np.sqrt(np.clip(np.diag(sigma), 0.0, None) / n), rcond

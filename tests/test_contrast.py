@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -17,17 +18,17 @@ from circmix import (ContrastMoments, DomainError, EstimationError, FitOptions,
                      asymptotic_cov, canonicalize,
                      default_l_max, degeneracy_gap, empirical_coeffs, estimate_density,
                      estimate_theta, mixture_fourier,
-                     mixture_weight, mixture_weight_grad,
-                     population_contrast, power_sums, sample_mixture,
+                     mixture_weight, population_contrast, power_sums, sample_mixture,
                      squared_error)
 from circmix import bench, cli
 from circmix.contrast import (DEGENERACY_WARN_RADIUS, EIG_FLOOR, GRID_SIZE, N_POLISH,
-                              POWER_SUM_CHUNK, _binned_plan, _lowest_local_minima,
+                              POWER_SUM_CHUNK, RCOND_MIN, _binned_plan, _lowest_local_minima,
                               _newton_step, _vertex)
 
 from _oracles import (brute_contrast, fd_gradient, fd_jacobian, local_minima_by_cell,
-                      mixture_weight_hess, newton_step_by_linalg, p_quadratic_by_cell,
-                      power_sums_mp, recurrence_power_sums, z_grads, z_hessians, z_values)
+                      mixture_weight_grad, mixture_weight_hess, newton_step_by_linalg,
+                      p_quadratic_by_cell, power_sums_mp, recurrence_power_sums,
+                      sandwich_by_linalg, z_grads, z_hessians, z_values)
 
 # the module, by name: estimate_theta looks _polish up there at each call
 contrast = importlib.import_module("circmix.contrast")
@@ -697,25 +698,49 @@ def test_fit_not_above_differential_evolution(case):
     assert fit.contrast_at_min <= ref.fun + 1e-12 * max(1.0, abs(ref.fun))
 
 
-def test_fit_makes_no_linalg_call_without_the_covariance(monkeypatch):
-    # the polish's 2 x 2 algebra is closed-form: with every numpy.linalg
-    # routine it could reach made to raise, each sample still fits, and only
-    # the covariance reaches numpy.linalg
+def test_estimation_makes_no_linalg_call(monkeypatch):
+    # the polish's 2 x 2 algebra, the sandwich's cofactors and the slope's
+    # centred sums are closed-form: with every numpy.linalg routine they could
+    # reach made to raise, and np.polyfit too (it binds lstsq at import), each
+    # sample fits with its covariance, the slope heuristic calibrates the
+    # density stage, and a singular curvature is still refused
     class Called(Exception):
         pass
 
     def raises(*args, **kwargs):
         raise Called
 
-    for name in ("cholesky", "solve", "eigh", "svd", "inv"):
+    for name in ("cholesky", "solve", "eigh", "svd", "inv", "lstsq", "det", "eigvalsh",
+                 "pinv", "qr"):
         monkeypatch.setattr(np.linalg, name, raises)
+    monkeypatch.setattr(np, "polyfit", raises)
+    with_errors = 0
     for case, (density, theta0, n) in enumerate(FITTER_SAMPLES):
         rng = np.random.default_rng(np.random.SeedSequence([22, case]))
-        moments = ContrastMoments(sample_mixture(theta0, density, n, rng))
-        fit = estimate_theta(moments, FitOptions(compute_covariance=False))
+        angles = sample_mixture(theta0, density, n, rng)
+        fit = estimate_theta(angles, FitOptions())
         assert fit.converged_starts >= 1
-    with pytest.raises(Called):
-        estimate_theta(moments, FitOptions())
+        with_errors += fit.std_errors is not None
+    assert with_errors >= len(FITTER_SAMPLES) // 2
+    density = estimate_density(angles, fit)
+    assert density.slope_fit is not None and density.penalty == density.slope_fit.lambda_hat
+    with pytest.raises(InferenceError):
+        asymptotic_cov(np.zeros(50), MixtureParams(0.5, 0.0, 0.0))
+
+
+def test_collapsed_large_sample_fit_not_above_a_fine_scan():
+    # the n = 2e5 collapsed sample on which an earlier start search missed the
+    # global basin by about 6e-4 in n S_n: the fit ends no higher than the
+    # lowest cell of a 600 x 600 profiled scan of the box
+    rng = np.random.default_rng(np.random.SeedSequence([123, 200000, 101, 16]))
+    angles = sample_mixture(MixtureParams(0.0, 0.3, 2.1), VonMises(5.0), 200_000, rng)
+    moments = ContrastMoments(angles)
+    opts = FitOptions(compute_covariance=False)
+    fit = estimate_theta(moments, opts)
+    box = opts.box()
+    _, values = moments.profile_p(np.linspace(*box[1], 600), np.linspace(*box[2], 600),
+                                  opts.p_min, opts.p_max)
+    assert fit.contrast_at_min <= values.min()
 
 
 def polish_every_start(moments, opts):
@@ -864,6 +889,46 @@ def test_asymptotic_cov_properties():
     assert np.all(eigvals >= -1e-12)
     assert np.all(se > 0)
     assert_allclose(se, np.sqrt(np.diag(sigma) / len(s)))
+
+
+SANDWICH_FAMILIES = [VonMises(5.0), WrappedCauchy(0.8), WrappedNormal(0.7), VonMises(0.0)]
+SANDWICH_THETAS = [THETA0, MixtureParams(0.0, 0.3, 2.1),
+                   MixtureParams(0.35, 0.5, 0.5 + 2 * np.pi / 3),
+                   MixtureParams(0.45, np.pi / 8, 2 * np.pi / 3)]
+
+
+@pytest.mark.parametrize("family", range(len(SANDWICH_FAMILIES)))
+def test_asymptotic_cov_matches_svd_and_inv(family, monkeypatch):
+    # the cofactor inverse gives numpy.linalg.inv's standard errors, and its
+    # rcond is the 1-norm one, within a factor 3 of the SVD's sigma_min /
+    # sigma_max for a 3 x 3; so the two refuse the same fits wherever the SVD
+    # rcond is not within that factor of RCOND_MIN
+    density = SANDWICH_FAMILIES[family]
+    for k, theta0 in enumerate(SANDWICH_THETAS):
+        for n in (300, 2000, 20_000, 200_000):
+            for rep in range(4):
+                rng = np.random.default_rng(np.random.SeedSequence([29, family, k, n, rep]))
+                moments = ContrastMoments(sample_mixture(theta0, density, n, rng))
+                theta = estimate_theta(moments, FitOptions(compute_covariance=False)).theta_hat
+                ref_se, ref_rcond = sandwich_by_linalg(moments, theta)
+                try:
+                    se = asymptotic_cov(moments, theta)[1]
+                except InferenceError:
+                    se = None
+                if not RCOND_MIN / 3 <= ref_rcond <= 3 * RCOND_MIN:
+                    assert (se is None) == (ref_se is None)
+                if se is not None and ref_se is not None:
+                    assert_allclose(se, ref_se, rtol=1e-8)
+                # under a floor of 2 every call is refused, with its rcond in the text
+                with monkeypatch.context() as patched:
+                    patched.setattr(contrast, "RCOND_MIN", 2.0)
+                    with pytest.raises(InferenceError) as refused:
+                        asymptotic_cov(moments, theta)
+                rcond = float(re.search(r"rcond (\S+) <", str(refused.value)).group(1))
+                assert ref_rcond / 3 <= rcond <= 3 * ref_rcond
+                if ref_rcond >= 1e-12:
+                    a_hat = moments.value_grad_hess(theta)[2]
+                    assert rcond == pytest.approx(1.0 / np.linalg.cond(a_hat, 1), rel=6e-3)
 
 
 def test_asymptotic_cov_singular_raises():

@@ -232,17 +232,22 @@ def test_slope_lambda_positive_on_real_data():
 
 
 def test_slope_lambda_window_robustness():
-    # half-window vs third-window calibrations agree within 20% in the median
+    # half-window vs third-window calibrations agree within 20% in the median,
+    # and the closed-form half-window line is np.polyfit's
     ratios = []
     for r in range(20):
         rng = np.random.default_rng(np.random.SeedSequence([51, r]))
         s = sample_mixture(THETA0, VonMises(5.0), 1000, rng)
         fit = estimate_theta(s, FitOptions(compute_covariance=False))
         coeffs = empirical_coeffs(s, fit.theta_hat, 30)
-        half = slope_lambda(coeffs).lambda_hat
+        slope_fit = slope_lambda(coeffs)
+        half = slope_fit.lambda_hat
         levels = np.arange(0, 31)
         xs = (2 * levels + 1) / coeffs.n
         ys = coeffs.cumulative_mass()
+        in_half = levels >= 15
+        assert_allclose([slope_fit.slope, slope_fit.intercept],
+                        np.polyfit(xs[in_half], ys[in_half], 1), rtol=1e-10)
         keep = levels >= math.ceil(30 * 2 / 3)
         a_third = np.polyfit(xs[keep], ys[keep], 1)[0]
         ratios.append(half / (2 * a_third))
