@@ -3,9 +3,11 @@
     python3 scripts/compare_fits.py PARENT_SRC CHANGE_SRC [--seed 2301] [--reps 42]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories, each holding a
-``circmix`` package.  Each tree runs in its own child process, which imports
-only that tree.  The child draws every sample with its own ``sample_mixture``
-from ``SeedSequence([seed, setting, n, rep])`` and fits it with
+``circmix`` package.  Each setting runs in one child process per tree, which
+imports only that tree; the parent's child goes first at even settings and
+the change's at odd ones, so that run order does not favour one tree's fit
+times.  The child draws every sample with its own ``sample_mixture`` from
+``SeedSequence([seed, setting, n, rep])`` and fits it with
 ``estimate_theta(..., FitOptions(compute_covariance=False))``.  The settings
 are von Mises kappa=5, wrapped Cauchy gamma=0.8 and wrapped normal rho=0.7
 at theta = (0.25, pi/8, 2pi/3), and von Mises kappa=5 at the collapsed
@@ -53,8 +55,9 @@ SETTINGS = (
 COUNTS = ("hess", "value", "profile")
 
 
-def child(src: str, seed: int, reps: int) -> None:
-    """Fit every sample with the circmix in ``src``; one JSON line per fit."""
+def child(src: str, seed: int, reps: int, setting: int) -> None:
+    """Fit every sample of SETTINGS[setting] with the circmix in ``src``; one
+    JSON line per fit."""
     sys.path.insert(0, src)
     import inspect
 
@@ -81,42 +84,43 @@ def child(src: str, seed: int, reps: int) -> None:
         contrast.ContrastMoments.profile_p = profile_method
 
     opts = circmix.FitOptions(compute_covariance=False)
-    for k, (name, family, arg, theta0) in enumerate(SETTINGS):
-        density = getattr(circmix, family)(arg)
-        for n in SIZES:
-            for rep in range(reps):
-                rng = np.random.default_rng(np.random.SeedSequence([seed, k, n, rep]))
-                angles = circmix.sample_mixture(circmix.MixtureParams(*theta0), density, n, rng)
-                moments = circmix.ContrastMoments(angles)
-                record = {"key": [name, n, rep], "sample": float(angles.sum()).hex()}
-                # timed without the counters, then fitted again to count
-                patch(scan, profile_p)
-                start = time.perf_counter()
+    name, family, arg, theta0 = SETTINGS[setting]
+    density = getattr(circmix, family)(arg)
+    for n in SIZES:
+        for rep in range(reps):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, setting, n, rep]))
+            angles = circmix.sample_mixture(circmix.MixtureParams(*theta0), density, n, rng)
+            moments = circmix.ContrastMoments(angles)
+            record = {"key": [name, n, rep], "sample": float(angles.sum()).hex()}
+            # timed without the counters, then fitted again to count
+            patch(scan, profile_p)
+            start = time.perf_counter()
+            try:
+                fit = circmix.estimate_theta(moments, opts)
+            except circmix.EstimationError as exc:
+                record["failed"] = str(exc)
+            else:
+                record.update(fun=fit.contrast_at_min * n,
+                              theta=fit.theta_hat.as_array().tolist(), polishes=fit.n_starts)
+            record["seconds"] = time.perf_counter() - start
+            patch(counted_scan, counted_profile)
+            counts.update(dict.fromkeys(COUNTS, 0))
+            try:
+                circmix.estimate_theta(moments, opts)
+            except circmix.EstimationError:
+                pass
+            record.update(counts)
+            if "theta" in record:
                 try:
-                    fit = circmix.estimate_theta(moments, opts)
-                except circmix.EstimationError as exc:
-                    record["failed"] = str(exc)
-                else:
-                    record.update(fun=fit.contrast_at_min * n,
-                                  theta=fit.theta_hat.as_array().tolist(), polishes=fit.n_starts)
-                record["seconds"] = time.perf_counter() - start
-                patch(counted_scan, counted_profile)
-                counts.update(dict.fromkeys(COUNTS, 0))
-                try:
-                    circmix.estimate_theta(moments, opts)
-                except circmix.EstimationError:
-                    pass
-                record.update(counts)
-                if "theta" in record:
-                    try:
-                        record["se"] = circmix.asymptotic_cov(moments, fit.theta_hat)[1].tolist()
-                    except circmix.InferenceError:
-                        record["se"] = None
-                print(json.dumps(record))
+                    record["se"] = circmix.asymptotic_cov(moments, fit.theta_hat)[1].tolist()
+                except circmix.InferenceError:
+                    record["se"] = None
+            print(json.dumps(record))
 
 
-def run_tree(src: str, seed: int, reps: int) -> dict:
-    argv = [sys.executable, __file__, "--child", src, "--seed", str(seed), "--reps", str(reps)]
+def run_child(src: str, seed: int, reps: int, setting: int) -> dict:
+    argv = [sys.executable, __file__, "--child", src, str(setting), "--seed", str(seed),
+            "--reps", str(reps)]
     out = subprocess.run(argv, check=True, capture_output=True, text=True).stdout
     records = (json.loads(line) for line in out.splitlines())
     return {tuple(r["key"]): r for r in records}
@@ -195,15 +199,18 @@ def main(argv=None) -> int:
     parser.add_argument("trees", nargs="*", metavar="SRC")
     parser.add_argument("--seed", type=int, default=2301)
     parser.add_argument("--reps", type=int, default=42)
-    parser.add_argument("--child", metavar="SRC", help=argparse.SUPPRESS)
+    parser.add_argument("--child", nargs=2, metavar=("SRC", "SETTING"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.child, args.seed, args.reps)
+        child(args.child[0], args.seed, args.reps, int(args.child[1]))
         return 0
     if len(args.trees) != 2:
         parser.error("give PARENT_SRC and CHANGE_SRC")
-    parent, change = (run_tree(src, args.seed, args.reps) for src in args.trees)
-    return compare(parent, change)
+    records = ({}, {})  # parent, change
+    for k in range(len(SETTINGS)):
+        for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+            records[side].update(run_child(args.trees[side], args.seed, args.reps, k))
+    return compare(*records)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ file, and to stdout in one and in four 16384-line blocks), ``fit``,
 ``slope``, ``ident``, and two ``bench`` configs at
 ``--jobs 1`` and ``--jobs 2``.  Then ``EXTRA_COMMANDS`` run once each: bad
 density specs, ``--out -``, ``simulate``, ``fit``, ``density`` and ``slope`` on
-an n = 2e5 sample, and the bench configs of ``REFUSED_CONFIGS``.
+an n = 2e5 sample, ``density --coeffs-out`` and ``slope`` at l_max = 2e5,
+``density`` at L_hat = l_max = 4000, and the bench configs of
+``REFUSED_CONFIGS``.
 Each command runs as its own ``python -m circmix.cli`` process in a work
 directory of its tree, with relative paths, so the two trees see the same
 command lines.
@@ -78,6 +80,13 @@ EXTRA_COMMANDS = [
     ["fit", "--in", "wc-2e5.txt"],
     ["density", "--in", "wc-2e5.txt", "--true", DENSITIES["wc"], "--out", "wc-2e5-density.csv"],
     ["slope", "--in", "wc-2e5.txt", "--out", "wc-2e5-slope.csv"],
+    # the per-level CSVs over a long half spectrum, and a curve at L_hat = l_max
+    # whose 2L+1 terms span many points' blocks
+    ["density", "--in", "vm.txt", "--lmax", "200000", "--out", "vm-long-density.csv",
+     "--coeffs-out", "vm-long-coeffs.csv"],
+    ["slope", "--in", "vm.txt", "--lmax", "200000", "--out", "vm-long-slope.csv"],
+    ["density", "--in", "vm.txt", "--lmax", "4000", "--lambda", "1e-300",
+     "--out", "vm-tiny-lambda.csv"],
 ] + [["bench", "--config", f"{name}.cfg", "--out", name] for name in REFUSED_CONFIGS]
 
 

@@ -373,13 +373,12 @@ def run_slope(config: ExperimentConfig):
 
 
 def write_slope_csv(path: str, slope_fit) -> None:
-    """One row per level L: its couple, whether it is in the slope window,
-    and the fitted slope and lambda_hat."""
-    window = set(slope_fit.window)
+    """One row per level L, formatted as it is written: its couple, whether it
+    is in the slope window, and the fitted slope and lambda_hat."""
+    slope, lambda_hat = _fmt(slope_fit.slope), _fmt(slope_fit.lambda_hat)
     write_csv(path, ["L", "penalty_shape", "coeff_mass", "in_window", "slope", "lambda_hat"],
-              [[L, _fmt(x), _fmt(y), int(L in window),
-                _fmt(slope_fit.slope), _fmt(slope_fit.lambda_hat)]
-               for L, x, y in slope_fit.couples])
+              ([L, _fmt(x), _fmt(y), int(L >= slope_fit.window_start), slope, lambda_hat]
+               for L, (x, y) in enumerate(zip(slope_fit.shapes, slope_fit.masses))))
 
 
 _RUNNERS = {"mse": run_mse, "normality": run_normality,

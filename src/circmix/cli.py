@@ -163,6 +163,14 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _mirrored(f_hat):
+    """(l, f_hat_l) for l = -l_max..l_max, from the half spectrum l = 0..l_max:
+    the coefficient of -l is the conjugate of that of l."""
+    for l in range(1 - len(f_hat), len(f_hat)):
+        z = complex(f_hat[abs(l)])
+        yield l, (z if l >= 0 else z.conjugate())
+
+
 def cmd_density(args) -> int:
     penalty = None
     if args.penalty != "slope":
@@ -186,11 +194,9 @@ def cmd_density(args) -> int:
     rows = ([bench.FLOAT_FMT.format(v) for v in row] for row in zip(*(c.tolist() for c in cols)))
     bench.write_csv(args.out, header, rows)
     if args.coeffs_out:
-        lm, f_hat = estimate.coeffs.l_max, estimate.coeffs.f_hat
         bench.write_csv(args.coeffs_out, ["l", "re_f_hat", "im_f_hat"],
-                        [[l, bench.FLOAT_FMT.format(re), bench.FLOAT_FMT.format(im)]
-                         for l, re, im in zip(range(-lm, lm + 1), f_hat.real.tolist(),
-                                              f_hat.imag.tolist())])
+                        ([l, bench.FLOAT_FMT.format(z.real), bench.FLOAT_FMT.format(z.imag)]
+                         for l, z in _mirrored(estimate.coeffs.f_hat)))
     print(f"L_hat = {estimate.level}")
     print(f"lambda = {estimate.penalty:.6g}")
     if estimate.slope_fit is not None:

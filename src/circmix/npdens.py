@@ -31,10 +31,11 @@ def _weight_floor(p_cap: float) -> float:
     return 1.0 - 2.0 * p_cap
 
 
-# The largest resolution level accepted: `circmix density` at n = 1000 and a
-# million levels already takes 3.6-4.6 s and 0.46 GB (2 cores), and memory and
-# time grow linearly in l_max.  The power sums run the recurrence there: the
-# binned method's bins would outgrow its chunk buffers.
+# The largest resolution level accepted: at n = 1000 and a million levels
+# `circmix density` already takes 3.5-4.7 s, `slope` 5.9-6.5 s and `density
+# --coeffs-out` 8.1-10.8 s, each at 123 MB peak RSS (os.wait4, 2 cores), and
+# memory and time grow linearly in l_max.  The power sums run the recurrence
+# there: the binned method's bins would outgrow its chunk buffers.
 L_MAX_LIMIT = 10 ** 6
 
 # The largest sample size that `circmix simulate` draws and a bench config
@@ -73,8 +74,8 @@ def default_l_max(n: int) -> int:
 class EmpiricalCoeffs:
     """Empirical mixture and plug-in component coefficients for |l| <= l_max.
 
-    Arrays are indexed by l + l_max and satisfy conjugate symmetry exactly;
-    ``g_hat[0]`` (index l_max) equals 1/(2 pi).
+    ``g_hat`` and ``f_hat`` hold l = 0..l_max, indexed by l; the coefficient of
+    -l is the conjugate of that of l.  ``g_hat[0]`` equals 1/(2 pi).
     """
 
     g_hat: np.ndarray
@@ -84,15 +85,9 @@ class EmpiricalCoeffs:
     l_max: int
     p_cap: float  # the weight cap: |M^l| >= 1 - 2*p_cap
 
-    def g(self, l: int) -> complex:
-        return complex(self.g_hat[l + self.l_max])
-
-    def f(self, l: int) -> complex:
-        return complex(self.f_hat[l + self.l_max])
-
     def cumulative_mass(self) -> np.ndarray:
         """sum_{|l| <= L} |f_hat_l|^2 for L = 0..l_max."""
-        return _level_sums(np.abs(self.f_hat[self.l_max:]) ** 2)
+        return _level_sums(np.abs(self.f_hat) ** 2)
 
 
 def empirical_coeffs(sample, theta: MixtureParams, l_max: int,
@@ -124,19 +119,17 @@ def empirical_coeffs(sample, theta: MixtureParams, l_max: int,
         sums = power_sums(sample, l_max)
     n = int(sums[0].real)
     ls = np.arange(0, l_max + 1)
-    g_pos = np.conj(sums) / (TWO_PI * n)
-    g_pos[0] = 1.0 / TWO_PI
-    g_hat = np.concatenate([np.conj(g_pos[:0:-1]), g_pos])
-    m_pos = mixture_weight(theta, ls)
-    mods = np.abs(m_pos)
+    g_hat = np.conj(sums) / (TWO_PI * n)
+    g_hat[0] = 1.0 / TWO_PI
+    weights = mixture_weight(theta, ls)
+    mods = np.abs(weights)
     bad = np.nonzero(mods < floor - 1e-12)[0]
     if len(bad):
         l_bad = int(ls[bad[0]])
         raise DegeneracyError(
             f"|M^l(theta)| = {mods[bad[0]]:.3e} below floor {floor:.3e} at l = {l_bad}",
             level=l_bad)
-    f_pos = g_pos / m_pos
-    f_hat = np.concatenate([np.conj(f_pos[:0:-1]), f_pos])
+    f_hat = g_hat / weights
     theta_used = theta if isinstance(theta, MixtureParams) else MixtureParams(*np.asarray(theta, float))
     return EmpiricalCoeffs(g_hat, f_hat, n, theta_used, l_max, p_cap)
 
@@ -145,25 +138,27 @@ def select_level(coeffs: EmpiricalCoeffs, penalty: float):
     """Penalized choice of the resolution level.
 
     Minimizes -sum_{|l|<=L} |f_hat_l|^2 + penalty*(2L+1)/n over L = 0..l_max;
-    ties go to the smallest L.  Returns (L_hat, path) where path lists
-    (L, criterion value).
+    ties go to the smallest L.  Returns (L_hat, criterion), the criterion an
+    array over L = 0..l_max.
     """
     _check_settings(penalty=penalty)
     ls = np.arange(0, coeffs.l_max + 1)
     crit = -coeffs.cumulative_mass() + penalty * (2 * ls + 1) / coeffs.n
     best = int(np.argmin(crit))  # first occurrence, i.e. smallest L on ties
-    return best, list(enumerate(crit.tolist()))
+    return best, crit
 
 
 @dataclass
 class SlopeFit:
-    """Slope-heuristic calibration output: lambda_hat = 2 * slope."""
+    """Slope-heuristic calibration output: lambda_hat = 2 * slope of the line
+    through the couples (shapes[L], masses[L]) of L = window_start..l_max."""
 
     lambda_hat: float
     slope: float
     intercept: float
-    couples: list            # (L, (2L+1)/n, sum_{|l|<=L} |f_hat_l|^2)
-    window: list             # levels used in the regression
+    shapes: np.ndarray        # (2L+1)/n for L = 0..l_max
+    masses: np.ndarray        # sum_{|l|<=L} |f_hat_l|^2 for L = 0..l_max
+    window_start: int         # ceil(l_max / 2)
     theoretical_floor: float  # diagnostic lower bound on the penalty constant
 
 
@@ -199,24 +194,22 @@ def slope_lambda(coeffs: EmpiricalCoeffs) -> SlopeFit:
     """
     if coeffs.l_max < 7:
         raise CalibrationError(f"slope calibration needs >= 8 levels, got {coeffs.l_max + 1}")
-    ls = np.arange(0, coeffs.l_max + 1)
-    xs = (2 * ls + 1) / coeffs.n
+    xs = (2 * np.arange(0, coeffs.l_max + 1) + 1) / coeffs.n
     ys = coeffs.cumulative_mass()
-    in_window = ls >= math.ceil(coeffs.l_max / 2)  # l_max >= 7 leaves >= 4 levels
-    x, y = xs[in_window], ys[in_window]
+    start = math.ceil(coeffs.l_max / 2)  # l_max >= 7 leaves >= 4 levels
+    x, y = xs[start:], ys[start:]
     dx = x - x.mean()
     slope = float(dx @ (y - y.mean()) / (dx @ dx))
     intercept = float(y.mean() - slope * x.mean())
     if slope <= 0:
         raise CalibrationError("contrast tail is flat; cannot calibrate the penalty")
-    return SlopeFit(lambda_hat=2.0 * slope, slope=slope, intercept=intercept,
-                    couples=list(zip(ls.tolist(), xs.tolist(), ys.tolist())),
-                    window=ls[in_window].tolist(), theoretical_floor=penalty_floor(coeffs.p_cap))
+    return SlopeFit(lambda_hat=2.0 * slope, slope=slope, intercept=intercept, shapes=xs,
+                    masses=ys, window_start=start, theoretical_floor=penalty_floor(coeffs.p_cap))
 
 
-#: Points per block of DensityEstimate.pdf: its working memory is a
-#: block x (2L+1) complex array, whatever the number of points.
-EVALUATE_CHUNK = 4096
+#: Terms per block of DensityEstimate.pdf: a block holds max(1, EVALUATE_TERMS
+#: // (2L+1)) points, so its working memory stays whatever the number of points.
+EVALUATE_TERMS = 4096 * 64
 
 
 @dataclass
@@ -226,23 +219,23 @@ class DensityEstimate:
     coeffs: EmpiricalCoeffs
     level: int
     penalty: float
-    contrast_path: list
     slope_fit: SlopeFit | None = None
 
     def pdf(self, x):
         """f_hat(x) = sum_{|l| <= L_hat} f_hat_l e^{i l x}; real by conjugate symmetry."""
         x = np.asarray(x, dtype=float)
         ls = np.arange(-self.level, self.level + 1)
-        sel = self.coeffs.f_hat[self.coeffs.l_max - self.level:
-                                self.coeffs.l_max + self.level + 1]
+        half = self.coeffs.f_hat[:self.level + 1]
+        sel = np.concatenate([np.conj(half[:0:-1]), half])
+        rows = max(1, EVALUATE_TERMS // len(ls))
         flat = x.ravel()
         out = np.empty(flat.size)
-        for start in range(0, flat.size, EVALUATE_CHUNK):
-            block = flat[start:start + EVALUATE_CHUNK]
+        for start in range(0, flat.size, rows):
+            block = flat[start:start + rows]
             # an elementwise sum, not a BLAS product: the BLAS call starts threads
             # that keep spinning and slow whatever runs next on a small host
             terms = np.exp(1j * np.outer(block, ls)) * sel
-            out[start:start + EVALUATE_CHUNK] = terms.sum(axis=-1).real
+            out[start:start + rows] = terms.sum(axis=-1).real
         out = out.reshape(x.shape)
         return out if out.ndim else float(out)
 
@@ -271,9 +264,8 @@ def estimate_density(sample, fit: FitResult, l_max: int | None = None,
     if penalty is None:
         slope_fit = slope_lambda(coeffs)
         penalty = slope_fit.lambda_hat
-    level, path = select_level(coeffs, penalty)
-    return DensityEstimate(coeffs=coeffs, level=level, penalty=penalty,
-                           contrast_path=path, slope_fit=slope_fit)
+    level, _ = select_level(coeffs, penalty)
+    return DensityEstimate(coeffs=coeffs, level=level, penalty=penalty, slope_fit=slope_fit)
 
 
 def _risk_profile(coeffs: EmpiricalCoeffs, density: ComponentDensity) -> np.ndarray:
@@ -284,7 +276,7 @@ def _risk_profile(coeffs: EmpiricalCoeffs, density: ComponentDensity) -> np.ndar
     sum_{|l| <= L} |f_l|^2 (floored at 0): two prefix sums and no truncated series.
     """
     f_true = density.fourier_coeffs(np.arange(0, coeffs.l_max + 1))
-    head = _level_sums(np.abs(coeffs.f_hat[coeffs.l_max:] - f_true) ** 2)
+    head = _level_sums(np.abs(coeffs.f_hat - f_true) ** 2)
     tail = np.maximum(density.squared_norm() - _level_sums(np.abs(f_true) ** 2), 0.0)
     return head + tail
 

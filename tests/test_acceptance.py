@@ -232,8 +232,7 @@ def test_criterion_09_slope_heuristic():
     # exact-linear synthetic couples recover lambda_hat = 2a
     n, slope_target = 1000, 3.0
     c = slope_target / n
-    f_pos = np.concatenate([[1 / TWO_PI], np.full(16, math.sqrt(c))])
-    f_hat = np.concatenate([np.conj(f_pos[:0:-1]), f_pos])
+    f_hat = np.concatenate([[1 / TWO_PI], np.full(16, math.sqrt(c))])
     coeffs = EmpiricalCoeffs(g_hat=f_hat.copy(), f_hat=f_hat, n=n,
                              theta_used=THETA0, l_max=16, p_cap=0.49)
     recovered = slope_lambda(coeffs).lambda_hat

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circmix import (EstimationError, MixtureParams, Tabulated, VonMises, cli,
-                     estimate_density, estimate_theta, normalize, parse_density, penalty_floor,
+from circmix import (EstimationError, FitOptions, MixtureParams, Tabulated, VonMises, bench,
+                     cli, estimate_density, estimate_theta, normalize, parse_density, penalty_floor,
                      sample_mixture)
 from circmix.cli import main
 from circmix.contrast import POWER_SUM_CHUNK as CHUNK
@@ -534,6 +534,44 @@ def test_density_outputs(tmp_path, capsys):
     assert len(lines) == 513
     assert coeffs_csv.read_text().splitlines()[0] == "l,re_f_hat,im_f_hat"
     assert "lambda =" in out
+
+
+def _peak_above_start(fn, *args):
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_density_stage_memory_per_level(tmp_path, capsys):
+    # the half spectrum and the slope couples as arrays, and the per-level CSVs
+    # written row by row: mirrored coefficients, lists of couples and whole
+    # row lists took 376, 373 and 964 B/level here
+    l_max, sample = 200_000, tmp_path / "s.txt"
+    run(capsys, "simulate", "--density", "vonmises:kappa=5", "--theta", THETA,
+        "--n", "1000", "--seed", "7", "--out", str(sample))
+    angles = cli._read_sample(str(sample))
+    fit = estimate_theta(angles, FitOptions(compute_covariance=False))
+    peak, estimate = _peak_above_start(estimate_density, angles, fit, l_max)
+    assert peak / l_max <= 128, peak / l_max
+    peak, _ = _peak_above_start(bench.write_slope_csv, str(tmp_path / "slope.csv"),
+                                estimate.slope_fit)
+    assert peak / l_max <= 128, peak / l_max
+    coeffs_csv = tmp_path / "c.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        peak, code = _peak_above_start(main, ["density", "--in", str(sample), "--lmax",
+                                              str(l_max), "--out", str(tmp_path / "d.csv"),
+                                              "--coeffs-out", str(coeffs_csv)])
+    assert code == 0
+    assert peak / l_max <= 128, peak / l_max
+    with open(coeffs_csv) as fh:
+        first, last = next(fh), None
+        for last in fh:
+            pass
+    assert first == "l,re_f_hat,im_f_hat\n" and last.startswith(f"{l_max},")
 
 
 def test_slope_command(tmp_path, capsys):

@@ -14,7 +14,7 @@ from circmix import (CalibrationError, ContrastMoments, DegeneracyError, Density
                      estimate_theta, l2_error, mixture_density, mixture_weight, oracle_risk,
                      penalty_floor, sample_mixture, select_level, slope_lambda)
 
-from circmix.npdens import EVALUATE_CHUNK
+from circmix.npdens import EVALUATE_TERMS
 
 from _oracles import (TWO_PI, null_increments, quad_fourier, quad_integral,
                       risk_profile_mp, slope_rule_levels, tail_mp)
@@ -27,22 +27,25 @@ THETA0 = MixtureParams(0.25, np.pi / 8, 2 * np.pi / 3)
 def make_coeffs(f_moduli_sq, n=1000):
     """Synthetic EmpiricalCoeffs with prescribed |f_hat_l|^2 for l >= 1."""
     l_max = len(f_moduli_sq)
-    f_pos = np.concatenate([[1 / TWO_PI], np.sqrt(np.asarray(f_moduli_sq, dtype=float))])
-    f_hat = np.concatenate([np.conj(f_pos[:0:-1]), f_pos])
+    f_hat = np.concatenate([[1 / TWO_PI], np.sqrt(np.asarray(f_moduli_sq, dtype=float))])
     return EmpiricalCoeffs(g_hat=f_hat.copy(), f_hat=f_hat, n=n,
                            theta_used=THETA0, l_max=l_max, p_cap=0.49)
+
+
+def f_of(coeffs, l):
+    """f_hat_l for any |l| <= l_max: the coefficient of -l is the conjugate."""
+    return coeffs.f_hat[l] if l >= 0 else np.conj(coeffs.f_hat[-l])
 
 
 def test_empirical_coeffs_basics():
     rng = np.random.default_rng(0)
     s = sample_mixture(THETA0, VonMises(5.0), 500, rng)
     coeffs = empirical_coeffs(s, THETA0, 12)
-    assert coeffs.g(0) == 1.0 / TWO_PI
-    assert coeffs.f(0) == 1.0 / TWO_PI
+    assert len(coeffs.g_hat) == len(coeffs.f_hat) == 13
+    assert coeffs.g_hat[0] == 1.0 / TWO_PI
+    assert coeffs.f_hat[0] == 1.0 / TWO_PI
     for l in range(1, 13):
-        assert coeffs.g(-l) == np.conj(coeffs.g(l))
-        assert coeffs.f(-l) == np.conj(coeffs.f(l))
-        assert_allclose(coeffs.f(l), coeffs.g(l) / mixture_weight(THETA0, l), rtol=1e-12)
+        assert_allclose(coeffs.f_hat[l], coeffs.g_hat[l] / mixture_weight(THETA0, l), rtol=1e-12)
 
 
 def test_empirical_coeffs_consistency():
@@ -54,7 +57,7 @@ def test_empirical_coeffs_consistency():
     coeffs = empirical_coeffs(s, THETA0, 8)
     bound = 4.0 * (1 - 2 * 0.49) ** -1 / math.sqrt(4 * math.pi ** 2 * n)
     for l in range(1, 9):
-        assert abs(coeffs.f(l) - d.fourier_coeff(l)) < bound
+        assert abs(coeffs.f_hat[l] - d.fourier_coeff(l)) < bound
 
 
 def test_empirical_coeffs_uniform_noise_level():
@@ -63,7 +66,7 @@ def test_empirical_coeffs_uniform_noise_level():
     s = sample_mixture(THETA0, VonMises(0.0), n, rng)
     coeffs = empirical_coeffs(s, THETA0, 6)
     for l in range(1, 7):
-        assert abs(coeffs.f(l)) < 4.0 / (abs(mixture_weight(THETA0, l)) * 2 * math.pi * math.sqrt(n))
+        assert abs(coeffs.f_hat[l]) < 4.0 / (abs(mixture_weight(THETA0, l)) * 2 * math.pi * math.sqrt(n))
 
 
 def test_empirical_coeffs_reads_the_moments():
@@ -86,8 +89,6 @@ def test_empirical_coeffs_reads_the_moments():
 def test_empirical_coeffs_symmetric_and_order_free(angles, l_max, data):
     x = np.array(angles)
     coeffs = empirical_coeffs(x, THETA0, l_max)
-    assert np.array_equal(coeffs.g_hat[::-1], np.conj(coeffs.g_hat))
-    assert np.array_equal(coeffs.f_hat[::-1], np.conj(coeffs.f_hat))
     order = data.draw(st.permutations(range(len(x))))
     permuted = empirical_coeffs(x[order], THETA0, l_max)
     assert np.max(np.abs(permuted.g_hat - coeffs.g_hat)) <= 1e-12
@@ -124,13 +125,30 @@ def test_grid_memory_is_bounded(large_n_estimate):
     assert peak < 32e6
 
 
-@pytest.mark.parametrize("num", [1, EVALUATE_CHUNK - 1, EVALUATE_CHUNK, EVALUATE_CHUNK + 1,
-                                 3 * EVALUATE_CHUNK + 5])
+def test_pdf_memory_does_not_grow_with_the_level():
+    # a block holds EVALUATE_TERMS terms, not a fixed number of points: 512
+    # points at once took 65 MB per complex array at L = 4000
+    l_max = 4000
+    est = DensityEstimate(coeffs=make_coeffs([1e-8] * l_max), level=l_max, penalty=1.0)
+    tracemalloc.start()
+    try:
+        est.grid(512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
+ROWS = EVALUATE_TERMS // 69  # points per block at the fixture's L_hat = 34
+
+
+@pytest.mark.parametrize("num", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5])
 def test_evaluate_blocks_are_the_unblocked_sum(large_n_estimate, num):
     est = large_n_estimate
+    assert est.level == 34
     x = np.random.default_rng(num).uniform(0, TWO_PI, num)
     ls = np.arange(-est.level, est.level + 1)
-    sel = est.coeffs.f_hat[est.coeffs.l_max - est.level:est.coeffs.l_max + est.level + 1]
+    sel = np.array([f_of(est.coeffs, l) for l in ls])
     unblocked = (np.exp(1j * np.outer(x, ls)) * sel).sum(axis=-1).real
     assert np.array_equal(est.pdf(x), unblocked)
     assert est.pdf(x[0]) == unblocked[0]
@@ -155,7 +173,7 @@ def test_plugin_variance_bound():
         s = sample_mixture(THETA0, d, n, rng)
         coeffs = empirical_coeffs(s, THETA0, 8)
         for l in range(1, 9):
-            acc[l - 1] += abs(coeffs.f(l) - d.fourier_coeff(l)) ** 2
+            acc[l - 1] += abs(coeffs.f_hat[l] - d.fourier_coeff(l)) ** 2
     acc /= reps
     bound = (1 - 2 * 0.49) ** -2 / (4 * math.pi ** 2 * n)
     assert np.all(acc <= bound)
@@ -164,7 +182,7 @@ def test_plugin_variance_bound():
 def test_cumulative_mass_is_the_level_sums():
     rng = np.random.default_rng(3)
     coeffs = make_coeffs(rng.uniform(0, 1e-3, 12))
-    direct = [sum(abs(coeffs.f(l)) ** 2 for l in range(-L, L + 1)) for L in range(13)]
+    direct = [sum(abs(f_of(coeffs, l)) ** 2 for l in range(-L, L + 1)) for L in range(13)]
     assert_allclose(coeffs.cumulative_mass(), direct, rtol=1e-13)
     coeffs.f_hat = 2.0 * coeffs.f_hat  # read on each call, never cached
     assert_allclose(coeffs.cumulative_mass(), 4.0 * np.array(direct), rtol=1e-13)
@@ -184,15 +202,15 @@ def test_select_level_matches_exhaustive_scan():
         l_max = int(rng.integers(3, 20))
         coeffs = make_coeffs(rng.uniform(0, 1e-3, l_max), n=int(rng.integers(50, 5000)))
         penalty = float(rng.uniform(1e-4, 1.0))
-        level, path = select_level(coeffs, penalty)
+        level, crit = select_level(coeffs, penalty)
         # independent reimplementation of the criterion
         crits = []
         for L in range(0, l_max + 1):
-            mass = sum(abs(coeffs.f(l)) ** 2 for l in range(-L, L + 1))
+            mass = sum(abs(f_of(coeffs, l)) ** 2 for l in range(-L, L + 1))
             crits.append(-mass + penalty * (2 * L + 1) / coeffs.n)
         best = min(range(len(crits)), key=lambda i: (crits[i], i))
         assert level == best
-        assert_allclose([c for _, c in path], crits, rtol=1e-12)
+        assert_allclose(crit, crits, rtol=1e-12)
 
 
 def test_select_level_tie_breaks_small():
@@ -210,8 +228,8 @@ def test_slope_lambda_exact_linear():
     fit = slope_lambda(coeffs)
     assert_allclose(fit.slope, 3.0, rtol=1e-10)
     assert_allclose(fit.lambda_hat, 6.0, rtol=1e-10)
-    assert fit.window[0] == 8 and fit.window[-1] == 16
-    assert len(fit.couples) == 17
+    assert fit.window_start == 8
+    assert len(fit.shapes) == len(fit.masses) == 17
 
 
 def test_slope_lambda_requires_enough_levels():
@@ -227,7 +245,7 @@ def test_slope_lambda_positive_on_real_data():
     coeffs = empirical_coeffs(s, fit.theta_hat, 50)
     slope_fit = slope_lambda(coeffs)
     assert slope_fit.lambda_hat > 0
-    ys = [y for _, _, y in slope_fit.couples]
+    ys = slope_fit.masses
     assert all(b >= a - 1e-15 for a, b in zip(ys, ys[1:]))
 
 
@@ -342,11 +360,10 @@ def test_estimate_density_explicit_penalty():
 def test_l2_error_exact_coefficients():
     d = VonMises(2.0)
     l_max = 12
-    f_pos = np.array([d.fourier_coeff(l) for l in range(0, l_max + 1)])
-    f_hat = np.concatenate([np.conj(f_pos[:0:-1]), f_pos])
+    f_hat = np.array([d.fourier_coeff(l) for l in range(0, l_max + 1)])
     coeffs = EmpiricalCoeffs(g_hat=f_hat.copy(), f_hat=f_hat, n=1000,
                              theta_used=THETA0, l_max=l_max, p_cap=0.49)
-    est = DensityEstimate(coeffs=coeffs, level=l_max, penalty=1.0, contrast_path=[])
+    est = DensityEstimate(coeffs=coeffs, level=l_max, penalty=1.0)
     assert l2_error(est, d) < 1e-10
 
 
@@ -355,8 +372,8 @@ def test_l2_error_uniform_estimate():
     d = VonMises(1.0)
     coeffs = make_coeffs([0.0] * 4)
     coeffs.f_hat = np.zeros_like(coeffs.f_hat)
-    coeffs.f_hat[coeffs.l_max] = 1 / TWO_PI
-    est = DensityEstimate(coeffs=coeffs, level=0, penalty=1.0, contrast_path=[])
+    coeffs.f_hat[0] = 1 / TWO_PI
+    est = DensityEstimate(coeffs=coeffs, level=0, penalty=1.0)
     expected = 2.0 * sum(abs(quad_fourier(d.pdf, l)) ** 2 for l in range(1, 40))
     assert_allclose(l2_error(est, d), expected, rtol=1e-9)
 
@@ -376,12 +393,10 @@ def _exact_tail(density, start):
     """l2_error of the estimate whose coefficients up to level start - 1 are
     the density's own: the tail sum_{|l| >= start} |f_l|^2 alone."""
     l_max = start - 1
-    f_pos = density.fourier_coeffs(np.arange(0, l_max + 1))
-    f_hat = np.concatenate([np.conj(f_pos[:0:-1]), f_pos])
+    f_hat = density.fourier_coeffs(np.arange(0, l_max + 1))
     coeffs = EmpiricalCoeffs(g_hat=f_hat.copy(), f_hat=f_hat, n=1000,
                              theta_used=THETA0, l_max=l_max, p_cap=0.49)
-    return l2_error(DensityEstimate(coeffs=coeffs, level=l_max, penalty=1.0,
-                                    contrast_path=[]), density)
+    return l2_error(DensityEstimate(coeffs=coeffs, level=l_max, penalty=1.0), density)
 
 
 @pytest.mark.parametrize("density", [VonMises(5.0), VonMises(300.0, 1.0), VonMises(0.0),
@@ -424,9 +439,9 @@ def test_l2_error_of_a_concentrated_wrapped_cauchy():
     d = WrappedCauchy(0.9999, 0.4)
     s = sample_mixture(THETA0, d, 1000, np.random.default_rng(11))
     coeffs = empirical_coeffs(s, THETA0, 30)
-    ref = [float(r) for r in risk_profile_mp(coeffs.f_hat[coeffs.l_max:], d)]
+    ref = [float(r) for r in risk_profile_mp(coeffs.f_hat, d)]
     for level in (0, 7, 30):
-        est = DensityEstimate(coeffs=coeffs, level=level, penalty=1.0, contrast_path=[])
+        est = DensityEstimate(coeffs=coeffs, level=level, penalty=1.0)
         assert_allclose(l2_error(est, d), ref[level], rtol=1e-11)
     best, risk = oracle_risk(coeffs, d)
     assert best == int(np.argmin(ref))
@@ -449,13 +464,13 @@ def test_oracle_risk_is_the_best_l2_error():
     d = WrappedCauchy(0.8)
     s = sample_mixture(THETA0, d, 1000, rng)
     coeffs = empirical_coeffs(s, THETA0, 30)
-    risks = [l2_error(DensityEstimate(coeffs=coeffs, level=L, penalty=1.0, contrast_path=[]), d)
+    risks = [l2_error(DensityEstimate(coeffs=coeffs, level=L, penalty=1.0), d)
              for L in range(coeffs.l_max + 1)]
     best = int(np.argmin(risks))
     assert oracle_risk(coeffs, d) == (best, risks[best])
     # Parseval, level by level, from the coefficient differences
     for L in (0, best, coeffs.l_max):
-        head = sum(abs(coeffs.f(l) - d.fourier_coeff(l)) ** 2 for l in range(-L, L + 1))
+        head = sum(abs(f_of(coeffs, l) - d.fourier_coeff(l)) ** 2 for l in range(-L, L + 1))
         tail = 2.0 * sum(abs(d.fourier_coeff(l)) ** 2 for l in range(L + 1, 400))
         assert_allclose(risks[L], head + tail, rtol=1e-12)
 
