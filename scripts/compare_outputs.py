@@ -12,8 +12,8 @@ file, and to stdout in one and in four 16384-line blocks), ``fit``,
 ``--jobs 1`` and ``--jobs 2``.  Then ``EXTRA_COMMANDS`` run once each: bad
 density specs, ``--out -``, ``simulate``, ``fit``, ``density`` and ``slope`` on
 an n = 2e5 sample, ``density --coeffs-out`` and ``slope`` at l_max = 2e5,
-``density`` at L_hat = l_max = 4000, and the bench configs of
-``REFUSED_CONFIGS``.
+``density`` at L_hat = l_max = 4000 on 512, 7 and 1 points, and the bench
+configs of ``REFUSED_CONFIGS``.
 Each command runs as its own ``python -m circmix.cli`` process in a work
 directory of its tree, with relative paths, so the two trees see the same
 command lines.
@@ -80,13 +80,17 @@ EXTRA_COMMANDS = [
     ["fit", "--in", "wc-2e5.txt"],
     ["density", "--in", "wc-2e5.txt", "--true", DENSITIES["wc"], "--out", "wc-2e5-density.csv"],
     ["slope", "--in", "wc-2e5.txt", "--out", "wc-2e5-slope.csv"],
-    # the per-level CSVs over a long half spectrum, and a curve at L_hat = l_max
-    # whose 2L+1 terms span many points' blocks
+    # the per-level CSVs over a long half spectrum, and curves at L_hat = l_max,
+    # on 512 points and on fewer points than levels, where the levels alias
     ["density", "--in", "vm.txt", "--lmax", "200000", "--out", "vm-long-density.csv",
      "--coeffs-out", "vm-long-coeffs.csv"],
     ["slope", "--in", "vm.txt", "--lmax", "200000", "--out", "vm-long-slope.csv"],
     ["density", "--in", "vm.txt", "--lmax", "4000", "--lambda", "1e-300",
      "--out", "vm-tiny-lambda.csv"],
+    ["density", "--in", "vm.txt", "--lmax", "4000", "--lambda", "1e-300", "--grid", "7",
+     "--out", "vm-tiny-lambda-7.csv"],
+    ["density", "--in", "vm.txt", "--lmax", "4000", "--lambda", "1e-300", "--grid", "1",
+     "--out", "vm-tiny-lambda-1.csv"],
 ] + [["bench", "--config", f"{name}.cfg", "--out", name] for name in REFUSED_CONFIGS]
 
 

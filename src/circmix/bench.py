@@ -20,7 +20,8 @@ import numpy as np
 from .circ import MixtureParams, mixture_density, parse_density, sample_mixture
 from .contrast import ContrastMoments, FitOptions, estimate_theta, squared_error
 from .errors import DomainError, EstimationError, ExperimentError
-from .npdens import _check_settings, _weight_floor, default_l_max, estimate_density, l2_error
+from .npdens import (_check_settings, _fold, _weight_floor, default_l_max, estimate_density,
+                     l2_error)
 
 EXPERIMENT_KINDS = ("mse", "normality", "density", "slope")
 _STREAM_TAG = {kind: i for i, kind in enumerate(EXPERIMENT_KINDS)}
@@ -341,13 +342,14 @@ def run_density_recon(config: ExperimentConfig):
 
     Emits a 512-point grid with the true and estimated component density
     and the corresponding mixtures; returns the grid arrays and the
-    realized squared L2 error of f_hat.
+    realized squared L2 error of f_hat.  The estimated mixture is folded
+    from g_hat_l = M^l(theta_hat) f_hat_l, its coefficients for |l| <= L_hat.
     """
     density, fit, estimate = _fit_and_density(config, "density", config.penalty)
     x, f_hat = estimate.grid(512)
     f_true = density.pdf(x)
     g_true = mixture_density(config.theta0, density, x)
-    g_hat = mixture_density(fit.theta_hat, estimate, x)
+    g_hat = _fold(estimate.coeffs.g_hat[:estimate.level + 1], len(x))
     info = {
         "level": estimate.level,
         "penalty": estimate.penalty,

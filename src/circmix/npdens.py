@@ -32,10 +32,11 @@ def _weight_floor(p_cap: float) -> float:
 
 
 # The largest resolution level accepted: at n = 1000 and a million levels
-# `circmix density` already takes 3.5-4.7 s, `slope` 5.9-6.5 s and `density
-# --coeffs-out` 8.1-10.8 s, each at 123 MB peak RSS (os.wait4, 2 cores), and
-# memory and time grow linearly in l_max.  The power sums run the recurrence
-# there: the binned method's bins would outgrow its chunk buffers.
+# `circmix density` takes 5.2-5.7 s, `slope` 9.9-10.9 s and `density
+# --coeffs-out` 9.5-12.2 s at 123 MB peak RSS, and `density --lambda 1e-300`
+# (L_hat = l_max) 4.7-5.5 s at 115 MB (os.wait4, 2 cores), linear in l_max.
+# The power sums run the recurrence there: the binned method's bins would
+# outgrow its chunk buffers.
 L_MAX_LIMIT = 10 ** 6
 
 # The largest sample size that `circmix simulate` draws and a bench config
@@ -43,7 +44,7 @@ L_MAX_LIMIT = 10 ** 6
 N_LIMIT = 10 ** 7
 
 # The most points `circmix density --grid` writes: at 10^6 points it peaks at
-# ~125 MB RSS, ~195 MB with --true (2 cores), growing linearly in the points.
+# ~124 MB RSS, ~195 MB with --true (2 cores), growing linearly in the points.
 GRID_LIMIT = 10 ** 6
 
 
@@ -207,9 +208,15 @@ def slope_lambda(coeffs: EmpiricalCoeffs) -> SlopeFit:
                     masses=ys, window_start=start, theoretical_floor=penalty_floor(coeffs.p_cap))
 
 
-#: Terms per block of DensityEstimate.pdf: a block holds max(1, EVALUATE_TERMS
-#: // (2L+1)) points, so its working memory stays whatever the number of points.
-EVALUATE_TERMS = 4096 * 64
+def _fold(half: np.ndarray, num: int) -> np.ndarray:
+    """sum_{|l| <= L} c_l e^{i l x_j} at x_j = 2 pi j / num from the half-spectrum
+    c_0..c_L, c_{-l} = conj(c_l): e^{i l x_j} depends on l mod num only, so
+    w_0 = c_0 and w_l = 2 c_l are summed by residue, then one inverse FFT."""
+    w = 2.0 * half
+    w[0] = half[0]
+    k = np.arange(len(half)) % num
+    a = np.bincount(k, w.real, num) + 1j * np.bincount(k, w.imag, num)
+    return np.fft.ifft(a).real * num
 
 
 @dataclass
@@ -221,28 +228,13 @@ class DensityEstimate:
     penalty: float
     slope_fit: SlopeFit | None = None
 
-    def pdf(self, x):
-        """f_hat(x) = sum_{|l| <= L_hat} f_hat_l e^{i l x}; real by conjugate symmetry."""
-        x = np.asarray(x, dtype=float)
-        ls = np.arange(-self.level, self.level + 1)
-        half = self.coeffs.f_hat[:self.level + 1]
-        sel = np.concatenate([np.conj(half[:0:-1]), half])
-        rows = max(1, EVALUATE_TERMS // len(ls))
-        flat = x.ravel()
-        out = np.empty(flat.size)
-        for start in range(0, flat.size, rows):
-            block = flat[start:start + rows]
-            # an elementwise sum, not a BLAS product: the BLAS call starts threads
-            # that keep spinning and slow whatever runs next on a small host
-            terms = np.exp(1j * np.outer(block, ls)) * sel
-            out[start:start + rows] = terms.sum(axis=-1).real
-        out = out.reshape(x.shape)
-        return out if out.ndim else float(out)
-
     def grid(self, num: int = 512):
-        """(x, f_hat(x)) on a uniform grid over [0, 2*pi)."""
+        """(x, f_hat(x)) on the uniform grid x_j = 2 pi j / num over [0, 2 pi);
+        DomainError if num < 1."""
+        if num < 1:
+            raise DomainError(f"the grid needs at least one point, got {num}")
         x = np.linspace(0.0, TWO_PI, num, endpoint=False)
-        return x, self.pdf(x)
+        return x, _fold(self.coeffs.f_hat[:self.level + 1], num)
 
 
 def estimate_density(sample, fit: FitResult, l_max: int | None = None,

@@ -8,6 +8,7 @@ from the library's M^l and from the gradient and Hessian of M^l below.
 """
 
 import cmath
+import math
 
 import numpy as np
 
@@ -46,6 +47,32 @@ def quad_fourier(pdf, l, num=2048):
     grid (spectrally accurate for smooth densities)."""
     x = np.linspace(0.0, TWO_PI, num, endpoint=False)
     return np.mean(pdf(x) * np.exp(-1j * l * x))
+
+
+def trig_sum_exact(half, num, j, shift=0.0):
+    """sum_{|l| <= L} c_l e^{i l (x_j - shift)} at x_j = 2 pi j / num, summed
+    term by term, from the half-spectrum c_0..c_L (c_{-l} = conj(c_l)).
+
+    The grid angle is reduced exactly, as 2 pi ((l j) mod num) / num with the
+    remainder taken in integers, and the real terms are added with math.fsum,
+    so each term is exact to a few eps |c_l|; only l * shift is rounded as
+    a product, which adds at most L |shift| eps |c_l| to a term.
+    """
+    half = np.asarray(half, dtype=complex)
+    ls = np.arange(len(half))
+    angle = TWO_PI * ((ls * j) % num) / num - ls * shift
+    terms = 2.0 * (half.real * np.cos(angle) - half.imag * np.sin(angle))
+    terms[0] /= 2.0
+    return math.fsum(terms)
+
+
+def mixture_curve_exact(half, theta, num):
+    """p f(x_j - alpha) + (1 - p) f(x_j - beta) at x_j = 2 pi j / num,
+    j = 0..num-1, for f the trigonometric polynomial of the half-spectrum
+    c_0..c_L, each term by ``trig_sum_exact``."""
+    p, alpha, beta = _theta_array(theta)
+    return np.array([p * trig_sum_exact(half, num, j, alpha)
+                     + (1.0 - p) * trig_sum_exact(half, num, j, beta) for j in range(num)])
 
 
 def quad_integral(values_on_grid):

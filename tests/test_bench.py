@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,8 @@ from circmix import (EstimationError, ExperimentError, Tabulated, estimate_densi
 from circmix.bench import (ExperimentConfig, MseRow, _fit_rep, _map_reps, _rep_rng,
                            run_density_recon, run_experiments, run_mse, run_normality,
                            run_slope)
+
+from _oracles import mixture_curve_exact
 
 THETA = "0.25,0.39269908,2.0943951"
 # the package re-exports a function named contrast, so the modules are fetched by name
@@ -290,6 +293,25 @@ def test_run_density_recon(tmp_path):
     lines = (tmp_path / "density.csv").read_text().splitlines()
     assert lines[0] == "x,f,f_hat,g,g_hat"
     assert len(lines) == 513
+
+
+def test_density_recon_g_hat_is_the_shifted_estimate(tmp_path):
+    # g_hat, folded from the g_hat_l, against p_hat f_hat(x - alpha_hat) +
+    # (1 - p_hat) f_hat(x - beta_hat) summed term by term; the bound adds to the
+    # fold's (1 + log2 512) eps the rounding of l * alpha and l * beta (in M^l
+    # and in the oracle, up to 4 pi L eps) and of f_hat_l = g_hat_l / M^l, all
+    # in units of sum_{|l|<=L} |f_hat_l| (1.05 of them measured here)
+    cfg = config(tmp_path, density="wrappedcauchy gamma=0.8", n="1000", reps=1,
+                 experiment="density", l_max=30)
+    (_, _, _, _, g_hat), info = run_density_recon(cfg)
+    _, fit, estimate = bench._fit_and_density(cfg, "density", cfg.penalty)
+    level = estimate.level
+    assert info["level"] == level >= 10
+    half = estimate.coeffs.f_hat[:level + 1]
+    exact = mixture_curve_exact(half, fit.theta_hat, 512)
+    scale = abs(half[0]) + 2.0 * np.abs(half[1:]).sum()
+    bound = (8 + math.log2(512) + 4 * math.pi * level) * np.finfo(float).eps * scale
+    assert np.max(np.abs(g_hat - exact)) <= bound
 
 
 def test_run_density_recon_uniform_flat(tmp_path):

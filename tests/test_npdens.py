@@ -11,13 +11,11 @@ from numpy.testing import assert_allclose
 from circmix import (CalibrationError, ContrastMoments, DegeneracyError, DensityEstimate, DomainError,
                      EmpiricalCoeffs, FitOptions, MixtureParams, Tabulated, VonMises,
                      WrappedCauchy, WrappedNormal, empirical_coeffs, estimate_density,
-                     estimate_theta, l2_error, mixture_density, mixture_weight, oracle_risk,
+                     estimate_theta, l2_error, mixture_weight, oracle_risk,
                      penalty_floor, sample_mixture, select_level, slope_lambda)
 
-from circmix.npdens import EVALUATE_TERMS
-
-from _oracles import (TWO_PI, null_increments, quad_fourier, quad_integral,
-                      risk_profile_mp, slope_rule_levels, tail_mp)
+from _oracles import (TWO_PI, mixture_curve_exact, null_increments, quad_fourier, quad_integral,
+                      risk_profile_mp, slope_rule_levels, tail_mp, trig_sum_exact)
 
 EPS = np.finfo(float).eps
 
@@ -125,10 +123,12 @@ def test_grid_memory_is_bounded(large_n_estimate):
     assert peak < 32e6
 
 
-def test_pdf_memory_does_not_grow_with_the_level():
-    # a block holds EVALUATE_TERMS terms, not a fixed number of points: 512
-    # points at once took 65 MB per complex array at L = 4000
-    l_max = 4000
+@pytest.mark.parametrize("l_max", [4000, 10 ** 6])
+def test_grid_memory_does_not_grow_with_the_level(l_max):
+    # the fold holds three arrays over the L + 1 levels (the doubled terms,
+    # their residues mod num and a real part copied for np.bincount: 32 B/level
+    # traced at L = 1e5 and 1e6, plus 0.1 MB at 512 points) and none over
+    # points x levels: 512 points at once took 65 MB per complex array at L = 4000
     est = DensityEstimate(coeffs=make_coeffs([1e-8] * l_max), level=l_max, penalty=1.0)
     tracemalloc.start()
     try:
@@ -136,22 +136,49 @@ def test_pdf_memory_does_not_grow_with_the_level():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32e6
+    assert peak < 40 * l_max + 1e6
 
 
-ROWS = EVALUATE_TERMS // 69  # points per block at the fixture's L_hat = 34
+def _random_estimate(level, seed):
+    """A DensityEstimate at the given level whose f_hat_1..f_hat_level are
+    standard complex normal, with three more levels above it that the curve
+    must not read."""
+    rng = np.random.default_rng(seed)
+    f_hat = rng.standard_normal(level + 4) + 1j * rng.standard_normal(level + 4)
+    f_hat[0] = 1 / TWO_PI
+    coeffs = EmpiricalCoeffs(g_hat=f_hat.copy(), f_hat=f_hat, n=1000,
+                             theta_used=THETA0, l_max=level + 3, p_cap=0.49)
+    return DensityEstimate(coeffs=coeffs, level=level, penalty=1.0)
 
 
-@pytest.mark.parametrize("num", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5])
-def test_evaluate_blocks_are_the_unblocked_sum(large_n_estimate, num):
-    est = large_n_estimate
-    assert est.level == 34
-    x = np.random.default_rng(num).uniform(0, TWO_PI, num)
-    ls = np.arange(-est.level, est.level + 1)
-    sel = np.array([f_of(est.coeffs, l) for l in ls])
-    unblocked = (np.exp(1j * np.outer(x, ls)) * sel).sum(axis=-1).real
-    assert np.array_equal(est.pdf(x), unblocked)
-    assert est.pdf(x[0]) == unblocked[0]
+@pytest.mark.parametrize("level, num, points", [
+    (0, 512, None),
+    (34, 1, None),
+    (34, 7, None),  # num < 2L + 1: levels alias onto one another
+    (34, 4096, None),  # num >> L
+    (4000, 512, None),
+    (100_000, 512, [0, 1, 255, 511]),
+])
+def test_grid_is_the_exactly_reduced_sum(level, num, points):
+    # bound: (1 + log2 num) eps sum_{|l|<=L} |f_hat_l|, the inverse FFT's rounding
+    # growing with its log2 num stages; the oracle's terms are exact to a few
+    # eps |f_hat_l|, and the fold's sums of L / num random-sign terms each stay
+    # far below their worst case (the largest error here is 0.79 of those
+    # units, at num = 4096, against a bound of 13)
+    est = _random_estimate(level, seed=level + num)
+    x, y = est.grid(num)
+    assert np.array_equal(x, np.linspace(0.0, TWO_PI, num, endpoint=False))
+    half = est.coeffs.f_hat[:level + 1]
+    points = range(num) if points is None else points
+    exact = np.array([trig_sum_exact(half, num, j) for j in points])
+    scale = abs(half[0]) + 2.0 * np.abs(half[1:]).sum()
+    assert np.max(np.abs(y[list(points)] - exact)) <= (1 + math.log2(num)) * EPS * scale
+
+
+@pytest.mark.parametrize("num", [0, -1])
+def test_grid_needs_a_point(num):
+    with pytest.raises(DomainError):
+        _random_estimate(3, seed=0).grid(num)
 
 
 def test_empirical_coeffs_degeneracy_guard():
@@ -344,7 +371,7 @@ def test_estimate_density_reconstruction_quality():
     # reconstruction is real and integrates to one
     x, y = est.grid(512)
     assert abs(quad_integral(y) - 1.0) < 1e-10
-    g = mixture_density(fit.theta_hat, est, x)
+    g = mixture_curve_exact(est.coeffs.f_hat[:est.level + 1], fit.theta_hat, 512)
     assert abs(quad_integral(g) - 1.0) < 1e-6
 
 
@@ -384,8 +411,8 @@ def test_l2_error_matches_grid_quadrature():
     s = sample_mixture(THETA0, d, 1000, rng)
     fit = estimate_theta(s, FitOptions(compute_covariance=False))
     est = estimate_density(s, fit)
-    x = np.linspace(0.0, TWO_PI, 8192, endpoint=False)
-    quad = quad_integral((est.pdf(x) - d.pdf(x)) ** 2) / TWO_PI
+    x, y = est.grid(8192)
+    quad = quad_integral((y - d.pdf(x)) ** 2) / TWO_PI
     assert_allclose(l2_error(est, d), quad, atol=1e-8)
 
 
