@@ -12,8 +12,9 @@ file, and to stdout in one and in four 16384-line blocks), ``fit``,
 ``--jobs 1`` and ``--jobs 2``.  Then ``EXTRA_COMMANDS`` run once each: bad
 density specs, ``--out -``, ``simulate``, ``fit``, ``density`` and ``slope`` on
 an n = 2e5 sample, ``density --coeffs-out`` and ``slope`` at l_max = 2e5,
-``density`` at L_hat = l_max = 4000 on 512, 7 and 1 points, and the bench
-configs of ``REFUSED_CONFIGS``.
+``density`` at L_hat = l_max = 4000 on 512, 7 and 1 points, a 40000-point
+``density --true`` curve, ``fit --format csv`` with standard errors, and the
+bench configs of ``REFUSED_CONFIGS``.
 Each command runs as its own ``python -m circmix.cli`` process in a work
 directory of its tree, with relative paths, so the two trees see the same
 command lines.
@@ -91,6 +92,11 @@ EXTRA_COMMANDS = [
      "--out", "vm-tiny-lambda-7.csv"],
     ["density", "--in", "vm.txt", "--lmax", "4000", "--lambda", "1e-300", "--grid", "1",
      "--out", "vm-tiny-lambda-1.csv"],
+    # a curve of three columns over several blocks of the CSV writer, and a
+    # fit row with its standard errors
+    ["density", "--in", "vm.txt", "--grid", "40000", "--true", DENSITIES["vm"],
+     "--out", "vm-40000.csv"],
+    ["fit", "--in", "vm.txt", "--format", "csv"],
 ] + [["bench", "--config", f"{name}.cfg", "--out", name] for name in REFUSED_CONFIGS]
 
 

@@ -12,7 +12,7 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +28,10 @@ _STREAM_TAG = {kind: i for i, kind in enumerate(EXPERIMENT_KINDS)}
 _CONFIG_KEYS = {"density", "theta0", "n", "reps", "seed", "experiment", "p_max", "l_max",
                 "lambda", "jobs", "out"}
 
-FLOAT_FMT = "{:.5e}"  # six significant digits, '.' decimal separator
+FLOAT = "%.5e"  # six significant digits, '.' decimal separator
+
+# lines per %-format of write_rows: the part of a table in memory at once
+ROW_BLOCK = 16384
 
 # every fit of a size is kept, ~0.7 kB each: at n = 100, 10^5 reps peak at 105 MB RSS
 REPS_LIMIT = 10 ** 5
@@ -202,10 +205,6 @@ def _map_reps(config: ExperimentConfig, worker, tasks):
     return [worker(t) for t in tasks]
 
 
-def _fmt(x) -> str:
-    return FLOAT_FMT.format(float(x))
-
-
 @contextlib.contextmanager
 def open_output(path: str):
     """The text stream of an output path: stdout for '-', else the file."""
@@ -216,11 +215,27 @@ def open_output(path: str):
             yield fh
 
 
-def write_csv(path: str, header, rows) -> None:
+def write_rows(fh, fmt: str, columns) -> None:
+    """Write line i as ``fmt % (columns[0][i], columns[1][i], ...)``.
+
+    The columns are sliceable sequences of one length: arrays, lists or
+    ranges.  Each block of ROW_BLOCK lines is one %-format of the block's
+    values, read as Python scalars, which format faster than numpy's.
+    """
+    line, width = fmt + "\n", len(columns)
+    for start in range(0, len(columns[0]), ROW_BLOCK):
+        block = [np.asarray(c[start:start + ROW_BLOCK]).tolist() for c in columns]
+        values = [None] * (width * len(block[0]))
+        for k, column in enumerate(block):  # interleaved by slice: no tuple per line
+            values[k::width] = column
+        fh.write(line * len(block[0]) % tuple(values))
+
+
+def write_csv(path: str, header, fmt: str, columns) -> None:
+    """The CSV of a header line and the lines of ``write_rows(fmt, columns)``."""
     with open_output(path) as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
+        write_rows(fh, fmt, columns)
 
 
 @dataclass
@@ -273,8 +288,8 @@ def run_mse(config: ExperimentConfig) -> list:
     write_csv(os.path.join(config.outdir, "mse.csv"),
               ["density", "n", "reps", "excluded",
                "mse_p", "mse_alpha_modpi", "mse_beta_modpi"],
-              [[r.density, r.n, r.reps, r.excluded,
-                _fmt(r.mse_p), _fmt(r.mse_alpha), _fmt(r.mse_beta)] for r in rows])
+              f"%s,%d,%d,%d,{FLOAT},{FLOAT},{FLOAT}",
+              [[getattr(r, field.name) for r in rows] for field in fields(MseRow)])
     return rows
 
 
@@ -295,7 +310,7 @@ def run_normality(config: ExperimentConfig):
     per-coordinate summaries.  Covariance failures beyond 10% abort.
     """
     _check_experiment(config, "normality")
-    csv_rows = []
+    tables = []  # per n: the n, index, errors and standardized values of its kept reps
     summaries = []
     raw_by_n = {}
     for n in config.n_list:
@@ -309,16 +324,16 @@ def run_normality(config: ExperimentConfig):
         errs[:, 1:] = np.vectorize(math.remainder)(errs[:, 1:], math.pi)  # signed, modulo pi
         zs = errs / np.array([fit.std_errors for _, fit in good])
         raw_by_n[n] = (errs, zs)
-        for (i, _), e, z in zip(good, errs, zs):
-            csv_rows.append([n, i, *[_fmt(v) for v in e], *[_fmt(v) for v in z]])
+        tables.append((np.full(len(good), n), np.array([i for i, _ in good]), errs, zs))
         for j, coord in enumerate(("p", "alpha", "beta")):
             zj = zs[:, j]
             m, v = float(zj.mean()), float(zj.var(ddof=1))
             skew = float(np.mean((zj - m) ** 3) / v ** 1.5) if v > 0 else 0.0
             summaries.append(NormalitySummary(n, coord, m, v, skew, len(zj)))
+    ns, rep_ids, errs, zs = (np.concatenate(parts) for parts in zip(*tables))
     write_csv(os.path.join(config.outdir, "normality.csv"),
-              ["n", "rep", "err_p", "err_alpha", "err_beta",
-               "z_p", "z_alpha", "z_beta"], csv_rows)
+              ["n", "rep", "err_p", "err_alpha", "err_beta", "z_p", "z_alpha", "z_beta"],
+              "%d,%d" + f",{FLOAT}" * 6, [ns, rep_ids, *errs.T, *zs.T])
     return summaries, raw_by_n
 
 
@@ -356,10 +371,8 @@ def run_density_recon(config: ExperimentConfig):
         "l2_error_f": l2_error(estimate, density),
         "theta_hat": fit.theta_hat,
     }
-    write_csv(os.path.join(config.outdir, "density.csv"),
-              ["x", "f", "f_hat", "g", "g_hat"],
-              [[_fmt(a), _fmt(b), _fmt(c), _fmt(d), _fmt(e)]
-               for a, b, c, d, e in zip(x, f_true, f_hat, g_true, g_hat)])
+    write_csv(os.path.join(config.outdir, "density.csv"), ["x", "f", "f_hat", "g", "g_hat"],
+              ",".join([FLOAT] * 5), [x, f_true, f_hat, g_true, g_hat])
     return (x, f_true, f_hat, g_true, g_hat), info
 
 
@@ -375,12 +388,13 @@ def run_slope(config: ExperimentConfig):
 
 
 def write_slope_csv(path: str, slope_fit) -> None:
-    """One row per level L, formatted as it is written: its couple, whether it
-    is in the slope window, and the fitted slope and lambda_hat."""
-    slope, lambda_hat = _fmt(slope_fit.slope), _fmt(slope_fit.lambda_hat)
+    """One row per level L: its couple, whether it is in the slope window, and
+    the fitted slope and lambda_hat, which are formatted once, into the format."""
+    levels = np.arange(len(slope_fit.shapes))
+    tail = (f"{FLOAT},{FLOAT}" % (slope_fit.slope, slope_fit.lambda_hat)).replace("%", "%%")
     write_csv(path, ["L", "penalty_shape", "coeff_mass", "in_window", "slope", "lambda_hat"],
-              ([L, _fmt(x), _fmt(y), int(L >= slope_fit.window_start), slope, lambda_hat]
-               for L, (x, y) in enumerate(zip(slope_fit.shapes, slope_fit.masses))))
+              f"%d,{FLOAT},{FLOAT},%d,{tail}",
+              [levels, slope_fit.shapes, slope_fit.masses, levels >= slope_fit.window_start])
 
 
 _RUNNERS = {"mse": run_mse, "normality": run_normality,

@@ -330,15 +330,19 @@ class Tabulated(ComponentDensity):
 
     @classmethod
     def from_text(cls, path, mu: float = 0.0) -> "Tabulated":
-        """Load a two-column (angle, value) text file on a uniform grid."""
+        """Load a two-column (angle, value) text file whose N sorted angles are
+        the grid 2*pi*j/N, j = 0..N-1, on which the values are placed."""
         data = np.loadtxt(path)
         if data.ndim != 2 or data.shape[1] != 2:
             raise DomainError("expected a two-column (angle, value) file")
         order = np.argsort(data[:, 0])
         angles, values = data[order, 0], data[order, 1]
-        step = np.diff(angles)
-        if len(angles) < 16 or not np.allclose(step, step[0], rtol=1e-6, atol=1e-9):
-            raise DomainError("tabulated grid must be uniform with >= 16 points")
+        if len(angles) < 16:
+            raise DomainError("tabulated grid must have >= 16 points")
+        grid = np.linspace(0.0, TWO_PI, len(angles), endpoint=False)
+        if not np.allclose(angles, grid, rtol=1e-6, atol=1e-9):
+            raise DomainError(f"tabulated grid of {len(angles)} points must be the angles "
+                              f"2*pi*j/{len(angles)}: from 0 in steps of {grid[1]:.12g}")
         return cls(values, mu=mu)
 
     def _pdf(self, d):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bench
 from .circ import MixtureParams, normalize, normalize_into, parse_density, sample_mixture
-from .contrast import POWER_SUM_CHUNK, ContrastMoments, FitOptions, estimate_theta
+from .contrast import ContrastMoments, FitOptions, estimate_theta
 from .errors import (CalibrationError, CircmixError, DomainError, EstimationError,
                      ExperimentError)
 from .ident import classify, mixture_residual
@@ -139,12 +139,8 @@ def cmd_simulate(args) -> int:
     _check_settings(n=args.n)
     rng = np.random.default_rng(args.seed)
     angles = sample_mixture(theta, density, args.n, rng)
-    # a block of lines at a time, so the text never holds the whole sample
     with bench.open_output(args.out) as fh:
-        for start in range(0, len(angles), POWER_SUM_CHUNK):
-            block = angles[start:start + POWER_SUM_CHUNK].tolist()
-            # one %-format per block: the text of an f"{x:.12g}\n" per angle, in less time
-            fh.write(("%.12g\n" * len(block)) % tuple(block))
+        bench.write_rows(fh, "%.12g", [angles])
     return EXIT_OK
 
 
@@ -154,21 +150,23 @@ def cmd_fit(args) -> int:
     if fit.near_degenerate:
         print("warning: near-degenerate fit, beta - alpha close to a multiple of 2*pi/3",
               file=sys.stderr)
-    record = fit.to_kv_record() if args.format == "kv" else fit.CSV_HEADER + "\n" + fit.to_csv_row()
-    with bench.open_output(args.out) as fh:
-        fh.write(record + "\n")
+    if args.format == "kv":
+        with bench.open_output(args.out) as fh:
+            fh.write(fit.to_kv_record() + "\n")
+    else:
+        theta, se = fit.theta_hat, [] if fit.std_errors is None else list(fit.std_errors)
+        bench.write_csv(args.out, ["n", "p_hat", "alpha_hat", "beta_hat", "contrast_at_min",
+                                   "converged_starts", "near_degenerate",
+                                   "se_p", "se_alpha", "se_beta"],
+                        ",".join(["%d", *[bench.FLOAT] * 4, "%d", "%d",
+                                  *[bench.FLOAT if se else ""] * 3]),
+                        [[v] for v in (fit.n, theta.p, theta.alpha, theta.beta,
+                                       fit.contrast_at_min, fit.converged_starts,
+                                       fit.near_degenerate, *se)])
     if not args.no_cov and fit.std_errors is None:
         print(f"warning: covariance unavailable: {fit.inference_warning}", file=sys.stderr)
         return EXIT_INFERENCE
     return EXIT_OK
-
-
-def _mirrored(f_hat):
-    """(l, f_hat_l) for l = -l_max..l_max, from the half spectrum l = 0..l_max:
-    the coefficient of -l is the conjugate of that of l."""
-    for l in range(1 - len(f_hat), len(f_hat)):
-        z = complex(f_hat[abs(l)])
-        yield l, (z if l >= 0 else z.conjugate())
 
 
 def cmd_density(args) -> int:
@@ -184,19 +182,20 @@ def cmd_density(args) -> int:
     true = parse_density(args.true_density) if args.true_density else None
     estimate = _fit_and_density(args, penalty)
     x, f_hat = estimate.grid(args.grid)
-    header = ["x", "f_hat"]
-    cols = [x, f_hat]
+    header, columns = ["x", "f_hat"], [x, f_hat]
     if true is not None:
         header.append("f")
-        cols.append(true.pdf(x))
-    # Python floats format faster than numpy scalars, to the same text; the
-    # rows are formatted as they are written, so the text is never all in memory
-    rows = ([bench.FLOAT_FMT.format(v) for v in row] for row in zip(*(c.tolist() for c in cols)))
-    bench.write_csv(args.out, header, rows)
+        columns.append(true.pdf(x))
+    bench.write_csv(args.out, header, ",".join([bench.FLOAT] * len(columns)), columns)
     if args.coeffs_out:
-        bench.write_csv(args.coeffs_out, ["l", "re_f_hat", "im_f_hat"],
-                        ([l, bench.FLOAT_FMT.format(z.real), bench.FLOAT_FMT.format(z.imag)]
-                         for l, z in _mirrored(estimate.coeffs.f_hat)))
+        # f_hat_{-l} = conj(f_hat_l): l = -L..-1 from the half spectrum reversed,
+        # so that the mirrored spectrum is never built
+        f_hat, line = estimate.coeffs.f_hat, f"%d,{bench.FLOAT},{bench.FLOAT}"
+        with bench.open_output(args.coeffs_out) as fh:
+            fh.write("l,re_f_hat,im_f_hat\n")
+            bench.write_rows(fh, line, [range(1 - len(f_hat), 0), f_hat.real[:0:-1],
+                                        -f_hat.imag[:0:-1]])
+            bench.write_rows(fh, line, [range(len(f_hat)), f_hat.real, f_hat.imag])
     print(f"L_hat = {estimate.level}")
     print(f"lambda = {estimate.penalty:.6g}")
     if estimate.slope_fit is not None:
@@ -264,10 +263,10 @@ def cmd_ident(args) -> int:
             line += f" f_prime_nonneg={w.f_prime_nonneg} f_prime_min={w.f_prime_min:.6g}"
         print(line)
         rows.append([w.kind.value, f"{tp.p:.12g}", f"{tp.alpha:.12g}", f"{tp.beta:.12g}",
-                     "" if residual == "" else f"{residual:.5e}"])
+                     "" if residual == "" else bench.FLOAT % residual])
     if args.out:
-        bench.write_csv(args.out,
-                        ["kind", "p_prime", "alpha_prime", "beta_prime", "residual"], rows)
+        bench.write_csv(args.out, ["kind", "p_prime", "alpha_prime", "beta_prime", "residual"],
+                        "%s,%s,%s,%s,%s", [[row[k] for row in rows] for k in range(5)])
     return EXIT_OK
 
 

@@ -443,24 +443,6 @@ class FitResult:
             lines.append(f"inference_warning = {self.inference_warning}")
         return "\n".join(lines)
 
-    CSV_HEADER = "n,p_hat,alpha_hat,beta_hat,contrast_at_min,converged_starts,near_degenerate,se_p,se_alpha,se_beta"
-
-    def to_csv_row(self) -> str:
-        se = ["", "", ""]
-        if self.std_errors is not None:
-            se = [f"{v:.5e}" for v in self.std_errors]
-        fields = [
-            str(self.n),
-            f"{self.theta_hat.p:.5e}",
-            f"{self.theta_hat.alpha:.5e}",
-            f"{self.theta_hat.beta:.5e}",
-            f"{self.contrast_at_min:.5e}",
-            str(self.converged_starts),
-            str(int(self.near_degenerate)),
-            *se,
-        ]
-        return ",".join(fields)
-
 
 def canonicalize(theta: MixtureParams) -> MixtureParams:
     """Resolve label switching by enforcing p < 1/2."""

@@ -32,8 +32,8 @@ def _weight_floor(p_cap: float) -> float:
 
 
 # The largest resolution level accepted: at n = 1000 and a million levels
-# `circmix density` takes 5.2-5.7 s, `slope` 9.9-10.9 s and `density
-# --coeffs-out` 9.5-12.2 s at 123 MB peak RSS, and `density --lambda 1e-300`
+# `circmix density` takes 3.4-4.4 s, `slope` 4.6-5.7 s and `density
+# --coeffs-out` 5.2-5.9 s at 123 MB peak RSS, and `density --lambda 1e-300`
 # (L_hat = l_max) 4.7-5.5 s at 115 MB (os.wait4, 2 cores), linear in l_max.
 # The power sums run the recurrence there: the binned method's bins would
 # outgrow its chunk buffers.
@@ -44,7 +44,7 @@ L_MAX_LIMIT = 10 ** 6
 N_LIMIT = 10 ** 7
 
 # The most points `circmix density --grid` writes: at 10^6 points it peaks at
-# ~124 MB RSS, ~195 MB with --true (2 cores), growing linearly in the points.
+# ~101 MB RSS, with or without --true (2 cores), growing linearly in the points.
 GRID_LIMIT = 10 ** 6
 
 

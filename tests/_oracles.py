@@ -378,3 +378,11 @@ def sandwich_by_linalg(moments, theta):
     sigma = a_inv @ (0.5 * (v_hat + v_hat.T)) @ a_inv
     sigma = 0.5 * (sigma + sigma.T)
     return np.sqrt(np.clip(np.diag(sigma), 0.0, None) / n), rcond
+
+
+def format_rows(formats, columns) -> str:
+    """The lines of a table as the per-row writers formatted them: line i is
+    ``",".join(formats[k](columns[k][i]) ...)``, each field by its own call,
+    such as ``"{:.5e}".format``, ``str`` or ``"{:.12g}".format``."""
+    return "".join(",".join(fmt(v) for fmt, v in zip(formats, row)) + "\n"
+                   for row in zip(*columns))

@@ -1,6 +1,7 @@
 """Monte Carlo harness: determinism, schemas, failure accounting."""
 
 import importlib
+import io
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from circmix.bench import (ExperimentConfig, MseRow, _fit_rep, _map_reps, _rep_r
                            run_density_recon, run_experiments, run_mse, run_normality,
                            run_slope)
 
-from _oracles import mixture_curve_exact
+from _oracles import format_rows, mixture_curve_exact
 
 THETA = "0.25,0.39269908,2.0943951"
 # the package re-exports a function named contrast, so the modules are fetched by name
@@ -252,6 +253,33 @@ def test_pool_workers_from_fresh_interpreter_use_one_blas_thread(tmp_path):
             assert scipy == [], values
             if os.path.isdir("/proc/self/task"):
                 assert threads == 1, values
+
+
+# the floats that format oddly: signed zeros and infinities, nan, the smallest
+# subnormal, a value near the largest double, and wide exponents
+ODD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.8e308, -1.8e308, 0.1,
+              2.5e-7, -123456.789, 1e16 / 3]
+
+
+@pytest.mark.parametrize("rows", [0, 1, bench.ROW_BLOCK, bench.ROW_BLOCK + 1])
+def test_writers_match_the_per_row_formatter(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    wide = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    floats = np.concatenate([ODD_FLOATS, wide])[:rows]
+    columns = [floats, floats[::-1], rng.integers(-10 ** 15, 10 ** 15, rows),
+               range(-(rows // 2), rows - rows // 2), floats > 0,
+               [f"s{i}" if i % 3 else "" for i in range(rows)]]
+    fmt = "%.5e,%.12g,%d,%d,%d,%s,50%% of 1.00000e+00"
+    expected = format_rows(
+        ["{:.5e}".format, "{:.12g}".format, str, str, lambda b: str(int(b)), str, str],
+        [np.asarray(c).tolist() for c in columns] + [["50% of 1.00000e+00"] * rows])
+    header = ["a", "b", "c", "d", "e", "f", "g"]
+    path = tmp_path / "t.csv"
+    bench.write_csv(str(path), header, fmt, columns)
+    assert path.read_bytes() == ("a,b,c,d,e,f,g\n" + expected).encode()
+    fh = io.StringIO()
+    bench.write_rows(fh, fmt, columns)
+    assert fh.getvalue() == expected
 
 
 def test_mse_csv_schema(tmp_path):

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circmix import (EstimationError, FitOptions, MixtureParams, Tabulated, VonMises, bench,
-                     cli, estimate_density, estimate_theta, normalize, parse_density, penalty_floor,
-                     sample_mixture)
+from circmix import (DomainError, EstimationError, FitOptions, MixtureParams, Tabulated,
+                     VonMises, bench, cli, estimate_density, estimate_theta, normalize,
+                     parse_density, penalty_floor, sample_mixture)
 from circmix.cli import main
 from circmix.contrast import POWER_SUM_CHUNK as CHUNK
 
@@ -548,8 +548,9 @@ def _peak_above_start(fn, *args):
 
 def test_density_stage_memory_per_level(tmp_path, capsys):
     # the half spectrum and the slope couples as arrays, and the per-level CSVs
-    # written row by row: mirrored coefficients, lists of couples and whole
-    # row lists took 376, 373 and 964 B/level here
+    # written a block of rows at a time: mirrored coefficients, lists of couples
+    # and whole row lists took 376, 373 and 964 B/level here, and a mirrored
+    # spectrum built as one array 117 B/level
     l_max, sample = 200_000, tmp_path / "s.txt"
     run(capsys, "simulate", "--density", "vonmises:kappa=5", "--theta", THETA,
         "--n", "1000", "--seed", "7", "--out", str(sample))
@@ -566,12 +567,27 @@ def test_density_stage_memory_per_level(tmp_path, capsys):
                                               str(l_max), "--out", str(tmp_path / "d.csv"),
                                               "--coeffs-out", str(coeffs_csv)])
     assert code == 0
-    assert peak / l_max <= 128, peak / l_max
+    assert peak / l_max <= 104, peak / l_max
     with open(coeffs_csv) as fh:
         first, last = next(fh), None
         for last in fh:
             pass
     assert first == "l,re_f_hat,im_f_hat\n" and last.startswith(f"{l_max},")
+
+
+def test_density_curve_memory_per_point(tmp_path, capsys):
+    # the grid, the estimate and the true density as arrays, and the rows
+    # formatted a block at a time (109 B/point here): rows formatted from
+    # whole-column lists took 189 B/point
+    points, sample = 200_000, tmp_path / "s.txt"
+    run(capsys, "simulate", "--density", "vonmises:kappa=5", "--theta", THETA,
+        "--n", "1000", "--seed", "7", "--out", str(sample))
+    with contextlib.redirect_stdout(io.StringIO()):
+        peak, code = _peak_above_start(main, ["density", "--in", str(sample), "--grid",
+                                              str(points), "--true", "vonmises:kappa=5",
+                                              "--out", str(tmp_path / "d.csv")])
+    assert code == 0
+    assert peak / points <= 120, peak / points
 
 
 def test_slope_command(tmp_path, capsys):
@@ -732,6 +748,28 @@ def test_bench_reads_a_tabulated_density_once(tmp_path, capsys, monkeypatch, job
     assert code == 0
     assert out.startswith("mse: density=tabulated n=64 mu=0 n=300 ")
     assert calls == [str(grid)]
+
+
+@pytest.mark.parametrize("angles", [
+    np.full(16, 1.0),                                       # step 0
+    np.linspace(0.0, np.pi, 16, endpoint=False),            # a uniform grid over [0, pi)
+    np.linspace(0.0, 2 * np.pi, 16, endpoint=False) + 1.0,  # the 2 pi/16 grid, shifted
+], ids=["equal", "half-circle", "shifted"])
+def test_tabulated_grid_other_than_2pi_j_over_n_is_refused(tmp_path, capsys, angles):
+    # the values are placed at 2 pi j / N, so any other grid would misplace them
+    grid = tmp_path / "grid.txt"
+    np.savetxt(grid, np.column_stack([angles, 1.0 + np.cos(angles)]))
+    with pytest.raises(DomainError, match=r"2\*pi\*j/16: from 0 in steps of 0\.392699081699"):
+        Tabulated.from_text(grid)
+    code, stdout, err = run(capsys, "ident", "--theta", "0.4,0,2.0944",
+                            "--density", f"tabulated path={grid}")
+    assert (code, stdout) == (2, "") and err.startswith("error: tabulated grid")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"experiment = mse\ndensity = tabulated path={grid}\n"
+                   f"theta0 = {THETA}\nn = 100\nreps = 2\nseed = 5\n")
+    code, stdout, err = run(capsys, "bench", "--config", str(cfg), "--out", str(tmp_path / "r"))
+    assert (code, stdout) == (6, "") and "key 'density' is out of range" in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_bench_missing_tabulated_file_is_an_input_error(tmp_path, capsys):
